@@ -1,14 +1,20 @@
 """Benchmark harness: optimality gaps, suites, spectra, and report export.
 
 A suite pairs an instance source (generator sweep or file glob) with a list
-of solver configurations.  Each (instance, solver) entry runs with its
-configured replicas, keeps the best sample, and records the optimality gap
+of solver configurations.  Generator families and their keywords are those
+of ``generators.GENERATORS`` (the suite's ``sizes`` sweep each family's size
+keyword); solver ids and parameters are those of ``solvers.SOLVERS``; every
+instance reaches the solvers through ``transforms.to_ising``.  Each
+(instance, solver) entry runs with its configured replicas, keeps the best
+sample, and records the optimality gap
 
     gap = (energy - reference_energy) / |reference_energy|
 
 against the suite's reference policy.  Wall time covers the solve call only
 (monotonic clock, I/O excluded) unless ``include_overhead`` adds end-to-end
-timing.  Failed entries become per-record errors and the suite continues.
+timing.  Failed entries become per-record errors and the suite continues; a
+file in the glob that cannot be read or normalised gives each solver one
+record carrying that error.
 """
 
 from __future__ import annotations
@@ -19,26 +25,17 @@ import dataclasses
 import glob as globmod
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ReferenceUndefinedError, ValidationError
-from .generators import PlantedInstance, gen_3r3x, gen_chain3, gen_mw3s, gen_random, gen_tile, gen_wishart
+from .generators import GENERATORS, generate
 from .instance_io import read_certificate, read_instance
-from .model import HuboModel, IsingModel, QuboModel
-from .solvers import (
-    BBParams,
-    params_from_dict,
-    solve_bb,
-    solve_brute_force,
-    solve_pa,
-    solve_sa,
-    solve_sbm,
-)
-from .solvers.common import PARAM_CLASSES
-from .transforms import qubo_to_ising, reduce_cubic
+from .model import IsingModel
+from .solvers import run_solver, solve_brute_force
+from .transforms import to_ising
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -116,98 +113,49 @@ class SuiteSpec:
 @dataclass
 class _Entry:
     instance_id: str
-    model: IsingModel
+    model: IsingModel | None
     seed: int | None
     planted_energy: float | None
+    error: str = ""
 
 
-_GENERATORS = {
-    "chain3": lambda size, seed, params: gen_chain3(size, seed),
-    "mw3s": lambda size, seed, params: gen_mw3s(size, seed),
-    "r3x3": lambda size, seed, params: gen_3r3x(size, seed),
-    "tile": lambda size, seed, params: gen_tile(
-        size, params.get("p", (0.0, params.get("p2", 0.5), 0.0, 1.0 - params.get("p2", 0.5))), seed),
-    "wishart": lambda size, seed, params: gen_wishart(
-        size, params.get("M", max(1, int(round(params.get("alpha", 1.0) * size)))), seed),
-    "random": lambda size, seed, params: gen_random(
-        params.get("topology", "complete"), params.get("dist", "uniform"), seed,
-        n=size, rows=params.get("rows"), cols=params.get("cols"),
-        a=params.get("a", -1.0), b=params.get("b", 1.0)),
-}
-
-
-def _as_ising(model, instance_id: str) -> IsingModel:
-    if isinstance(model, IsingModel):
-        return model
-    if isinstance(model, QuboModel):
-        return qubo_to_ising(model)
-    if isinstance(model, HuboModel):
-        reduced, _ = reduce_cubic(model)
-        return reduced
-    raise ValidationError(f"{instance_id}: unsupported model type")
+def _read_entry(path: str) -> _Entry:
+    iid = Path(path).name
+    try:
+        model, _ = to_ising(read_instance(path))
+        planted = None
+        cert = Path(path).with_suffix(Path(path).suffix + ".cert.json")
+        if cert.exists():
+            planted = float(read_certificate(cert)["planted_energy"])
+    except Exception as exc:  # one unreadable file: per-record errors, suite continues
+        return _Entry(iid, None, None, None, f"{type(exc).__name__}: {exc}")
+    return _Entry(iid, model, None, planted)
 
 
 def _resolve_instances(spec: SuiteSpec) -> list[_Entry]:
-    entries: list[_Entry] = []
     if "generator" in spec.source:
         g = dict(spec.source["generator"])
         family = g.pop("family")
         sizes = g.pop("sizes")
         seeds = g.pop("seeds")
-        if family not in _GENERATORS:
+        if family not in GENERATORS:
             raise ValidationError(f"unknown generator family {family!r}")
+        size_key = GENERATORS[family].size
+        if size_key in g:
+            raise ValidationError(f"{family}: {size_key!r} comes from 'sizes'")
+        entries = []
         for size in sizes:
             for seed in seeds:
-                made = _GENERATORS[family](size, seed, g)
-                planted = None
-                if isinstance(made, PlantedInstance):
-                    planted = made.planted_energy
-                    model = made.model
-                else:
-                    model = made
-                iid = f"{family}-n{size}-s{seed}"
-                entries.append(_Entry(iid, _as_ising(model, iid), seed, planted))
-    elif "files" in spec.source:
+                model, planted = generate(family, seed, **g, **{size_key: size})
+                entries.append(_Entry(f"{family}-n{size}-s{seed}", to_ising(model)[0], seed,
+                                      planted.planted_energy if planted else None))
+        return entries
+    if "files" in spec.source:
         paths = sorted(globmod.glob(spec.source["files"]))
         if not paths:
             raise ValidationError(f"file glob {spec.source['files']!r} matched nothing")
-        for p in paths:
-            model = read_instance(p)
-            planted = None
-            cert = Path(p).with_suffix(Path(p).suffix + ".cert.json")
-            if cert.exists():
-                planted = float(read_certificate(cert)["planted_energy"])
-            iid = Path(p).name
-            entries.append(_Entry(iid, _as_ising(model, iid), None, planted))
-    else:
-        raise ValidationError("suite source must contain 'generator' or 'files'")
-    return entries
-
-
-def _run_solver(entry: _Entry, solver: dict, spec: SuiteSpec) -> tuple[float, float]:
-    """Run one solver on one instance; returns (best energy, solve seconds)."""
-    sid = solver["id"]
-    raw = dict(solver.get("params", {}))
-    replicas = spec.replicas if spec.replicas is not None else spec.sample_count
-    if sid in ("sa", "pa", "sbm"):
-        raw.setdefault("replicas", replicas)
-        raw.setdefault("seed", entry.seed if entry.seed is not None else 0)
-        params = params_from_dict(sid, raw)
-        solve = {"sa": solve_sa, "pa": solve_pa, "sbm": solve_sbm}[sid]
-        t0 = time.perf_counter()
-        result = solve(entry.model, params)
-        dt = time.perf_counter() - t0
-        return result.best.energy, dt
-    if sid == "bf":
-        t0 = time.perf_counter()
-        _, energy = solve_brute_force(entry.model, cap=raw.get("cap", spec.brute_force_cap))
-        return energy, time.perf_counter() - t0
-    if sid == "bb":
-        params = params_from_dict("bb", raw)
-        t0 = time.perf_counter()
-        result = solve_bb(entry.model, params)
-        return result.energy, time.perf_counter() - t0
-    raise ValidationError(f"unknown solver id {sid!r}")
+        return [_read_entry(p) for p in paths]
+    raise ValidationError("suite source must contain 'generator' or 'files'")
 
 
 def run_suite(spec: SuiteSpec) -> list[GapRecord]:
@@ -220,16 +168,21 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
                      json.loads(Path(spec.reference_file).read_text()).items()}
 
     tasks = [(entry, solver) for entry in entries for solver in spec.solvers]
+    replicas = spec.replicas if spec.replicas is not None else spec.sample_count
 
     def run_task(task):
         entry, solver = task
         sid = solver.get("name", solver["id"])
+        if entry.error:
+            return (entry, sid, np.nan, 0.0, entry.error)
         t_all = time.perf_counter()
         try:
-            energy, dt = _run_solver(entry, solver, spec)
-            if spec.include_overhead:
-                dt = time.perf_counter() - t_all
-            return (entry, sid, energy, dt, "")
+            result = run_solver(solver["id"], entry.model, solver.get("params", {}),
+                                replicas=replicas,
+                                seed=entry.seed if entry.seed is not None else 0,
+                                cap=spec.brute_force_cap)
+            dt = time.perf_counter() - t_all if spec.include_overhead else result.wall_time
+            return (entry, sid, result.energy, dt, "")
         except Exception as exc:  # per-entry failure: record and continue
             return (entry, sid, np.nan, 0.0, f"{type(exc).__name__}: {exc}")
 

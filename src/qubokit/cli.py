@@ -18,19 +18,10 @@ import numpy as np
 
 from . import bench as bench_mod
 from .errors import QubokitError, SizeCapError, UnsupportedOrderError, ValidationError
-from .generators import gen_3r3x, gen_chain3, gen_mw3s, gen_random, gen_tile, gen_wishart
+from .generators import GENERATORS, generate
 from .instance_io import read_certificate, read_instance, write_certificate, write_instance
-from .model import HuboModel, IsingModel, QuboModel
-from .solvers import (
-    default_config,
-    params_from_dict,
-    solve_bb,
-    solve_brute_force,
-    solve_pa,
-    solve_sa,
-    solve_sbm,
-)
-from .transforms import hubo_to_spin_domain, ising_to_qubo, lift_solution, qubo_to_ising, reduce_cubic
+from .solvers import SOLVERS, default_config, run_solver, solve_brute_force
+from .transforms import ising_to_qubo, to_ising
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,23 +35,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate an instance (+ certificate)")
-    g.add_argument("family", choices=["chain3", "mw3s", "3r3x", "tile", "wishart", "random"])
+    g.add_argument("family", choices=list(GENERATORS))
     g.add_argument("--n", type=int, help="variable count (chain3/mw3s/3r3x/wishart N/random)")
-    g.add_argument("--m-cols", type=int, help="wishart column count M")
+    g.add_argument("--m-cols", type=int, dest="M", help="wishart column count M")
     g.add_argument("--alpha", type=float, help="wishart ratio M/N (alternative to --m-cols)")
     g.add_argument("--L", type=int, help="tile lattice side")
     g.add_argument("--p2", type=float, help="tile C2 probability on the (0,p2,0,1-p2) line")
     g.add_argument("--p", type=float, nargs=4, metavar=("P1", "P2", "P3", "P4"),
                    help="tile full probability vector")
-    g.add_argument("--topology", choices=["complete", "chimera", "edge_list"],
-                   default="complete")
+    g.add_argument("--topology", choices=["complete", "chimera", "edge_list"])
     g.add_argument("--rows", type=int, help="chimera rows")
     g.add_argument("--cols", type=int, help="chimera cols")
     g.add_argument("--edges", type=Path, help="edge list file (one 'i j' pair per line, 1-based)")
-    g.add_argument("--dist", choices=["uniform", "int_uniform", "gaussian"], default="uniform")
-    g.add_argument("--low", type=float, default=-1.0)
-    g.add_argument("--high", type=float, default=1.0)
-    g.add_argument("--no-biases", action="store_true")
+    g.add_argument("--dist", choices=["uniform", "int_uniform", "gaussian"])
+    g.add_argument("--low", type=float, dest="a")
+    g.add_argument("--high", type=float, dest="b")
+    g.add_argument("--no-biases", action="store_false", dest="with_biases", default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", type=Path, required=True, help="instance output path")
 
@@ -77,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve an instance file")
     s.add_argument("instance", type=Path, nargs="?")
-    s.add_argument("--solver", choices=["sa", "pa", "sbm", "bf", "bb"], default="sa")
+    s.add_argument("--solver", choices=list(SOLVERS), default="sa")
     s.add_argument("--params", type=Path, help="JSON file with solver parameters")
     s.add_argument("--replicas", type=int)
     s.add_argument("--seed", type=int, default=0)
@@ -102,82 +92,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    fam = args.family
-    if fam in ("chain3", "mw3s", "3r3x", "wishart") and args.n is None:
-        raise ValidationError(f"{fam} needs --n")
-    planted = None
-    if fam == "chain3":
-        model = gen_chain3(args.n, args.seed)
-        summary = f"chain3 n={args.n}"
-    elif fam == "mw3s":
-        model = gen_mw3s(args.n, args.seed)
-        summary = f"mw3s n={args.n}"
-    elif fam == "3r3x":
-        planted = gen_3r3x(args.n, args.seed)
-        model = planted.model
-        summary = f"3r3x n={args.n} planted_energy={planted.planted_energy}"
-    elif fam == "tile":
-        if args.L is None:
-            raise ValidationError("tile needs --L")
-        if args.p is not None:
-            p = tuple(args.p)
-        elif args.p2 is not None:
-            p = (0.0, args.p2, 0.0, 1.0 - args.p2)
-        else:
-            raise ValidationError("tile needs --p2 or --p")
-        planted = gen_tile(args.L, p, args.seed)
-        model = planted.model
-        summary = (f"tile L={args.L} n={model.n} p={list(p)} "
-                   f"planted_energy={planted.planted_energy}")
-    elif fam == "wishart":
-        M = args.m_cols
-        if M is None and args.alpha is not None:
-            M = max(1, int(round(args.alpha * args.n)))
-        if M is None:
-            raise ValidationError("wishart needs --m-cols or --alpha")
-        planted = gen_wishart(args.n, M, args.seed)
-        model = planted.model
-        summary = f"wishart N={args.n} M={M} planted_energy={planted.planted_energy:.6f}"
-    else:
-        edges = None
-        if args.edges is not None:
-            edges = []
-            for line in args.edges.read_text().splitlines():
-                line = line.split("#")[0].strip()
-                if line:
-                    i, j = line.split()[:2]
-                    edges.append((int(i) - 1, int(j) - 1))
-        model = gen_random(args.topology, args.dist, args.seed, n=args.n,
-                           rows=args.rows, cols=args.cols, edges=edges,
-                           a=args.low, b=args.high, with_biases=not args.no_biases)
-        summary = f"random topology={args.topology} n={model.n}"
-
+    # every flag left unset is dropped, so the family's own defaults apply
+    params = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "family", "seed", "out")}
+    if "edges" in params:  # one 1-based 'i j' pair per line
+        params["edges"] = (np.loadtxt(params["edges"], dtype=np.int64, usecols=(0, 1),
+                                      ndmin=2) - 1).tolist()
+    model, planted = generate(args.family, args.seed, **params)
+    summary = f"{args.family} n={model.n}"
     write_instance(args.out, model)
     if planted is not None:
         cert_path = args.out.with_suffix(args.out.suffix + ".cert.json")
         write_certificate(cert_path, planted.planted_energy, planted.planted_state,
                           planted.family, planted.hardness, args.seed)
-        summary += f" certificate={cert_path}"
+        summary += f" planted_energy={planted.planted_energy} certificate={cert_path}"
     print(f"generated {summary} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_convert(args) -> int:
     model = read_instance(args.instance)
-    if args.to == "ising":
-        if isinstance(model, IsingModel):
-            out = model
-        elif isinstance(model, QuboModel):
-            out = qubo_to_ising(model)
-        else:
-            raise ValidationError("convert handles quadratic models; use 'reduce' for HUBO")
-    else:
-        if isinstance(model, QuboModel):
-            out = model
-        elif isinstance(model, IsingModel):
-            out = ising_to_qubo(model)
-        else:
-            raise ValidationError("convert handles quadratic models; use 'reduce' for HUBO")
+    out, lift = to_ising(model)
+    if lift.reduction is not None:
+        raise ValidationError("convert handles quadratic models; use 'reduce' for HUBO")
+    if args.to == "qubo":  # a QUBO input is written back unchanged
+        out = model if lift.binary else ising_to_qubo(out)
     write_instance(args.out, out)
     print(f"converted {args.instance} -> {args.out} ({args.to})")
     return EXIT_OK
@@ -191,30 +130,15 @@ def _reduction_map_to_dict(rmap) -> dict:
 
 
 def _cmd_reduce(args) -> int:
-    model = read_instance(args.instance)
-    if not isinstance(model, HuboModel):
+    reduced, lift = to_ising(read_instance(args.instance))
+    rmap = lift.reduction
+    if rmap is None:
         raise ValidationError("reduce expects a HUBO instance file")
-    if model.domain == "binary":
-        model = hubo_to_spin_domain(model)
-    reduced, rmap = reduce_cubic(model)
     write_instance(args.out, reduced)
     args.map_out.write_text(json.dumps(_reduction_map_to_dict(rmap), indent=2) + "\n")
     print(f"reduced {args.instance}: {rmap.original_n} vars + "
           f"{len(rmap.aux_bindings)} auxiliaries -> {args.out}")
     return EXIT_OK
-
-
-def _load_params(solver_id: str, args) -> object | None:
-    if solver_id in ("bf",):
-        return None
-    raw = {}
-    if args.params is not None:
-        raw = json.loads(args.params.read_text())
-    if args.replicas is not None and solver_id in ("sa", "pa", "sbm"):
-        raw["replicas"] = args.replicas
-    if solver_id in ("sa", "pa", "sbm"):
-        raw.setdefault("seed", args.seed)
-    return params_from_dict(solver_id, raw)
 
 
 def _cmd_solve(args) -> int:
@@ -224,58 +148,33 @@ def _cmd_solve(args) -> int:
     if args.instance is None:
         raise ValidationError("solve needs an instance file")
     model = read_instance(args.instance)
-    rmap = None
-    original = model
-
-    if isinstance(model, HuboModel):
-        spin_model = hubo_to_spin_domain(model)
-        reduced, rmap = reduce_cubic(spin_model)
+    ising, lift = to_ising(model)
+    rmap = lift.reduction
+    if rmap is not None:
         print(f"reduction: {rmap.original_n} variables + {len(rmap.aux_bindings)} "
               f"auxiliaries (scale {rmap.energy_scale}, shift {rmap.energy_shift})")
-        ising = reduced
-    elif isinstance(model, QuboModel):
-        ising = qubo_to_ising(model)
-    else:
-        ising = model
 
-    params = _load_params(args.solver, args)
-    if args.solver == "bf":
-        state, energy = solve_brute_force(ising, cap=args.bf_cap)
-        samples = 1
-        wall = 0.0
-        optimal = True
-    elif args.solver == "bb":
-        result = solve_bb(ising, params)
-        state, energy, optimal = result.state, result.energy, result.optimal
-        samples = 1
-        wall = 0.0
-    else:
-        solve = {"sa": solve_sa, "pa": solve_pa, "sbm": solve_sbm}[args.solver]
-        sset = solve(ising, params)
-        state, energy = sset.best.state, sset.best.energy
-        samples = len(sset)
-        wall = sset.wall_time
-        optimal = False
-
+    data = json.loads(args.params.read_text()) if args.params is not None else {}
+    result = run_solver(args.solver, ising, data, replicas=args.replicas, seed=args.seed,
+                        cap=args.bf_cap)
+    lifted = lift(result.state)
     report = {
         "instance": str(args.instance),
         "solver": args.solver,
         "n": ising.n,
-        "samples": samples,
-        "best_energy": energy,
-        "best_state": [int(x) for x in state],
-        "wall_time": wall,
-        "optimal": optimal,
+        "samples": result.samples,
+        "best_energy": result.energy,
+        "best_state": [int(x) for x in result.state],
+        "wall_time": result.wall_time,
+        "optimal": result.optimal,
     }
     if rmap is not None:
-        lifted = lift_solution(rmap, state)
         report["reduction"] = _reduction_map_to_dict(rmap)
-        report["lifted_state"] = [int(x) for x in lifted]
-        report["lifted_energy"] = float(original.energy(lifted)) if isinstance(
-            original, HuboModel) else None
+    report["lifted_state"] = [int(x) for x in lifted]
+    report["lifted_energy"] = float(model.energy(lifted))
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"solved {args.instance}: best_energy={energy}")
+    print(f"solved {args.instance}: best_energy={result.energy}")
     return EXIT_OK
 
 
@@ -312,11 +211,7 @@ def _cmd_verify(args) -> int:
         print(f"FAIL: planted state evaluates to {energy}, certificate says {declared}")
         return EXIT_VALIDATION
 
-    if isinstance(model, HuboModel):
-        reduced, rmap = reduce_cubic(hubo_to_spin_domain(model))
-        check_model = reduced
-    else:
-        check_model = model if isinstance(model, IsingModel) else qubo_to_ising(model)
+    check_model, _ = to_ising(model)
     if check_model.n <= args.bf_cap:
         _, ground = solve_brute_force(check_model, cap=args.bf_cap)
         if ground < declared - tol:

@@ -5,12 +5,17 @@ from counter-based Philox streams: ``rng_stream(seed)`` is the base stream
 and ``rng_stream(seed, index)`` is the stream for sub-instance / replica
 ``index`` (the base stream jumped ``index`` times), so instances can be
 generated independently and in parallel with reproducible results.
+
+``GENERATORS`` maps each family name to its generator; ``generate`` is the
+one keyword-checked entry point that the CLI and the bench harness share.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,8 @@ __all__ = [
     "gauge_randomize",
     "apply_gauge",
     "TILE_COUPLING_SETS",
+    "GENERATORS",
+    "generate",
 ]
 
 
@@ -348,3 +355,60 @@ def gauge_randomize(m: IsingModel, s, seed) -> tuple[IsingModel, np.ndarray, np.
     rng = rng_stream(seed)
     g = rng.choice(np.array([-1, 1], dtype=np.int8), size=m.n)
     return apply_gauge(m, s, g)
+
+
+def _tile(seed, L, p=None, p2=None) -> PlantedInstance:
+    if p is None:
+        if p2 is None:
+            raise ValidationError("tile needs p or p2")
+        p = (0.0, p2, 0.0, 1.0 - p2)
+    return gen_tile(L, p, seed)
+
+
+def _wishart(seed, n, M=None, alpha=None) -> PlantedInstance:
+    if M is None:
+        if alpha is None:
+            raise ValidationError("wishart needs M or alpha")
+        M = max(1, int(round(alpha * n)))
+    return gen_wishart(n, M, seed)
+
+
+def _random(seed, n=None, topology="complete", dist="uniform", rows=None, cols=None,
+            edges=None, a=-1.0, b=1.0, with_biases=True) -> IsingModel:
+    return gen_random(topology, dist, seed, n=n, rows=rows, cols=cols, edges=edges,
+                      a=a, b=b, with_biases=with_biases)
+
+
+class Family(NamedTuple):
+    size: str        # the keyword that a suite's "sizes" list sweeps
+    make: Callable   # (seed, **keywords) -> model or PlantedInstance
+
+
+GENERATORS: dict[str, Family] = {
+    "chain3": Family("n", lambda seed, n: gen_chain3(n, seed)),
+    "mw3s": Family("n", lambda seed, n: gen_mw3s(n, seed)),
+    "3r3x": Family("n", lambda seed, n: gen_3r3x(n, seed)),
+    "tile": Family("L", _tile),
+    "wishart": Family("n", _wishart),
+    "random": Family("n", _random),
+}
+
+
+def generate(family: str, seed, **params) -> tuple[IsingModel | HuboModel, PlantedInstance | None]:
+    """(model, planted certificate or None) of one instance of a family.
+
+    Keywords are those of the family's builder; an unknown or missing one is
+    a ValidationError.  Tile's ``p2`` means ``p = (0, p2, 0, 1 - p2)`` and
+    wishart's ``alpha`` means ``M = max(1, round(alpha * n))``.
+    """
+    if family not in GENERATORS:
+        raise ValidationError(f"unknown generator family {family!r}")
+    make = GENERATORS[family].make
+    try:
+        inspect.signature(make).bind(seed, **params)
+    except TypeError as exc:
+        raise ValidationError(f"{family}: {exc}") from None
+    made = make(seed, **params)
+    if isinstance(made, PlantedInstance):
+        return made.model, made
+    return made, None

@@ -9,8 +9,6 @@ Each replica reports the best state seen along its trajectory.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..model import IsingModel
@@ -23,7 +21,6 @@ _CHUNK_TARGET = 8192
 
 def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     params.validate()
-    t0 = time.perf_counter()
     n, R = model.n, params.replicas
     indptr, indices, data = model.neighbor_lists()
 
@@ -70,5 +67,4 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
                 best_S[improved] = S[improved]
         sweep += block
 
-    return make_sampleset(model, best_S.astype(np.int8), params.seed,
-                          wall_time=time.perf_counter() - t0)
+    return make_sampleset(model, best_S.astype(np.int8), params.seed)

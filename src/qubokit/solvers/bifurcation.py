@@ -13,8 +13,6 @@ with momenta zeroed (inelastic walls); final spins are sign(q), sign(0)=+1.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..model import IsingModel, sign_pm
@@ -49,7 +47,6 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
 
 def solve_sbm(model: IsingModel, params: SbmParams) -> SampleSet:
     params.validate()
-    t0 = time.perf_counter()
     n, R, T = model.n, params.replicas, params.steps
     c0 = params.c0 if params.c0 is not None else resolve_c0(model)
 
@@ -63,5 +60,4 @@ def solve_sbm(model: IsingModel, params: SbmParams) -> SampleSet:
     a_schedule = np.linspace(0.0, params.a0, T)
     Q, P = integrate(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
 
-    return make_sampleset(model, sign_pm(Q), params.seed,
-                          wall_time=time.perf_counter() - t0)
+    return make_sampleset(model, sign_pm(Q), params.seed)

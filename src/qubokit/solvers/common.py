@@ -8,7 +8,6 @@ are scheduled and bitwise reproducible for a fixed (model, params, seed).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,7 +31,6 @@ class SampleSet:
     samples: list[Sample]
     replica_count: int
     seed: int | None
-    wall_time: float = 0.0
 
     @property
     def best(self) -> Sample:
@@ -45,8 +43,7 @@ class SampleSet:
         return len(self.samples)
 
 
-def make_sampleset(model: IsingModel, states: np.ndarray, seed,
-                   wall_time: float = 0.0) -> SampleSet:
+def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     """Assemble a SampleSet from per-replica final states.
 
     Energies are re-evaluated through the model so every recorded energy is
@@ -57,8 +54,7 @@ def make_sampleset(model: IsingModel, states: np.ndarray, seed,
     energies = model.energies(states)
     order = np.argsort(energies, kind="stable")
     samples = [Sample(states[r].copy(), float(energies[r]), int(r)) for r in order]
-    return SampleSet(samples=samples, replica_count=states.shape[0], seed=seed,
-                     wall_time=wall_time)
+    return SampleSet(samples=samples, replica_count=states.shape[0], seed=seed)
 
 
 def replica_streams(seed, count: int) -> list[np.random.Generator]:
@@ -77,15 +73,12 @@ class SaParams:
     sweeps: int = 1000
     T_init: float | None = None      # None: 2 * model field scale
     T_final: float | None = None     # None: 1e-3 * resolved T_init
-    schedule: str = "geometric"
     replicas: int = 32
     seed: int = 0
 
     def validate(self):
         _positive("sweeps", self.sweeps)
         _positive("replicas", self.replicas)
-        if self.schedule != "geometric":
-            raise ValidationError("only the geometric schedule is supported")
         if self.T_init is not None and self.T_final is not None:
             if not (self.T_init >= self.T_final > 0):
                 raise ValidationError("need T_init >= T_final > 0")
@@ -174,27 +167,25 @@ class BBParams:
             raise ValidationError("leaf_size must be >= 1")
 
 
-PARAM_CLASSES = {"sa": SaParams, "pa": PaParams, "sbm": SbmParams, "bb": BBParams}
-
-
 def params_to_dict(params) -> dict:
     return dataclasses.asdict(params)
 
 
-def params_from_dict(solver_id: str, data: dict):
-    cls = PARAM_CLASSES.get(solver_id)
-    if cls is None:
-        raise ValidationError(f"no parameter record for solver {solver_id!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
+def params_from_dict(solver_id: str, data: dict, **defaults):
+    """Parameter record of a solver from a dict, rejecting unknown keys; each
+    non-None ``defaults`` entry fills a record field that ``data`` leaves unset."""
+    from . import SOLVERS  # imported here: the package imports every solver module
+
+    if solver_id not in SOLVERS:
+        raise ValidationError(f"unknown solver id {solver_id!r}")
+    cls = SOLVERS[solver_id].params
+    known = {f.name for f in dataclasses.fields(cls)} if cls is not None else set()
     unknown = set(data) - known
     if unknown:
         raise ValidationError(f"unknown {solver_id} parameters: {sorted(unknown)}")
-    params = cls(**data)
+    if cls is None:
+        return None
+    fill = {k: v for k, v in defaults.items() if k in known and k not in data and v is not None}
+    params = cls(**data, **fill)
     params.validate()
     return params
-
-
-def default_config() -> str:
-    """JSON dump of every solver's default parameter record."""
-    return json.dumps({k: params_to_dict(cls()) for k, cls in PARAM_CLASSES.items()},
-                      indent=2)

@@ -12,8 +12,6 @@ of each replica is sign(x).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..model import IsingModel, sign_pm
@@ -27,7 +25,6 @@ def resolve_lambda0(model: IsingModel) -> float:
 
 def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
     params.validate()
-    t0 = time.perf_counter()
     n, R, T = model.n, params.replicas, params.steps
     lam0 = params.lambda0 if params.lambda0 is not None else resolve_lambda0(model)
     eta, alpha = params.learning_rate, params.momentum
@@ -44,5 +41,4 @@ def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
         M = alpha * M - eta * grad
         X = np.clip(X + M, -1.0, 1.0)
 
-    return make_sampleset(model, sign_pm(X), params.seed,
-                          wall_time=time.perf_counter() - t0)
+    return make_sampleset(model, sign_pm(X), params.seed)

@@ -1,5 +1,8 @@
 """Domain conversions: QUBO <-> Ising, binary <-> spin, cubic reduction.
 
+``to_ising`` is the one normaliser from any model type to the Ising form the
+solvers take, paired with a ``Lift`` back to the input's own variables.
+
 All conversions are done by exact polynomial expansion of the variable maps
 x_i = (1 + s_i) / 2 and s_i = 2 x_i - 1, with every constant folded into the
 model offset, so converted models agree in energy on all states (not merely
@@ -7,6 +10,8 @@ up to an affine constant).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +35,8 @@ __all__ = [
     "lift_solution",
     "spin_binary_convert",
     "hubo_to_spin_domain",
+    "to_ising",
+    "Lift",
 ]
 
 
@@ -162,3 +169,30 @@ def hubo_to_spin_domain(h: HuboModel) -> HuboModel:
             for sub in combinations(t, r):
                 acc[sub] = acc.get(sub, 0.0) + base
     return HuboModel.from_terms(h.n, SPIN_DOMAIN, acc.items(), max_order=h.max_order)
+
+
+@dataclass(frozen=True)
+class Lift:
+    """Maps a state of ``to_ising``'s output back to the input model's
+    variables: through ``reduction`` (HUBO inputs only), then to bits if
+    ``binary``."""
+
+    binary: bool
+    reduction: ReductionMap | None = None
+
+    def __call__(self, state) -> np.ndarray:
+        s = self.reduction.lift(state) if self.reduction is not None else as_spins(state)
+        return spins_to_bits(s) if self.binary else s
+
+
+def to_ising(model) -> tuple[IsingModel, Lift]:
+    """Ising form of any model (an Ising input is returned as the same
+    object), with the lift of its states back to the input's domain."""
+    if isinstance(model, IsingModel):
+        return model, Lift(binary=False)
+    if isinstance(model, QuboModel):
+        return qubo_to_ising(model), Lift(binary=True)
+    if isinstance(model, HuboModel):
+        reduced, rmap = reduce_cubic(hubo_to_spin_domain(model))
+        return reduced, Lift(binary=model.domain == BINARY_DOMAIN, reduction=rmap)
+    raise ValidationError(f"unsupported model type {type(model).__name__}")

@@ -159,3 +159,72 @@ class TestExport:
         assert lines[0].split(",") == ["instance_id", "solver_id", "energy",
                                        "reference_energy", "gap", "wall_time",
                                        "seed", "error"]
+
+
+def _binary_hubo(n, seed):
+    from qubokit.generators import gen_chain3
+    from qubokit.model import HuboModel
+    return HuboModel.from_terms(n, "binary", gen_chain3(n, seed).terms(), max_order=3)
+
+
+class TestSuiteInputs:
+    def test_binary_hubo_file_gives_records(self, tmp_path):
+        write_instance(tmp_path / "bh.txt", _binary_hubo(6, 4))
+        spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
+                         solvers=[{"id": "sa", "params": {"sweeps": 50}}, {"id": "bf"}],
+                         reference="brute_force", sample_count=8)
+        records = run_suite(spec)
+        assert len(records) == 2
+        for rec in records:
+            assert rec.error == ""
+            assert rec.gap >= -1e-12
+
+    def test_bad_file_becomes_record_error(self, tmp_path):
+        from qubokit.model import HuboModel
+        write_instance(tmp_path / "a_good.txt", gen_random("complete", "uniform", 3, n=6))
+        (tmp_path / "b_header.txt").write_text("6 1\n1 2 0.5\n")
+        write_instance(tmp_path / "c_order4.txt",
+                       HuboModel.from_terms(5, "spin", [((0, 1, 2, 3), 1.0)]))
+        spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
+                         solvers=[{"id": "sa", "params": {"sweeps": 20}}, {"id": "bf"}],
+                         reference="best_of_suite", sample_count=4)
+        records = run_suite(spec)
+        assert [(r.instance_id, r.solver_id) for r in records] == [
+            (f, s) for f in ("a_good.txt", "b_header.txt", "c_order4.txt")
+            for s in ("bf", "sa")]
+        by_file = {}
+        for rec in records:
+            by_file.setdefault(rec.instance_id, []).append(rec)
+        assert all(r.error == "" for r in by_file["a_good.txt"])
+        assert all(r.error.startswith("ValidationError") for r in by_file["b_header.txt"])
+        assert all(r.error.startswith("UnsupportedOrderError")
+                   for r in by_file["c_order4.txt"])
+        assert all(np.isnan(r.energy) for r in by_file["c_order4.txt"])
+
+    def test_unknown_bf_params_rejected(self, tmp_path):
+        spec = SuiteSpec(
+            source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
+            solvers=[{"id": "bf", "params": {"bogus": 3}}], sample_count=4)
+        [rec] = run_suite(spec)
+        assert "unknown bf parameters" in rec.error and "bogus" in rec.error
+
+    @pytest.mark.parametrize("generator", [
+        {"family": "tile", "sizes": [4], "seeds": [1], "p_2": 0.9},
+        {"family": "tile", "sizes": [4], "seeds": [1]},
+        {"family": "wishart", "sizes": [8], "seeds": [1]},
+        {"family": "random", "sizes": [6], "seeds": [1], "n": 6},
+        {"family": "r3x3", "sizes": [6], "seeds": [1]},
+    ])
+    def test_generator_keywords_checked(self, generator):
+        from qubokit import ValidationError
+        spec = SuiteSpec(source={"generator": generator},
+                         solvers=[{"id": "bf"}], sample_count=4)
+        with pytest.raises(ValidationError):
+            run_suite(spec)
+
+    def test_3r3x_family_name(self):
+        spec = SuiteSpec(source={"generator": {"family": "3r3x", "sizes": [6], "seeds": [2]}},
+                         solvers=[{"id": "bf"}], reference="planted", sample_count=4)
+        [rec] = run_suite(spec)
+        assert rec.instance_id == "3r3x-n6-s2"
+        assert rec.gap == 0.0

@@ -187,3 +187,24 @@ class TestBench:
         for ra, rb in zip(a, b):
             assert ra["energy"] == rb["energy"]
             assert ra["gap"] == rb["gap"]
+
+
+class TestSolveReports:
+    def test_binary_hubo_lifts_to_bits(self, tmp_path):
+        binary = HuboModel.from_terms(6, "binary", gen_chain3(6, seed=4).terms(), max_order=3)
+        src = write_instance(tmp_path / "bh.txt", binary)
+        report = tmp_path / "r.json"
+        assert run(["solve", src, "--solver", "bf", "--out", report]) == 0
+        data = json.loads(report.read_text())
+        lifted = np.array(data["lifted_state"])
+        assert set(lifted.tolist()) <= {0, 1}
+        assert data["lifted_energy"] == binary.energy(lifted)
+        assert data["lifted_energy"] == pytest.approx(data["best_energy"], abs=1e-9)
+
+    @pytest.mark.parametrize("solver", ["bf", "bb"])
+    def test_exact_solvers_report_measured_wall_time(self, tmp_path, solver):
+        inst = tmp_path / "r.txt"
+        run(["generate", "random", "--n", 14, "--seed", 2, "--out", inst])
+        report = tmp_path / "rep.json"
+        assert run(["solve", inst, "--solver", solver, "--out", report]) == 0
+        assert json.loads(report.read_text())["wall_time"] > 0.0
