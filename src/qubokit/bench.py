@@ -199,12 +199,16 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
             best_by_instance[entry.instance_id] = energy
 
     records: list[GapRecord] = []
+    references: dict[str, float] = {}  # per instance: brute force runs once, not per solver
     for entry, sid, energy, dt, err in raw_results:
         ref = np.nan
         gap = np.nan
         if not err:
             try:
-                ref = _resolve_reference(entry, spec, best_by_instance, file_refs)
+                if entry.instance_id not in references:
+                    references[entry.instance_id] = _resolve_reference(
+                        entry, spec, best_by_instance, file_refs)
+                ref = references[entry.instance_id]
                 gap = optimality_gap(energy, ref)
             except Exception as exc:
                 err = f"{type(exc).__name__}: {exc}"

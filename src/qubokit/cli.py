@@ -168,13 +168,18 @@ def _cmd_solve(args) -> int:
         "wall_time": result.wall_time,
         "optimal": result.optimal,
     }
+    bound = ""
+    if result.lower_bound is not None:
+        report["lower_bound"] = result.lower_bound
+        report["gap"] = result.energy - result.lower_bound
+        bound = f" lower_bound={report['lower_bound']} gap={report['gap']}"
     if rmap is not None:
         report["reduction"] = _reduction_map_to_dict(rmap)
     report["lifted_state"] = [int(x) for x in lifted]
     report["lifted_energy"] = float(model.energy(lifted))
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"solved {args.instance}: best_energy={result.energy}")
+    print(f"solved {args.instance}: best_energy={result.energy}{bound}")
     return EXIT_OK
 
 

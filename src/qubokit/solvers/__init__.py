@@ -42,12 +42,14 @@ __all__ = [
 
 
 class SolveResult(NamedTuple):
-    """Best state and energy, sample count, proof of optimality, solve seconds."""
+    """Best state and energy, sample count, proof of optimality, solve seconds,
+    and a certified lower bound on the optimum (None: the solver gives none)."""
     state: np.ndarray
     energy: float
     samples: int
     optimal: bool
     wall_time: float = 0.0
+    lower_bound: float | None = None
 
 
 class Solver(NamedTuple):
@@ -69,7 +71,8 @@ def _bf(model, params, cap):
 
 def _bb(model, params, cap):
     result = solve_bb(model, params)
-    return SolveResult(result.state, result.energy, 1, result.optimal)
+    bound = result.lower_bound if np.isfinite(result.lower_bound) else None
+    return SolveResult(result.state, result.energy, 1, result.optimal, lower_bound=bound)
 
 
 SOLVERS: dict[str, Solver] = {

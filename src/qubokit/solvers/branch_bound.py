@@ -1,18 +1,38 @@
-"""Branch & bound over spin prefixes with prefix-energy and SPD bounds.
+"""Branch & bound over spin prefixes with prefix-energy and spectral bounds.
 
 Nodes fix spins for a prefix U = {0, ..., k-1} of a fixed variable order
 (descending |h_i| + sum_j |J_ij|).  The search is best-first on the node
-bound; children fix the next variable to +-1.  Bound functions:
+bound; children fix the next variable to +-1.
 
-* ``base``: the prefix subproblem energy (no contribution from free spins).
-* ``spd``: prefix energy plus the minimum of the convex relaxation of the
-  remaining subproblem, obtained by shifting the remaining coupling matrix
-  by d = max(0, -eigmin) + eps into positive definite form and solving
-  J~ r* = -h~ (fixed spins folded into the remaining linear terms).
-* ``spd_admissible``: the spd value minus d * |remaining|, making it a true
-  lower bound on any binary completion, so pruning is exact.
-* ``spd_literal``: spd without cross-term folding (bare reduced subproblem),
-  kept for comparison.
+With m free spins, the folded linear term c (the free spins' fields plus
+their couplings to the fixed prefix) and the free block
+A_rem = Q diag(lam) Q^T, every completion s in {-1, +1}^m satisfies, for
+every shift d > -lam_min, since s^T s = m,
+
+    1/2 s^T A_rem s + c^T s >= -1/2 sum_i (Q^T c)_i^2 / (lam_i + d) - d m / 2,
+
+the minimum of the convex quadratic being reached at
+r(d) = -Q (Q^T c / (lam + d)).  Bound kinds:
+
+* ``base``: the prefix energy (no contribution from free spins).
+* ``spd``: prefix energy plus the relaxed minimum
+  -1/2 sum_i (Q^T c)_i^2 / (lam_i + d) at the fixed shift
+  d_root = max(0, -lam_min(A)) + epsilon of the whole matrix (positive
+  definite at every depth by eigenvalue interlacing), without the -d m / 2
+  term: a selection score, not a bound.
+* ``spd_admissible``: the spherical bound (Poljak & Rendl 1995), the
+  right-hand side above maximised over d.  It is concave in d with its
+  maximum where ||r(d)|| = sqrt(m), the trust-region secular equation of
+  Moré & Sorensen (1983).  Newton steps on 1/||r(d)|| - 1/sqrt(m), started
+  at d = -lam_min + epsilon, only increase d and stay left of that root,
+  so every iterate is a true lower bound and pruning is exact.
+* ``spd_literal``: spd without cross-term folding (c is the bare fields of
+  the free spins), kept for comparison.
+
+The variable order is fixed, so A_rem depends on the depth alone: its
+eigendecomposition is computed once per depth reached, with the
+eigenvalues pushed down by a backward-error margin so the shifted blocks
+stay positive definite despite rounding.  A node's bound then costs O(m^2).
 
 In ``spd_admissible`` mode nodes whose bound reaches the incumbent are
 pruned exactly; the heuristic modes treat their score as a selection order
@@ -24,7 +44,11 @@ assignment (polished by 1-opt descent) as an incumbent candidate.
 Once ``leaf_size`` free variables remain, nodes are closed by exact
 vectorized enumeration of the remaining block.  The frontier pool is capped
 at ``pool_limit`` states with worst-bound eviction; any eviction (or
-timeout) clears the ``optimal`` flag.
+timeout) clears the ``optimal`` flag.  In ``spd_admissible`` mode the
+result's ``lower_bound`` is the minimum of the returned energy, the bounds
+left on the frontier and every evicted bound, so a truncated search still
+certifies its ``gap``; it equals the energy when the search proves
+optimality.
 """
 
 from __future__ import annotations
@@ -34,15 +58,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from ..errors import QubokitError, ValidationError
+from ..errors import ValidationError
 from ..model import IsingModel, as_spins, sign_pm
 from .brute_force import _spin_table
 from .common import BBParams
-from .eigen import eig_extreme
 
-_FACTOR_RETRIES = 8
+# Newton steps per spherical bound, and the relative excess of ||r||^2 over
+# m below which the shift counts as converged (the bound is flat there)
+_NEWTON_STEPS = 8
+_NEWTON_RTOL = 1e-9
 
 
 @dataclass
@@ -71,19 +96,45 @@ def bound_base(model: IsingModel, node: BBNode) -> float:
     return float(0.5 * u @ (A[:k, :k] @ u) + model.h[:k] @ u) + model.offset
 
 
-def _shifted_solve(A_rem: np.ndarray, rhs: np.ndarray, neg_part: float,
-                   epsilon: float) -> tuple[np.ndarray, float]:
-    """Solve (A_rem + d I) r = rhs with d = neg_part + eps, doubling eps on
-    factorization failure up to a fixed budget."""
-    eps = epsilon
-    for _ in range(_FACTOR_RETRIES):
-        d = neg_part + eps
-        try:
-            cho = sla.cho_factor(A_rem + d * np.eye(A_rem.shape[0]), lower=True)
-            return sla.cho_solve(cho, rhs), d
-        except np.linalg.LinAlgError:
-            eps *= 2.0
-    raise QubokitError("SPD factorization failed after retry budget")
+def _spectrum(A_rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a free block, ascending eigenvalues pushed down by
+    a bound on eigh's backward error, as eigen.py pushes Lanczos values by
+    their residual: -lam[0] + anything positive is a safe shift."""
+    lam, Q = np.linalg.eigh(A_rem)
+    margin = lam.shape[0] * np.finfo(np.float64).eps * float(np.abs(lam).max())
+    return lam - margin, Q
+
+
+def _relax(lam: np.ndarray, Q: np.ndarray, c: np.ndarray, d,
+           admissible: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Relaxed value and minimiser r of the free block for each column of the
+    folded linear terms ``c`` (shape (m, B)), at shift ``d`` (> -lam[0]).
+
+    With ``admissible`` the shift is first raised by Newton steps towards the
+    spherical optimum and the value includes -d m / 2, so it is a lower bound
+    on every spin completion; otherwise it is the relaxed minimum at ``d``.
+    """
+    m = lam.shape[0]
+    qc = Q.T @ c
+    lam = lam[:, None]
+    d = np.full(c.shape[1], d, dtype=np.float64)
+    if admissible:
+        for _ in range(_NEWTON_STEPS):
+            inv = 1.0 / (lam + d)
+            w2 = (qc * inv) ** 2
+            norm2 = w2.sum(axis=0)
+            # ||r|| > sqrt(m): left of the root, where Newton on the concave,
+            # increasing 1/||r(d)|| steps right without overshooting
+            left = norm2 > m * (1.0 + _NEWTON_RTOL)
+            if not left.any():
+                break
+            q2 = np.where(left, (w2 * inv).sum(axis=0), 1.0)
+            d = d + np.where(left, (np.sqrt(norm2 / m) - 1.0) * norm2 / q2, 0.0)
+    w = qc / (lam + d)
+    value = -0.5 * (qc * w).sum(axis=0)
+    if admissible:
+        value -= 0.5 * d * m
+    return value, -(Q @ w)
 
 
 def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
@@ -91,11 +142,13 @@ def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
               d: float | None = None) -> float:
     """SPD relaxation bound for the remaining subproblem of a node.
 
-    With ``admissible`` the result additionally subtracts d * |remaining| so
-    it never exceeds the energy of any binary completion.  ``d`` may be
-    supplied (any value >= the submatrix shift is valid, e.g. one derived
-    from the full matrix by eigenvalue interlacing); by default it is
-    computed from the remaining submatrix.
+    Without ``admissible`` this is the prefix energy plus the relaxed minimum
+    at shift ``d``, by default max(0, -lam_min) + epsilon of the remaining
+    block.  With ``admissible`` it is the spherical bound that ``solve_bb``
+    prunes with, never above the energy of any spin completion; Newton steps
+    start from ``d``, by default -lam_min + epsilon.  A supplied ``d`` must
+    exceed -lam_min of the remaining block (any shift derived from the full
+    matrix by eigenvalue interlacing does).
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -105,30 +158,35 @@ def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
     if k >= n:
         raise ValidationError("SPD bound needs a nonempty remaining set")
     A = model.coupling_matrix()
-    A_rem = A[k:, k:]
-    h_rem = model.h[k:].copy()
+    c = model.h[k:].copy()
     if fold_fixed and k:
-        h_rem += A[k:, :k] @ u
+        c += A[k:, :k] @ u
+    lam, Q = _spectrum(A[k:, k:])
     if d is None:
-        neg_part = max(0.0, -eig_extreme(A_rem, "min"))
-        r, d_used = _shifted_solve(A_rem, -h_rem, neg_part, epsilon)
-    else:
-        r, d_used = _shifted_solve(A_rem, -h_rem, d - epsilon, epsilon)
-    relaxed = 0.5 * float(h_rem @ r)
-    value = bound_base(model, node) + relaxed
-    if admissible:
-        value -= d_used * (n - k)
-    return value
+        d = (-lam[0] if admissible else max(0.0, -lam[0])) + epsilon
+    elif d <= -lam[0]:
+        raise ValidationError(f"shift d={d} must exceed -lam_min={-lam[0]}")
+    value, _ = _relax(lam, Q, c[:, None], d, admissible)
+    return bound_base(model, node) + float(value[0])
 
 
 @dataclass
 class BBResult:
+    """Best state found; ``lower_bound`` is certified in ``spd_admissible``
+    mode (else -inf) and equals ``energy`` when ``optimal``."""
+
     state: np.ndarray
     energy: float
     optimal: bool
     expansions: int = 0
     evictions: int = 0
     timed_out: bool = False
+    lower_bound: float = -np.inf
+
+    @property
+    def gap(self) -> float:
+        """Certified absolute gap ``energy - lower_bound`` (0 when optimal)."""
+        return self.energy - self.lower_bound
 
 
 def _unpack_bits(bits: int, k: int) -> np.ndarray:
@@ -153,12 +211,19 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     Ap = A_full[np.ix_(perm, perm)]
     hp = model.h[perm]
 
+    spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def spectrum(depth: int) -> tuple[np.ndarray, np.ndarray]:
+        if depth not in spectra:
+            spectra[depth] = _spectrum(Ap[depth:, depth:])
+        return spectra[depth]
+
     mode = params.bound_kind
     spd = mode.startswith("spd")
+    admissible = mode == "spd_admissible"
     d_root = 0.0
-    if spd:
-        neg = max(0.0, -eig_extreme(A_full, "min"))
-        d_root = neg + params.epsilon
+    if spd and not admissible:
+        d_root = max(0.0, -spectrum(0)[0][0]) + params.epsilon
 
     leaf = min(params.leaf_size, n)
     kc = n - leaf
@@ -204,10 +269,9 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     heap: list[tuple[float, int, int, int, float]] = [(-np.inf, counter, 0, 0, model.offset)]
     expansions = 0
     evictions = 0
+    evicted_min = np.inf
     timed_out = False
     deadline = None if params.time_limit is None else t0 + params.time_limit
-
-    admissible = mode == "spd_admissible"
 
     while heap:
         if deadline is not None and expansions % 64 == 0 and time.perf_counter() > deadline:
@@ -235,23 +299,19 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
         bits_children = (bits | (1 << k), bits)
 
         if spd:
-            nrem = n - k - 1
             base_h = hp[k + 1:] + (Ap[k + 1:, :k] @ u if k else 0.0)
             col = Ap[k + 1:, k]
             if mode == "spd_literal":
                 h_pair = np.stack([hp[k + 1:], hp[k + 1:]], axis=1)
             else:
                 h_pair = np.stack([base_h + col, base_h - col], axis=1)
+            lam, Q = spectrum(k + 1)
+            d = -lam[0] + params.epsilon if admissible else d_root
+            relaxed, R = _relax(lam, Q, h_pair, d, admissible)
             A_rem = Ap[k + 1:, k + 1:]
-            R, d_used = _shifted_solve(A_rem, -h_pair, d_root - params.epsilon,
-                                       params.epsilon)
             child_bounds = []
             for c in range(2):
-                relaxed = 0.5 * float(h_pair[:, c] @ R[:, c])
-                b = pe_children[c] + relaxed
-                if mode == "spd_admissible":
-                    b -= d_used * nrem
-                child_bounds.append(b)
+                child_bounds.append(pe_children[c] + float(relaxed[c]))
                 # relaxation rounding: a full assignment candidate for free;
                 # quench one child per expansion so the tree doubles as a
                 # multi-start local search
@@ -273,10 +333,15 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
         if len(heap) > params.pool_limit:
             heap.sort()
             evictions += len(heap) - params.pool_limit
+            evicted_min = min(evicted_min, heap[params.pool_limit][0])
             del heap[params.pool_limit:]
 
     state = np.empty(n, dtype=np.int8)
     state[perm] = incumbent_state.astype(np.int8)
-    optimal = (mode == "spd_admissible" and evictions == 0 and not timed_out)
-    return BBResult(state=state, energy=model.energy(state), optimal=optimal,
-                    expansions=expansions, evictions=evictions, timed_out=timed_out)
+    energy = model.energy(state)
+    optimal = admissible and evictions == 0 and not timed_out
+    lower_bound = -np.inf
+    if admissible:
+        lower_bound = min([energy, evicted_min] + [entry[0] for entry in heap])
+    return BBResult(state=state, energy=energy, optimal=optimal, expansions=expansions,
+                    evictions=evictions, timed_out=timed_out, lower_bound=lower_bound)

@@ -46,8 +46,10 @@ class SampleSet:
 def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     """Assemble a SampleSet from per-replica final states.
 
-    Energies are re-evaluated through the model so every recorded energy is
-    exactly the model energy of its state; ordering is ascending by energy
+    Energies are re-evaluated through the model in one batch, so every
+    recorded energy equals ``model.energy`` of its state up to summation
+    order (the batch and the single-state sums add terms in different
+    orders and may differ in the last bit); ordering is ascending by energy
     with replica index as the stable tie-break.
     """
     states = np.asarray(states, dtype=np.int8)
@@ -142,9 +144,14 @@ class BBParams:
     """Branch & bound configuration.
 
     ``bound_kind``: ``base`` (prefix energy), ``spd`` (folded SPD
-    relaxation score), ``spd_admissible`` (SPD score corrected into a true
-    lower bound), or ``spd_literal`` (SPD score on the bare reduced
-    subproblem with no cross-term folding, kept for comparability).
+    relaxation score at the whole matrix's shift), ``spd_admissible`` (the
+    spherical bound: the relaxation maximised over the shift, a true lower
+    bound that prunes exactly and certifies ``BBResult.lower_bound``), or
+    ``spd_literal`` (SPD score on the bare reduced subproblem with no
+    cross-term folding, kept for comparability).  The three SPD kinds read
+    one eigendecomposition of the free block per depth.  ``epsilon`` sets
+    the heuristic kinds' fixed shift max(0, -lam_min(A)) + epsilon and the
+    admissible kind's Newton start -lam_min(A_free) + epsilon.
     ``leaf_size`` closes nodes by exact enumeration once that many free
     variables remain.
     """

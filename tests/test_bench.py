@@ -126,6 +126,33 @@ class TestRunSuite:
         assert records[0].error == ""
         assert records[0].reference_energy == pi.planted_energy
 
+    def test_brute_force_reference_runs_once_per_instance(self, monkeypatch):
+        import qubokit.bench as bench
+
+        calls = []
+        real = bench.solve_brute_force
+
+        def counting(model, **kwargs):
+            calls.append(model.n)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(bench, "solve_brute_force", counting)
+        spec = SuiteSpec(
+            source={"generator": {"family": "random", "sizes": [10], "seeds": [1, 2, 3]}},
+            solvers=[{"id": "sa", "params": {"sweeps": 50}},
+                     {"id": "pa", "params": {"steps": 50}},
+                     {"id": "sbm", "params": {"steps": 50, "dt": 0.1}},
+                     {"id": "bb"}],
+            reference="brute_force", sample_count=4)
+        records = run_suite(spec)
+        assert len(records) == 12
+        assert len(calls) == 3
+        refs = {}
+        for rec in records:
+            assert rec.error == ""
+            assert refs.setdefault(rec.instance_id, rec.reference_energy) == rec.reference_energy
+            assert rec.gap == optimality_gap(rec.energy, rec.reference_energy)
+
     def test_determinism_across_worker_budgets(self, tmp_path):
         a = run_suite(suite_for(tmp_path, workers=1))
         b = run_suite(suite_for(tmp_path, workers=4))

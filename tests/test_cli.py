@@ -208,3 +208,16 @@ class TestSolveReports:
         report = tmp_path / "rep.json"
         assert run(["solve", inst, "--solver", solver, "--out", report]) == 0
         assert json.loads(report.read_text())["wall_time"] > 0.0
+
+    def test_bb_reports_lower_bound_and_gap(self, tmp_path, capsys):
+        inst = tmp_path / "r.txt"
+        run(["generate", "random", "--n", 14, "--seed", 2, "--out", inst])
+        report = tmp_path / "rep.json"
+        capsys.readouterr()
+        assert run(["solve", inst, "--solver", "bb", "--out", report]) == 0
+        data = json.loads(report.read_text())
+        assert data["optimal"]
+        assert data["lower_bound"] == data["best_energy"]
+        assert data["gap"] == 0.0
+        out = capsys.readouterr().out
+        assert f"lower_bound={data['lower_bound']}" in out and "gap=0.0" in out

@@ -17,7 +17,7 @@ from qubokit import (
 from qubokit.generators import gen_random
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
-from qubokit.solvers.common import params_from_dict, params_to_dict
+from qubokit.solvers.common import make_sampleset, params_from_dict, params_to_dict
 
 
 def ferro_pair():
@@ -200,3 +200,13 @@ class TestParams:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
             params_from_dict("sa", {"swups": 10})
+
+
+class TestSampleSet:
+    def test_energies_match_model_energy_up_to_summation_order(self):
+        m = gen_random("complete", "gaussian", 11, n=11)
+        states = np.where(np.random.default_rng(3).random((64, 11)) < 0.5, -1, 1)
+        sset = make_sampleset(m, states, seed=0)
+        for sample in sset.samples:
+            assert np.array_equal(sample.state, states[sample.replica])
+            assert sample.energy == pytest.approx(m.energy(sample.state), rel=1e-12)
