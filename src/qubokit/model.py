@@ -29,6 +29,17 @@ from .errors import ValidationError
 # large sparse sums do not lose digits against reference values.
 COMPENSATED_SUM_THRESHOLD = 100_000
 
+# coupling_operator() is dense only for models of at most DENSE_OPERATOR_MAX_N
+# spins (the matrix is 32 MiB at the cap) whose coupling matrix has at least
+# DENSE_OPERATOR_MIN_FILL of its n^2 entries non-zero; otherwise it is CSR.
+# The fill threshold sits at the measured crossover of the replicas x n x n
+# products in PA and SBM (2 CPUs, numpy 2.4, scipy 1.17, 64-128 replicas):
+# CSR was 1.3-2.7x faster at 0.39% fill (tile lattice, n=1024) and 1.1% (Chimera,
+# n=512), the two were within 15% of each other between 2% and 3%, and dense
+# was 1.05-1.4x faster at 4.3% (Chimera, n=128) and 6.2% (reduced 3R3X, n=96).
+DENSE_OPERATOR_MAX_N = 2048
+DENSE_OPERATOR_MIN_FILL = 1 / 32
+
 SPIN_DOMAIN = "spin"
 BINARY_DOMAIN = "binary"
 
@@ -158,9 +169,15 @@ class IsingModel:
         return quad + lin + self.offset
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Batch energies for a (replicas, n) array of spin states."""
+        """Batch energies for a (replicas, n) array of spin states.
+
+        Evaluated as 1/2 rowsum((S A) * S) + S h + offset through
+        ``coupling_operator()``, so the temporaries grow with replicas x n,
+        never with replicas x couplings.
+        """
         S = np.asarray(states, dtype=np.float64)
-        quad = (S[:, self.rows] * S[:, self.cols]) @ self.values if self.num_couplings else 0.0
+        quad = (0.5 * np.einsum("ij,ij->i", S @ self.coupling_operator(), S)
+                if self.num_couplings else 0.0)
         return quad + S @ self.h + self.offset
 
     @cached_property
@@ -182,14 +199,42 @@ class IsingModel:
         both_v = np.concatenate([self.values, self.values])
         return sp.csr_array((both_v, (both_r, both_c)), shape=(self.n, self.n))
 
-    def coupling_operator(self, dense_limit: int = 2048):
-        """Symmetric coupling matrix as dense array or CSR, by problem size."""
-        return self._matrix if self.n <= dense_limit else self._csr
+    def coupling_operator(self):
+        """Symmetric coupling matrix: dense when the model is small and filled
+        enough for BLAS to beat CSR (see DENSE_OPERATOR_MIN_FILL), else CSR."""
+        dense = (self.n <= DENSE_OPERATOR_MAX_N
+                 and 2 * self.num_couplings >= DENSE_OPERATOR_MIN_FILL * self.n ** 2)
+        return self._matrix if dense else self._csr
 
     def neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR triplet (indptr, indices, data) of the symmetric adjacency."""
         csr = self._csr
         return csr.indptr, csr.indices, csr.data
+
+    @cached_property
+    def _colour_classes(self) -> tuple[np.ndarray, ...]:
+        indptr, indices, _ = self.neighbor_lists()
+        colour = np.full(self.n, -1, dtype=np.int64)
+        for i in range(self.n):
+            used = colour[indices[indptr[i]:indptr[i + 1]]]
+            used = used[used >= 0]  # higher-indexed neighbours are still -1
+            # The smallest free colour is at most the number of coloured neighbours.
+            free = np.ones(used.size + 1, dtype=bool)
+            free[used[used <= used.size]] = False
+            colour[i] = free.argmax()
+        order = np.argsort(colour, kind="stable")
+        return tuple(_freeze(c) for c in np.split(order, np.cumsum(np.bincount(colour))[:-1]))
+
+    def colour_classes(self) -> tuple[np.ndarray, ...]:
+        """Greedy colouring of the coupling graph in index order, as classes.
+
+        Spin i takes the smallest colour that no lower-indexed neighbour
+        holds.  Each class is an independent set listed in ascending index
+        order, and the classes come in colour order, so together they
+        partition range(n); on a complete graph class k is [k].  Computed
+        once per model.
+        """
+        return self._colour_classes
 
     @cached_property
     def field_scale(self) -> float:

@@ -1,7 +1,10 @@
 """Tests for model types and energy evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qubokit import (
     HuboModel,
@@ -15,7 +18,8 @@ from qubokit import (
     energy_qubo,
     sign_pm,
 )
-from qubokit.generators import apply_gauge, gen_random
+from qubokit.generators import apply_gauge, gen_3r3x, gen_random, gen_tile, gen_wishart
+from qubokit.transforms import reduce_cubic
 
 from oracles import all_spin_states, hubo_energy_naive, ising_energy_naive, qubo_energy_naive
 
@@ -52,10 +56,93 @@ class TestIsingEnergy:
         for s, e in zip(states, batch):
             assert m.energy(s) == pytest.approx(float(e), abs=1e-12)
 
+    def test_batch_matches_scalar_on_sparse_operator(self):
+        m = gen_tile(16, [0.0, 0.8, 0.0, 0.2], 4).model
+        assert sp.issparse(m.coupling_operator())
+        states = np.where(np.random.default_rng(4).random((9, m.n)) < 0.5, -1, 1)
+        for s, e in zip(states, m.energies(states)):
+            assert m.energy(s) == pytest.approx(float(e), rel=1e-12)
+
+    def test_batch_memory_bounded_by_replicas_times_n(self):
+        # Gathering both endpoints of every coupling would take two float64
+        # (64, 44850) arrays, about 46 MB.
+        m = gen_random("complete", "uniform", 8, n=300)
+        states = np.where(np.random.default_rng(8).random((64, 300)) < 0.5, -1, 1)
+        tracemalloc.start()
+        try:
+            m.energies(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_purity(self):
         m = gen_random("complete", "gaussian", 5, n=12)
         s = all_spin_states(12)[1234]
         assert m.energy(s) == m.energy(s)
+
+
+def _tile(L):
+    return gen_tile(L, [0.0, 0.8, 0.0, 0.2], L).model
+
+
+def _reduced_3r3x(n):
+    return reduce_cubic(gen_3r3x(n, n).model)[0]
+
+
+class TestCouplingOperator:
+    def test_sparse_lattice_gets_csr(self):
+        m = _tile(32)  # 4-regular, n=1024: 0.39% of the entries are non-zero
+        A = m.coupling_operator()
+        assert sp.issparse(A)
+        assert np.array_equal(A.toarray(), m.coupling_matrix())
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_wishart(96, 96, 1).model,
+        lambda: _reduced_3r3x(48),  # n=96, 6.25% fill
+        lambda: gen_random("complete", "uniform", 1, n=500),
+    ], ids=["wishart-96", "3r3x-reduced-96", "complete-500"])
+    def test_filled_models_get_dense(self, build):
+        m = build()
+        A = m.coupling_operator()
+        assert isinstance(A, np.ndarray)
+        assert A is m.coupling_matrix()
+
+
+class TestColourClasses:
+    @pytest.mark.parametrize("build", [
+        lambda: _tile(8),
+        lambda: _reduced_3r3x(24),
+        lambda: gen_random("chimera", "gaussian", 2, rows=2, cols=3),
+        lambda: gen_random("complete", "uniform", 2, n=9),
+        lambda: IsingModel.from_terms(5, couplings=[(0, 4, 1.0), (2, 3, -1.0)]),
+    ], ids=["tile-8", "3r3x-reduced", "chimera", "complete-9", "two-edges"])
+    def test_greedy_independent_partition(self, build):
+        m = build()
+        A = m.coupling_matrix()
+        classes = m.colour_classes()
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(m.n))
+        colour = np.empty(m.n, dtype=int)
+        for k, C in enumerate(classes):
+            assert np.all(np.diff(C) > 0)
+            assert not A[np.ix_(C, C)].any(), f"class {k} is not an independent set"
+            colour[C] = k
+        # Greedy in index order: spin i avoids exactly the colours of its
+        # lower-indexed neighbours and takes the smallest colour left.
+        for i in range(m.n):
+            lower = np.flatnonzero(A[i, :i])
+            assert set(range(colour[i])) <= set(colour[lower])
+
+    def test_tile_lattice_is_two_coloured(self):
+        assert len(_tile(8).colour_classes()) == 2
+
+    def test_complete_graph_gives_singletons_in_index_order(self):
+        classes = gen_random("complete", "gaussian", 3, n=12).colour_classes()
+        assert [C.tolist() for C in classes] == [[i] for i in range(12)]
+
+    def test_computed_once_per_model(self):
+        m = _tile(8)
+        assert m.colour_classes() is m.colour_classes()
 
 
 class TestQuboEnergy:

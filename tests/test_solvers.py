@@ -1,5 +1,7 @@
 """Tests for the heuristic engines: SA, PA, SBM."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,63 @@ from qubokit import (
     solve_sa,
     solve_sbm,
 )
-from qubokit.generators import gen_random
+from qubokit.generators import gen_3r3x, gen_random, gen_tile
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
-from qubokit.solvers.common import make_sampleset, params_from_dict, params_to_dict
+from qubokit.solvers.common import make_sampleset, params_from_dict, params_to_dict, replica_streams
+from qubokit.transforms import reduce_cubic
 
 
 def ferro_pair():
     return IsingModel.from_terms(2, couplings=[(0, 1, -1.0)])
+
+
+def tile32():
+    """4-regular n=1024 tile lattice: coupling_operator() is CSR."""
+    return gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model
+
+
+def digest(sset) -> str:
+    states = np.stack([s.state for s in sset.samples])
+    return hashlib.sha256(states.tobytes()).hexdigest()[:16]
+
+
+def same_samples(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.replica == y.replica and x.energy == y.energy and np.array_equal(x.state, y.state)
+        for x, y in zip(a.samples, b.samples))
+
+
+def sa_sequential(model, params):
+    """One spin at a time in colour-class order, fields updated row by row.
+
+    The vectorized class steps of ``solve_sa`` must reproduce this bit for
+    bit on integer-valued models, where summation order cannot round.
+    """
+    n, R = model.n, params.replicas
+    T_init = 2.0 * max(model.field_scale, 1e-12)
+    ratio = (1e-3 * T_init / T_init) ** (1.0 / (params.sweeps - 1))
+    temps = T_init * ratio ** np.arange(params.sweeps)
+    streams = replica_streams(params.seed, R)
+    S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
+    A = model.coupling_matrix()
+    F = S @ A + model.h
+    E = np.array([model.energy(s) for s in S.astype(np.int8)]) - model.offset
+    best_E, best_S = E.copy(), S.copy()
+    order = np.concatenate(model.colour_classes())
+    U = np.stack([g.random((params.sweeps, n)) for g in streams])
+    for t in range(params.sweeps):
+        for i in order:
+            for r in range(R):
+                dE = -2.0 * S[r, i] * F[r, i]
+                if U[r, t, i] < np.exp(min(-dE / temps[t], 0.0)):
+                    S[r, i] = -S[r, i]
+                    E[r] += dE
+                    F[r] += 2.0 * S[r, i] * A[i]
+        improved = E < best_E
+        best_E[improved] = E[improved]
+        best_S[improved] = S[improved]
+    return best_S.astype(np.int8), best_E + model.offset
 
 
 class TestSimulatedAnnealing:
@@ -62,6 +113,48 @@ class TestSimulatedAnnealing:
         b = solve_sa(m, SaParams(sweeps=200, replicas=4, seed=7))
         assert [s.energy for s in a.samples] == [s.energy for s in b.samples]
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
+
+
+    def test_complete_graph_golden(self):
+        # Recorded before colour-class sweeps: on a complete graph every class
+        # is one spin, so the trajectory must not change.
+        m = gen_random("complete", "int_uniform", 2, n=20, a=-31, b=31)
+        r = solve_sa(m, SaParams(sweeps=60, replicas=16, seed=2))
+        golden = [
+            (0, "-+-+-++-+--+-++-+-++", -1092.0), (2, "-+-+-++-+--+-++-+-++", -1092.0),
+            (3, "-+-+-++-+--+-++-+-++", -1092.0), (8, "-+-+-++-+--+-++-+-++", -1092.0),
+            (11, "-+-+-++-+--+-++-+-++", -1092.0), (15, "-+-+-++-+--+-++-+-++", -1092.0),
+            (1, "---+-++----+-+--++++", -1076.0), (4, "---+-++----+-+--++++", -1076.0),
+            (7, "---+-++----+-+--++++", -1076.0), (12, "---+-++----+-+--++++", -1076.0),
+            (14, "---+-++----+-+--++++", -1076.0), (5, "---+-+++---+-+--+-++", -1060.0),
+            (13, "---+-+-+--++-+--++++", -1010.0), (6, "+-+-+--+-++-+--+----", -1006.0),
+            (10, "+-+-+--+-++-+--+----", -1006.0), (9, "+++-+--+-++-+-++----", -1002.0),
+        ]
+        got = [(s.replica, "".join("+" if v > 0 else "-" for v in s.state), s.energy)
+               for s in r.samples]
+        assert got == golden
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_tile(8, [0.0, 0.8, 0.0, 0.2], 6).model,
+        lambda: reduce_cubic(gen_3r3x(12, 6).model)[0],
+    ], ids=["tile-8", "3r3x-reduced-24"])
+    def test_class_steps_equal_sequential_metropolis(self, build):
+        m = build()
+        assert len(m.colour_classes()) < m.n
+        params = SaParams(sweeps=12, replicas=6, seed=6)
+        states, energies = sa_sequential(m, params)
+        r = solve_sa(m, params)
+        for s in r.samples:
+            assert np.array_equal(s.state, states[s.replica])
+            assert s.energy == energies[s.replica]
+
+    @pytest.mark.parametrize("build", [
+        tile32, lambda: reduce_cubic(gen_3r3x(48, 7).model)[0],
+    ], ids=["tile-32", "3r3x-reduced-96"])
+    def test_deterministic_on_sparse_models(self, build):
+        m = build()
+        params = SaParams(sweeps=20, replicas=8, seed=7)
+        assert same_samples(solve_sa(m, params), solve_sa(m, params))
 
 
 class TestParallelAnnealing:
@@ -110,6 +203,15 @@ class TestParallelAnnealing:
         a = solve_pa(m, PaParams(steps=100, replicas=4, seed=5))
         b = solve_pa(m, PaParams(steps=100, replicas=4, seed=5))
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
+
+
+    def test_csr_operator_golden(self):
+        # Recorded while the operator was still the dense matrix.
+        r = solve_pa(tile32(), PaParams(steps=100, replicas=8, seed=2))
+        assert digest(r) == "9a03a248ee04936e"
+        assert [s.replica for s in r.samples] == [4, 0, 2, 1, 5, 3, 7, 6]
+        assert r.energies().tolist() == [-1760.0, -1758.0, -1754.0, -1752.0,
+                                         -1748.0, -1738.0, -1734.0, -1730.0]
 
 
 class TestSimulatedBifurcation:
@@ -181,6 +283,15 @@ class TestSimulatedBifurcation:
         a = solve_sbm(m, SbmParams(steps=300, dt=0.05, replicas=4, seed=9))
         b = solve_sbm(m, SbmParams(steps=300, dt=0.05, replicas=4, seed=9))
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
+
+
+    def test_csr_operator_golden(self):
+        # Recorded while the operator was still the dense matrix.
+        r = solve_sbm(tile32(), SbmParams(steps=150, dt=0.05, replicas=8, seed=2))
+        assert digest(r) == "4e7b73c6ab52e148"
+        assert [s.replica for s in r.samples] == [7, 6, 4, 5, 0, 2, 3, 1]
+        assert r.energies().tolist() == [-932.0, -866.0, -848.0, -840.0,
+                                         -810.0, -802.0, -756.0, -754.0]
 
 
 class TestParams:
