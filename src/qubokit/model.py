@@ -29,9 +29,11 @@ from .errors import ValidationError
 # large sparse sums do not lose digits against reference values.
 COMPENSATED_SUM_THRESHOLD = 100_000
 
-# coupling_operator() is dense only for models of at most DENSE_OPERATOR_MAX_N
-# spins (the matrix is 32 MiB at the cap) whose coupling matrix has at least
-# DENSE_OPERATOR_MIN_FILL of its n^2 entries non-zero; otherwise it is CSR.
+# The operators that batch products run through (IsingModel.coupling_operator()
+# and the upper-triangular term matrix of QuboModel.energies) are dense only
+# for models of at most DENSE_OPERATOR_MAX_N variables (the matrix is 32 MiB at
+# the cap) whose operator has at least DENSE_OPERATOR_MIN_FILL of its n^2
+# entries non-zero; otherwise they are CSR.
 # The fill threshold sits at the measured crossover of the replicas x n x n
 # products in PA and SBM (2 CPUs, numpy 2.4, scipy 1.17, 64-128 replicas):
 # CSR was 1.3-2.7x faster at 0.39% fill (tile lattice, n=1024) and 1.1% (Chimera,
@@ -113,6 +115,11 @@ def _canonical_pairs(terms: Iterable[tuple[int, int, float]], n: int,
     cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
     vals = np.fromiter((acc[k] for k in keys), dtype=np.float64, count=len(keys))
     return rows, cols, vals
+
+
+def _dense_operator(n: int, nnz: int) -> bool:
+    """Whether an n x n operator with nnz non-zeros should be dense, not CSR."""
+    return n <= DENSE_OPERATOR_MAX_N and nnz >= DENSE_OPERATOR_MIN_FILL * n ** 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -202,9 +209,7 @@ class IsingModel:
     def coupling_operator(self):
         """Symmetric coupling matrix: dense when the model is small and filled
         enough for BLAS to beat CSR (see DENSE_OPERATOR_MIN_FILL), else CSR."""
-        dense = (self.n <= DENSE_OPERATOR_MAX_N
-                 and 2 * self.num_couplings >= DENSE_OPERATOR_MIN_FILL * self.n ** 2)
-        return self._matrix if dense else self._csr
+        return self._matrix if _dense_operator(self.n, 2 * self.num_couplings) else self._csr
 
     def neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR triplet (indptr, indices, data) of the symmetric adjacency."""
@@ -284,9 +289,26 @@ class QuboModel:
         return _accurate_sum(self.values * x[self.rows] * x[self.cols], compensated) + self.offset
 
     def energies(self, states: np.ndarray) -> np.ndarray:
+        """Batch energies for a (replicas, n) array of bit states.
+
+        Evaluated as rowsum((X U) * X) + offset, where U holds the terms in
+        its upper triangle and the linear terms on its diagonal (x_i^2 = x_i
+        for bits), so the temporaries grow with replicas x n, never with
+        replicas x terms.
+        """
         X = np.asarray(states, dtype=np.float64)
-        quad = (X[:, self.rows] * X[:, self.cols]) @ self.values if self.num_terms else 0.0
+        quad = np.einsum("ij,ij->i", X @ self._upper, X) if self.num_terms else 0.0
         return quad + self.offset
+
+    @cached_property
+    def _upper(self):
+        """Upper-triangular term matrix, dense or CSR by the coupling_operator rule."""
+        if not _dense_operator(self.n, self.num_terms):
+            return sp.csr_array((self.values, (self.rows, self.cols)), shape=(self.n, self.n))
+        U = np.zeros((self.n, self.n), dtype=np.float64)
+        U[self.rows, self.cols] = self.values
+        U.setflags(write=False)
+        return U
 
 
 @dataclass(frozen=True)

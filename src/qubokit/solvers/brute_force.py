@@ -2,14 +2,32 @@
 
 States are visited in standard reflected-Gray-code order over bit vectors
 (bit = 1 maps to spin +1, enumeration starts from the all -1 state), so
-consecutive states differ by one spin flip.  The enumeration is evaluated in
-vectorized blocks over the lowest ``block_bits`` variables: within a block
-energies come from a precomputed spin table plus the linear response to the
-fixed high spins, and blocks advance through the high bits in Gray order.
-This visits states in exactly the scalar Gray sequence (block interiors run
-forward or reflected depending on block parity), so the first-found
-tie-break on equal minima is identical to a one-flip-at-a-time scan while
-each state costs O(block width) flops amortized.
+consecutive states differ by one spin flip, and ties on the minimum go to
+the state that comes first in that order.
+
+The sequence splits into blocks over the k = min(LOW_BITS, n) lowest spins:
+state t of the sequence has its high spins at the Gray code of block
+b = t >> k and its low spins at the Gray code of position p = t mod 2^k in
+block b, run forward when b is even and reflected (p -> 2^k - 1 - p) when b
+is odd.  With a fixed high part v, every low state s has energy
+
+    E(s, v) = s . w(v) + quad_low(s) + c(v),
+    w(v) = h_low + A_cross v,   c(v) = h_high . v + 1/2 v . A_high v,
+
+a (k+2)-term dot product between the row [s | quad_low(s) | 1] of an
+augmented table T, built once per call, and the column [w(v); 1; c(v)].  The
+columns of BATCH_BLOCKS consecutive blocks, built together from the Gray
+codes of their block indices, make one matrix W, and one product W^T T^T
+fills a reused (BATCH_BLOCKS, 2^k) buffer with the energies of all their
+states, each row in natural low-index order.
+
+The first-found tie-break survives the batching without reordering the
+rows: the batch minimum replaces the incumbent only when strictly lower
+(batches come in sequence order), the first block of the batch that reaches
+it precedes the others, and inside that block the row entries equal to it
+are ranked by their position in the block's visiting order, the inverse
+Gray code of the low index (reflected in odd blocks).  The result is the
+state a one-flip-at-a-time scan would keep.
 """
 
 from __future__ import annotations
@@ -20,8 +38,8 @@ from ..errors import SizeCapError
 from ..model import IsingModel
 
 DEFAULT_CAP = 30
-_SINGLE_BLOCK_LIMIT = 16
-_BLOCK_BITS = 14
+LOW_BITS = 12  # the (2^12, 14) table is 458 KB
+BATCH_BLOCKS = 64  # the (64, 2^12) energy buffer is 2 MB
 
 
 def _spin_table(k: int) -> np.ndarray:
@@ -29,11 +47,6 @@ def _spin_table(k: int) -> np.ndarray:
     b = np.arange(2 ** k, dtype=np.int64)
     bits = (b[:, None] >> np.arange(k)[None, :]) & 1
     return 2.0 * bits - 1.0
-
-
-def _gray_order(k: int) -> np.ndarray:
-    r = np.arange(2 ** k, dtype=np.int64)
-    return r ^ (r >> 1)
 
 
 def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, float]:
@@ -46,42 +59,51 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
 
     A = model.coupling_matrix()
     h = model.h
-    k = n if n <= _SINGLE_BLOCK_LIMIT else _BLOCK_BITS
-
-    S_low = _spin_table(k)
-    A_low = A[:k, :k]
-    quad_low = 0.5 * np.einsum("bi,ij,bj->b", S_low, A_low, S_low)
-    perm_fwd = _gray_order(k)
-    perm_rev = perm_fwd[::-1]
-
+    k = min(LOW_BITS, n)
     n_high = n - k
-    B_cross = A[:k, k:]
+    n_blocks = 2 ** n_high
+    batch = min(BATCH_BLOCKS, n_blocks)
+
+    table = np.empty((2 ** k, k + 2))
+    S_low = table[:, :k]
+    S_low[:] = _spin_table(k)
+    table[:, k] = 0.5 * np.einsum("bi,ij,bj->b", S_low, A[:k, :k], S_low)
+    table[:, k + 1] = 1.0
+    low = np.arange(2 ** k, dtype=np.int64)
+    gray_rank = np.empty_like(low)  # inverse Gray permutation
+    gray_rank[low ^ (low >> 1)] = low
+
+    A_cross = A[:k, k:]
     A_high = A[k:, k:]
     h_high = h[k:]
+    high_bits = np.arange(n_high, dtype=np.int64)[:, None]
 
-    v = -np.ones(n_high)
+    W = np.empty((k + 2, batch))
+    W[k] = 1.0
+    E = np.empty((batch, 2 ** k))
     best_energy = np.inf
     best_low = 0
-    best_high = v.copy()
+    best_high = np.empty(n_high)
 
-    for block in range(2 ** n_high):
-        if block > 0:
-            # advance high bits along the Gray sequence: flip trailing-zero bit
-            t = (block & -block).bit_length() - 1
-            v[t] = -v[t]
-        w = h[:k] + (B_cross @ v if n_high else 0.0)
-        c_high = float(v @ h_high + 0.5 * v @ (A_high @ v)) if n_high else 0.0
-        energies = quad_low + S_low @ w + c_high
-        perm = perm_fwd if block % 2 == 0 else perm_rev
-        visit = energies[perm]
-        pos = int(np.argmin(visit))
-        if visit[pos] < best_energy:
-            best_energy = float(visit[pos])
-            best_low = int(perm[pos])
-            best_high = v.copy()
+    for first in range(0, n_blocks, batch):
+        blocks = np.arange(first, first + batch, dtype=np.int64)
+        V = 2.0 * (((blocks ^ (blocks >> 1)) >> high_bits) & 1) - 1.0
+        np.matmul(A_cross, V, out=W[:k])
+        W[:k] += h[:k, None]
+        W[k + 1] = h_high @ V + 0.5 * np.einsum("ib,ib->b", V, A_high @ V)
+        np.matmul(W.T, table.T, out=E)
+        row_min = E.min(axis=1)
+        b = int(np.argmin(row_min))
+        if row_min[b] < best_energy:
+            best_energy = float(row_min[b])
+            ties = np.flatnonzero(E[b] == row_min[b])
+            rank = gray_rank[ties]
+            if blocks[b] % 2:
+                rank = 2 ** k - 1 - rank
+            best_low = int(ties[np.argmin(rank)])
+            best_high = V[:, b].copy()
 
     state = np.empty(n, dtype=np.int8)
-    state[:k] = S_low[best_low].astype(np.int8)
-    if n_high:
-        state[k:] = best_high.astype(np.int8)
+    state[:k] = S_low[best_low]
+    state[k:] = best_high
     return state, model.energy(state)

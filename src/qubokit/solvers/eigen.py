@@ -3,8 +3,11 @@
 Small matrices (n <= 512) go through direct dense tridiagonalization; larger
 ones use ARPACK's Lanczos iteration under a fixed iteration/tolerance budget,
 with the Ritz value pushed outward by its residual norm so the returned
-minimum stays a safe (stabilizing) estimate.  Non-convergence falls back to
-the Gershgorin disc bound rather than raising.
+minimum stays a safe (stabilizing) estimate.  Lanczos starts from a fixed
+seeded Gaussian vector, so repeated calls on one matrix return the same
+bits; a constant vector would be a poor start, since on symmetric lattices
+its Krylov space can miss the extreme eigenvector.  Non-convergence falls
+back to the Gershgorin disc bound rather than raising.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def eig_extreme(mat, which: str = "min", tol: float = LANCZOS_TOL,
 
     arpack_which = "SA" if which == "min" else "LA"
     try:
-        vals, vecs = spla.eigsh(mat, k=1, which=arpack_which, tol=tol, maxiter=maxiter)
+        vals, vecs = spla.eigsh(mat, k=1, which=arpack_which, tol=tol, maxiter=maxiter,
+                                v0=np.random.default_rng(0).standard_normal(n))
     except spla.ArpackNoConvergence:
         return _gershgorin(mat, which)
     theta = float(vals[0])

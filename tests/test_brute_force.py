@@ -1,12 +1,14 @@
 """Tests for Gray-code exhaustive search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qubokit import IsingModel, SizeCapError, solve_brute_force
 from qubokit.generators import gen_random
 
-from oracles import exhaustive_min_ising, exhaustive_min_ising_fast
+from oracles import exhaustive_min_ising, exhaustive_min_ising_fast, gray_scan_min_ising
 
 
 class TestBruteForce:
@@ -54,3 +56,47 @@ class TestBruteForce:
         m2 = gen_random("complete", "uniform", 0, n=12)
         with pytest.raises(SizeCapError):
             solve_brute_force(m2, cap=10)
+
+
+def _int31(n, seed, with_biases=True):
+    return gen_random("complete", "int_uniform", seed, n=n, a=-31, b=31,
+                      with_biases=with_biases)
+
+
+class TestGrayTieBreak:
+    # n=5 and 12 are one block, 13 a two-block batch, 17 a partial batch of
+    # 32 blocks and 20 four full batches of 64.
+    @pytest.mark.parametrize("with_biases", [True, False], ids=["fields", "no-fields"])
+    @pytest.mark.parametrize("n", [5, 12, 13, 17, 20])
+    def test_first_minimum_of_the_scan(self, n, with_biases):
+        m = _int31(n, 500 + n, with_biases)
+        state, energy = solve_brute_force(m)
+        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        assert np.array_equal(state, oracle_state)
+        assert energy == oracle_energy
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("n", [13, 17])
+    def test_real_valued_minimum_matches_enumeration(self, n, dist):
+        m = gen_random("complete", dist, 700 + n, n=n)
+        _, energy = solve_brute_force(m)
+        assert energy == pytest.approx(exhaustive_min_ising_fast(m), rel=1e-12)
+
+    def test_zero_field_golden_n22(self):
+        # Both s and -s are optimal; the golden is the one found first.
+        m = _int31(22, 22, with_biases=False)
+        state, energy = solve_brute_force(m)
+        assert energy == -1376.0
+        assert state.tolist() == [-1, 1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1,
+                                  1, -1, 1, -1, -1, 1, 1, -1, 1, -1]
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    def test_memory_bounded(self, n):
+        m = _int31(n, n)
+        tracemalloc.start()
+        try:
+            solve_brute_force(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from qubokit import eig_extreme
+from qubokit.generators import gen_tile
+from qubokit.solvers.bifurcation import resolve_c0
 
 
 class TestEigExtreme:
@@ -42,6 +44,13 @@ class TestEigExtreme:
         assert est_min == pytest.approx(dense_vals[0], abs=1e-4)
         assert est_max >= dense_vals[-1] - 1e-6
         assert est_max == pytest.approx(dense_vals[-1], abs=1e-4)
+
+    def test_lanczos_repeats_bitwise(self):
+        # n=1024 takes the Lanczos path; its start vector must not depend on
+        # how many calls ran before.
+        m = gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model
+        c0 = [resolve_c0(m) for _ in range(3)]
+        assert c0[0].hex() == c0[1].hex() == c0[2].hex()
 
     def test_gershgorin_fallback_is_conservative(self):
         from qubokit.solvers.eigen import _gershgorin

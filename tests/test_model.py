@@ -19,7 +19,7 @@ from qubokit import (
     sign_pm,
 )
 from qubokit.generators import apply_gauge, gen_3r3x, gen_random, gen_tile, gen_wishart
-from qubokit.transforms import reduce_cubic
+from qubokit.transforms import ising_to_qubo, reduce_cubic
 
 from oracles import all_spin_states, hubo_energy_naive, ising_energy_naive, qubo_energy_naive
 
@@ -164,6 +164,30 @@ class TestQuboEnergy:
         lib_min = q.energies(bits).min()
         naive_min = min(qubo_energy_naive(q, x) for x in bits)
         assert lib_min == pytest.approx(naive_min, abs=1e-12)
+
+    @pytest.mark.parametrize("build, sparse", [
+        (lambda: ising_to_qubo(gen_random("complete", "gaussian", 9, n=40)), False),
+        (lambda: ising_to_qubo(gen_tile(16, [0.0, 0.8, 0.0, 0.2], 9).model), True),
+    ], ids=["complete-40", "tile-16"])
+    def test_batch_matches_naive(self, build, sparse):
+        q = build()
+        assert sp.issparse(q._upper) == sparse
+        X = (np.random.default_rng(9).random((9, q.n)) < 0.5).astype(np.int8)
+        for x, e in zip(X, q.energies(X)):
+            assert float(e) == pytest.approx(qubo_energy_naive(q, x), rel=1e-12)
+
+    def test_batch_memory_bounded_by_replicas_times_n(self):
+        # Gathering both endpoints of every term would take two float64
+        # (64, 45150) arrays, about 46 MB.
+        q = ising_to_qubo(gen_random("complete", "uniform", 8, n=300))
+        X = (np.random.default_rng(8).random((64, 300)) < 0.5).astype(np.int8)
+        tracemalloc.start()
+        try:
+            q.energies(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_dimension_mismatch(self):
         q = QuboModel.from_terms(2, terms=[(0, 1, 1.0)])
