@@ -264,8 +264,8 @@ def gen_wishart(N: int, M: int, seed) -> PlantedInstance:
     W = np.sqrt(N / (N - 1.0)) * (Z - np.outer(t, t @ Z) / N)
     Jt = -(W @ W.T) / N
     energy = 0.5 * float(np.trace(Jt))
-    couplings = [(i, j, -float(Jt[i, j])) for i in range(N) for j in range(i + 1, N)]
-    model = IsingModel.from_terms(N, couplings=couplings)
+    rows, cols = np.triu_indices(N, k=1)
+    model = IsingModel.from_arrays(N, rows, cols, -Jt[rows, cols])
     state = np.ones(N, dtype=np.int8)
     g = rng.choice(np.array([-1, 1], dtype=np.int8), size=N)
     model, state, _ = apply_gauge(model, state, g)
@@ -273,24 +273,27 @@ def gen_wishart(N: int, M: int, seed) -> PlantedInstance:
                            family="wishart", hardness={"alpha": M / N, "M": M}, seed=seed)
 
 
-def _chimera_edges(rows: int, cols: int) -> tuple[int, list[tuple[int, int]]]:
-    """Standard Chimera graph: rows x cols grid of K_{4,4} cells with chains."""
-    def node(i, j, u, k):
-        return ((i * cols + j) * 2 + u) * 4 + k
+def _chimera_edges(rows: int, cols: int) -> tuple[int, np.ndarray]:
+    """Standard Chimera graph: rows x cols grid of K_{4,4} cells with chains.
 
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(4):
-                for kp in range(4):
-                    edges.append((node(i, j, 0, k), node(i, j, 1, kp)))
-            if i + 1 < rows:
-                for k in range(4):
-                    edges.append((node(i, j, 0, k), node(i + 1, j, 0, k)))
-            if j + 1 < cols:
-                for k in range(4):
-                    edges.append((node(i, j, 1, k), node(i, j + 1, 1, k)))
-    return rows * cols * 8, edges
+    Edges come as an (m, 2) array, cell by cell in row-major order: the 16
+    in-cell edges (k, k') of side 0 to side 1, then the 4 chain edges to the
+    cell below on side 0, then the 4 to the cell on the right on side 1.
+    """
+    k = np.arange(4)
+    cell = 8 * np.arange(rows * cols).reshape(rows, cols)
+    edges = np.zeros((rows, cols, 24, 2), dtype=np.int64)
+    edges[:, :, :16, 0] = cell[..., None] + np.repeat(k, 4)
+    edges[:, :, :16, 1] = cell[..., None] + 4 + np.tile(k, 4)
+    edges[:, :, 16:20, 0] = cell[..., None] + k
+    edges[:-1, :, 16:20, 1] = cell[1:, :, None] + k
+    edges[:, :, 20:, 0] = cell[..., None] + 4 + k
+    edges[:, :-1, 20:, 1] = cell[:, 1:, None] + 4 + k
+    keep = np.zeros((rows, cols, 24), dtype=bool)
+    keep[:, :, :16] = True
+    keep[:-1, :, 16:20] = True
+    keep[:, :-1, 20:] = True
+    return rows * cols * 8, edges[keep]
 
 
 def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
@@ -309,7 +312,7 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     if topology == "complete":
         if n is None or n < 1:
             raise ValidationError("complete topology needs n >= 1")
-        edge_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edge_list = np.stack(np.triu_indices(n, k=1), axis=1)
         nvars = n
     elif topology == "chimera":
         if not rows or not cols:
@@ -318,8 +321,10 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     elif topology == "edge_list":
         if not edges:
             raise ValidationError("edge_list topology needs a nonempty edge list")
-        edge_list = [(int(i), int(j)) for i, j in edges]
-        nvars = n if n is not None else max(max(e) for e in edge_list) + 1
+        edge_list = np.array(edges, dtype=np.int64)
+        if edge_list.ndim != 2 or edge_list.shape[1] != 2:
+            raise ValidationError("edge_list entries must be (i, j) pairs")
+        nvars = n if n is not None else int(edge_list.max()) + 1
     else:
         raise ValidationError(f"unknown topology {topology!r}")
 
@@ -336,8 +341,7 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
 
     vals = draw(len(edge_list))
     h = draw(nvars) if with_biases else np.zeros(nvars)
-    couplings = [(i, j, float(v)) for (i, j), v in zip(edge_list, vals)]
-    return IsingModel.from_terms(nvars, h=h, couplings=couplings)
+    return IsingModel.from_arrays(nvars, edge_list[:, 0], edge_list[:, 1], vals, h=h)
 
 
 def apply_gauge(m: IsingModel, s, g) -> tuple[IsingModel, np.ndarray, np.ndarray]:

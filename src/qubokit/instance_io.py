@@ -6,8 +6,12 @@ count, domain tag ``spin`` or ``binary``), followed by m term lines with
 a linear term (Ising field / QUBO diagonal).  HUBO files use the extended
 ``k i1 ... ik v`` form, where k is the term order (k = 0 holds a constant).
 ``#`` starts a comment.  Writers emit ``# format:`` and ``# offset:`` comment
-lines so files are self-describing; readers fall back to a field-count
-heuristic when the format comment is missing.
+lines so files are self-describing; without the format comment a file is
+read as quadratic when every term line has three fields, else as HUBO.
+Quadratic bodies are parsed in one ``np.loadtxt`` call; repeated lines are
+summed in line order (fields into ``h``, pairs as in ``from_arrays``), and
+a malformed line, an index out of range (field lines included) or a term
+count that differs from the header is a ValidationError.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based indices.
@@ -15,39 +19,49 @@ The JSON mirror carries the same schema:
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, QuboModel
+from .model import BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel
 
 Model = Union[IsingModel, QuboModel, HuboModel]
 
 FORMAT_QUADRATIC = "quadratic"
 FORMAT_HUBO = "hubo"
 
+_TERM_LINE = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)  # a line that is not blank or a comment
+
 
 def model_to_dict(model: Model) -> dict:
     """JSON-ready dict mirror of the text schema (1-based indices)."""
-    if isinstance(model, IsingModel):
-        terms = [[int(i) + 1, int(i) + 1, float(v)] for i, v in enumerate(model.h) if v != 0.0]
-        terms += [[int(i) + 1, int(j) + 1, float(v)]
-                  for i, j, v in zip(model.rows, model.cols, model.values)]
-        return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": SPIN_DOMAIN,
-                "offset": model.offset, "terms": terms}
-    if isinstance(model, QuboModel):
-        terms = [[int(i) + 1, int(j) + 1, float(v)]
-                 for i, j, v in zip(model.rows, model.cols, model.values)]
-        return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": BINARY_DOMAIN,
-                "offset": model.offset, "terms": terms}
+    if isinstance(model, (IsingModel, QuboModel)):
+        domain, *columns = _quadratic_columns(model)
+        return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": domain,
+                "offset": model.offset, "terms": list(map(list, zip(*columns)))}
     if isinstance(model, HuboModel):
         terms = [[[int(i) + 1 for i in t], float(c)] for t, c in model.terms()]
         return {"format": FORMAT_HUBO, "n": model.n, "domain": model.domain,
                 "max_order": model.max_order, "terms": terms}
     raise ValidationError(f"unsupported model type {type(model).__name__}")
+
+
+def _quadratic_columns(model: IsingModel | QuboModel) -> tuple[str, list, list, list]:
+    """Domain tag and the 1-based (i, j, v) columns of the term lines; an
+    Ising model's non-zero fields come first, as ``i i h_i`` lines."""
+    rows, cols, values = model.rows + 1, model.cols + 1, model.values
+    if isinstance(model, QuboModel):
+        return BINARY_DOMAIN, rows.tolist(), cols.tolist(), values.tolist()
+    fields = np.flatnonzero(model.h != 0.0)
+    return (SPIN_DOMAIN, np.concatenate([fields + 1, rows]).tolist(),
+            np.concatenate([fields + 1, cols]).tolist(),
+            np.concatenate([model.h[fields], values]).tolist())
 
 
 def model_from_dict(data: dict) -> Model:
@@ -56,26 +70,33 @@ def model_from_dict(data: dict) -> Model:
     domain = data["domain"]
     if fmt == FORMAT_QUADRATIC:
         offset = float(data.get("offset", 0.0))
-        pairs = [(int(i) - 1, int(j) - 1, float(v)) for i, j, v in data["terms"]]
-        return _quadratic_model(n, domain, pairs, offset)
+        try:
+            t = np.fromiter(map(tuple, data["terms"]), dtype=TERM_DTYPE)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"quadratic terms need [i, j, v]: {exc}") from None
+        return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
     if fmt == FORMAT_HUBO:
         terms = [([int(i) - 1 for i in idx], float(c)) for idx, c in data["terms"]]
         return HuboModel.from_terms(n, domain, terms, max_order=data.get("max_order"))
     raise ValidationError(f"unknown instance format {fmt!r}")
 
 
-def _quadratic_model(n: int, domain: str, pairs, offset: float) -> Model:
+def _quadratic_model(n: int, domain: str, rows, cols, values, offset: float) -> Model:
+    """Ising (spin) or QUBO (binary) model from 0-based term columns; in
+    the spin domain i == j terms are fields, summed in line order."""
     if domain == SPIN_DOMAIN:
+        diag = rows == cols
+        fields = rows[diag]
+        bad = (fields < 0) | (fields >= n)
+        if bad.any():
+            i = int(fields[bad.argmax()])
+            raise ValidationError(f"field index {i} out of range for n={n}")
         h = np.zeros(n)
-        couplings = []
-        for i, j, v in pairs:
-            if i == j:
-                h[i] += v
-            else:
-                couplings.append((i, j, v))
-        return IsingModel.from_terms(n, h=h, couplings=couplings, offset=offset)
+        np.add.at(h, fields, values[diag])
+        off = ~diag
+        return IsingModel.from_arrays(n, rows[off], cols[off], values[off], h=h, offset=offset)
     if domain == BINARY_DOMAIN:
-        return QuboModel.from_terms(n, terms=pairs, offset=offset)
+        return QuboModel.from_arrays(n, rows, cols, values, offset=offset)
     raise ValidationError(f"unknown domain tag {domain!r}")
 
 
@@ -86,15 +107,16 @@ def write_instance(path, model: Model) -> Path:
         path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
         return path
 
-    data = model_to_dict(model)
-    lines = [f"# format: {data['format']}"]
-    if data["format"] == FORMAT_QUADRATIC and data.get("offset", 0.0) != 0.0:
-        lines.append(f"# offset: {data['offset']!r}")
-    lines.append(f"{data['n']} {len(data['terms'])} {data['domain']}")
-    if data["format"] == FORMAT_QUADRATIC:
-        for i, j, v in data["terms"]:
-            lines.append(f"{i} {j} {v!r}")
+    if isinstance(model, (IsingModel, QuboModel)):
+        domain, rows, cols, values = _quadratic_columns(model)
+        lines = [f"# format: {FORMAT_QUADRATIC}"]
+        if model.offset != 0.0:
+            lines.append(f"# offset: {model.offset!r}")
+        lines.append(f"{model.n} {len(values)} {domain}")
+        lines += [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, values)]
     else:
+        data = model_to_dict(model)
+        lines = [f"# format: {FORMAT_HUBO}", f"{model.n} {len(data['terms'])} {model.domain}"]
         for idx, c in data["terms"]:
             lines.append(" ".join([str(len(idx))] + [str(i) for i in idx] + [repr(c)]))
     path.write_text("\n".join(lines) + "\n")
@@ -110,46 +132,76 @@ def read_instance(path) -> Model:
     fmt = None
     offset = 0.0
     header = None
-    body: list[list[str]] = []
-    for raw in path.read_text().splitlines():
+    stream = io.StringIO(path.read_text())
+    for raw in stream:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            comment = line[1:].strip()
-            if comment.startswith("format:"):
-                fmt = comment.split(":", 1)[1].strip()
-            elif comment.startswith("offset:"):
-                offset = float(comment.split(":", 1)[1])
-            continue
-        fields = line.split()
-        if header is None:
-            header = fields
-        else:
-            body.append(fields)
+            fmt, offset = _comment(line, fmt, offset)
+        elif line:
+            header = line.split()
+            break
+    body = stream.read()
+    if "#" in body:  # format and offset comments count wherever they stand
+        for raw in body.splitlines():
+            line = raw.strip()
+            if line.startswith("#"):
+                fmt, offset = _comment(line, fmt, offset)
     if header is None or len(header) != 3:
         raise ValidationError(f"{path}: missing or malformed 'n m d' header line")
     n, m, domain = int(header[0]), int(header[1]), header[2]
-    if len(body) != m:
-        raise ValidationError(f"{path}: header declares {m} terms, found {len(body)}")
-    if fmt is None:
-        fmt = FORMAT_QUADRATIC if all(len(f) == 3 for f in body) else FORMAT_HUBO
 
-    if fmt == FORMAT_QUADRATIC:
-        pairs = []
-        for f in body:
-            if len(f) != 3:
-                raise ValidationError(f"{path}: quadratic line needs 'i j v', got {f}")
-            pairs.append((int(f[0]) - 1, int(f[1]) - 1, float(f[2])))
-        return _quadratic_model(n, domain, pairs, offset)
+    fields = None
+    if fmt in (None, FORMAT_QUADRATIC):
+        try:
+            t = _quadratic_terms(body)
+        except (ValueError, DeprecationWarning) as exc:
+            fields = _body_fields(body)
+            if fmt is not None or all(len(f) == 3 for f in fields):
+                raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
+        else:
+            if t.size != m:
+                raise ValidationError(f"{path}: header declares {m} terms, found {t.size}")
+            return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
 
+    if fields is None:
+        fields = _body_fields(body)
+    if len(fields) != m:
+        raise ValidationError(f"{path}: header declares {m} terms, found {len(fields)}")
     terms = []
-    for f in body:
+    for f in fields:
         k = int(f[0])
         if len(f) != k + 2:
             raise ValidationError(f"{path}: HUBO line of order {k} needs {k + 2} fields, got {len(f)}")
         terms.append(([int(i) - 1 for i in f[1:1 + k]], float(f[-1])))
     return HuboModel.from_terms(n, domain, terms)
+
+
+def _comment(line: str, fmt, offset):
+    """(format, offset) after one ``#`` comment line."""
+    comment = line[1:].strip()
+    if comment.startswith("format:"):
+        fmt = comment.split(":", 1)[1].strip()
+    elif comment.startswith("offset:"):
+        offset = float(comment.split(":", 1)[1])
+    return fmt, offset
+
+
+def _quadratic_terms(body: str) -> np.ndarray:
+    """The ``TERM_DTYPE`` records of a quadratic body; ValueError (or
+    DeprecationWarning) on a line that is not ``i j v`` with integer indices."""
+    if not _TERM_LINE.search(body):
+        return np.empty(0, dtype=TERM_DTYPE)
+    with warnings.catch_warnings():
+        # numpy releases that only deprecate parsing "1.5" as an integer
+        # truncate it; the warning as an error rejects it on all of them
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(io.StringIO(body), dtype=TERM_DTYPE, comments="#", ndmin=1)
+
+
+def _body_fields(body: str) -> list[list[str]]:
+    """Fields of the term lines after the header, with ``#`` comments cut
+    off as ``np.loadtxt`` cuts them."""
+    return [f for raw in body.splitlines() if (f := raw.split("#", 1)[0].split())]
 
 
 def write_certificate(path, planted_energy: float, planted_state, family: str,

@@ -229,7 +229,15 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     kc = n - leaf
     S_leaf = _spin_table(leaf)
     A_leaf = Ap[kc:, kc:]
-    quad_leaf = 0.5 * np.einsum("bi,ij,bj->b", S_leaf, A_leaf, S_leaf)
+    # 1/2 s^T A s of every leaf state, one spin at a time as the tree builds
+    # pe: the first 2^(t+1) table rows are the first 2^t rows with s_t = -1,
+    # then the same rows with s_t = +1
+    quad_leaf = np.zeros(2 ** leaf)
+    for t in range(leaf):
+        m = 2 ** t
+        cross = S_leaf[:m, :t] @ A_leaf[t, :t]
+        quad_leaf[m:2 * m] = quad_leaf[:m] + cross
+        quad_leaf[:m] -= cross
 
     incumbent_energy = np.inf
     incumbent_state: np.ndarray | None = None

@@ -7,6 +7,12 @@ All conversions are done by exact polynomial expansion of the variable maps
 x_i = (1 + s_i) / 2 and s_i = 2 x_i - 1, with every constant folded into the
 model offset, so converted models agree in energy on all states (not merely
 up to an affine constant).
+
+The QUBO <-> Ising conversions are array code with a fixed summation order:
+each field or diagonal entry adds its contributions in the order of one
+pass over the sorted terms (entries where the variable is the column, then
+its diagonal, then entries where it is the row), and the offset adds them
+left to right, so the results are bitwise those of that pass.
 """
 
 from __future__ import annotations
@@ -47,37 +53,37 @@ def qubo_to_ising(q: QuboModel) -> IsingModel:
     diagonal Q_ii x_i to Q_ii (1 + s_i) / 2, so output energies equal input
     energies on all mapped states.
     """
+    diag = q.rows == q.cols
+    off = ~diag
+    # Each term's share of its fields and of the offset.
+    share = np.where(diag, q.values / 2.0, q.values / 4.0)
+    r, c, quarter = q.rows[off], q.cols[off], share[off]
+    # On sorted terms, field i collects its column entries (rows < i), then
+    # its diagonal, then its row entries: the order of one pass over the terms.
     h = np.zeros(q.n)
-    couplings: list[tuple[int, int, float]] = []
-    offset = q.offset
-    for i, j, v in zip(q.rows, q.cols, q.values):
-        i, j = int(i), int(j)
-        if i == j:
-            h[i] += v / 2.0
-            offset += v / 2.0
-        else:
-            couplings.append((i, j, v / 4.0))
-            h[i] += v / 4.0
-            h[j] += v / 4.0
-            offset += v / 4.0
-    return IsingModel.from_terms(q.n, h=h, couplings=couplings, offset=offset)
+    np.add.at(h, c, quarter)
+    np.add.at(h, q.rows[diag], share[diag])
+    np.add.at(h, r, quarter)
+    return IsingModel.from_arrays(q.n, r, c, quarter, h=h, offset=_running_sum(q.offset, share))
 
 
 def ising_to_qubo(m: IsingModel) -> QuboModel:
     """Convert an Ising model to a QUBO under s_i = 2 x_i - 1."""
-    terms: list[tuple[int, int, float]] = []
-    offset = m.offset
     diag = np.zeros(m.n)
-    for i, j, v in zip(m.rows, m.cols, m.values):
-        i, j = int(i), int(j)
-        terms.append((i, j, 4.0 * v))
-        diag[i] -= 2.0 * v
-        diag[j] -= 2.0 * v
-        offset += v
+    np.subtract.at(diag, m.cols, 2.0 * m.values)
+    np.subtract.at(diag, m.rows, 2.0 * m.values)
     diag += 2.0 * m.h
-    offset -= float(np.sum(m.h))
-    terms.extend((i, i, diag[i]) for i in range(m.n) if diag[i] != 0.0)
-    return QuboModel.from_terms(m.n, terms=terms, offset=offset)
+    offset = _running_sum(m.offset, m.values) - float(np.sum(m.h))
+    lin = np.flatnonzero(diag != 0.0)
+    return QuboModel.from_arrays(m.n, np.concatenate([m.rows, lin]),
+                                 np.concatenate([m.cols, lin]),
+                                 np.concatenate([4.0 * m.values, diag[lin]]), offset=offset)
+
+
+def _running_sum(start: float, parts: np.ndarray) -> float:
+    """start + parts[0] + parts[1] + ..., added left to right (np.sum is
+    pairwise and can differ in the last bits)."""
+    return float(np.cumsum(np.concatenate([[start], parts]))[-1])
 
 
 def spin_binary_convert(v) -> np.ndarray:

@@ -103,3 +103,145 @@ def gray_scan_min_ising(model) -> tuple[np.ndarray, float]:
         if energy < best_e:
             best_e, best_s = energy, s.copy()
     return best_s.astype(np.int8), best_e
+
+
+# Construction oracles: the per-term loops that built models, converted
+# them and formatted files before the array construction core.  Each returns
+# plain arrays or text, so no library constructor sits between the loop and
+# the assertion.
+
+def canonical_pairs_loop(terms, n: int, allow_diagonal: bool):
+    """Dict deduplication of (i, j, v) terms into sorted upper-triangular arrays."""
+    import math
+
+    acc: dict[tuple[int, int], float] = {}
+    for i, j, v in terms:
+        i, j = int(i), int(j)
+        if i > j:
+            i, j = j, i
+        if not (0 <= i <= j < n):
+            raise ValueError(f"term index pair ({i}, {j}) out of range for n={n}")
+        if i == j and not allow_diagonal:
+            raise ValueError(f"diagonal coupling ({i}, {i}) not allowed; use the linear field")
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite coefficient for pair ({i}, {j})")
+        acc[(i, j)] = acc.get((i, j), 0.0) + v
+    keys = sorted(acc)
+    rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
+    cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
+    vals = np.fromiter((acc[k] for k in keys), dtype=np.float64, count=len(keys))
+    return rows, cols, vals
+
+
+def qubo_to_ising_loop(q):
+    """(h, rows, cols, values, offset) of the Ising form of a QUBO, term by term."""
+    h = np.zeros(q.n)
+    couplings: list[tuple[int, int, float]] = []
+    offset = q.offset
+    for i, j, v in zip(q.rows, q.cols, q.values):
+        i, j = int(i), int(j)
+        if i == j:
+            h[i] += v / 2.0
+            offset += v / 2.0
+        else:
+            couplings.append((i, j, v / 4.0))
+            h[i] += v / 4.0
+            h[j] += v / 4.0
+            offset += v / 4.0
+    rows, cols, vals = canonical_pairs_loop(couplings, q.n, allow_diagonal=False)
+    return h, rows, cols, vals, float(offset)
+
+
+def ising_to_qubo_loop(m):
+    """(rows, cols, values, offset) of the QUBO form of an Ising model, term by term."""
+    terms: list[tuple[int, int, float]] = []
+    offset = m.offset
+    diag = np.zeros(m.n)
+    for i, j, v in zip(m.rows, m.cols, m.values):
+        i, j = int(i), int(j)
+        terms.append((i, j, 4.0 * v))
+        diag[i] -= 2.0 * v
+        diag[j] -= 2.0 * v
+        offset += v
+    diag += 2.0 * m.h
+    offset -= float(np.sum(m.h))
+    terms.extend((i, i, diag[i]) for i in range(m.n) if diag[i] != 0.0)
+    rows, cols, vals = canonical_pairs_loop(terms, m.n, allow_diagonal=True)
+    return rows, cols, vals, float(offset)
+
+
+def quadratic_terms_loop(model) -> list[list]:
+    """1-based [i, j, v] lines of an Ising (fields first) or QUBO model."""
+    terms = []
+    if hasattr(model, "h"):
+        terms = [[int(i) + 1, int(i) + 1, float(v)] for i, v in enumerate(model.h) if v != 0.0]
+    terms += [[int(i) + 1, int(j) + 1, float(v)]
+              for i, j, v in zip(model.rows, model.cols, model.values)]
+    return terms
+
+
+def quadratic_text_loop(model) -> str:
+    """Text file of an Ising or QUBO model, formatted term by term."""
+    terms = quadratic_terms_loop(model)
+    domain = "spin" if hasattr(model, "h") else "binary"
+    lines = ["# format: quadratic"]
+    if model.offset != 0.0:
+        lines.append(f"# offset: {model.offset!r}")
+    lines.append(f"{model.n} {len(terms)} {domain}")
+    for i, j, v in terms:
+        lines.append(f"{i} {j} {v!r}")
+    return "\n".join(lines) + "\n"
+
+
+def read_quadratic_loop(text: str):
+    """(n, domain, h or None, rows, cols, values, offset) of a quadratic
+    text file, parsed line by line."""
+    offset = 0.0
+    header = None
+    body = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comment = line[1:].strip()
+            if comment.startswith("offset:"):
+                offset = float(comment.split(":", 1)[1])
+            continue
+        if header is None:
+            header = line.split()
+        else:
+            body.append(line.split())
+    n, domain = int(header[0]), header[2]
+    pairs = [(int(f[0]) - 1, int(f[1]) - 1, float(f[2])) for f in body]
+    if domain == "binary":
+        return (n, domain, None, *canonical_pairs_loop(pairs, n, allow_diagonal=True), offset)
+    h = np.zeros(n)
+    couplings = []
+    for i, j, v in pairs:
+        if i == j:
+            h[i] += v
+        else:
+            couplings.append((i, j, v))
+    return (n, domain, h, *canonical_pairs_loop(couplings, n, allow_diagonal=False), offset)
+
+
+def chimera_edges_loop(rows: int, cols: int) -> list[tuple[int, int]]:
+    """Chimera edges cell by cell: in-cell K_{4,4}, then the chains down and right."""
+    def node(i, j, u, k):
+        return ((i * cols + j) * 2 + u) * 4 + k
+
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(4):
+                for kp in range(4):
+                    edges.append((node(i, j, 0, k), node(i, j, 1, kp)))
+            if i + 1 < rows:
+                for k in range(4):
+                    edges.append((node(i, j, 0, k), node(i + 1, j, 0, k)))
+            if j + 1 < cols:
+                for k in range(4):
+                    edges.append((node(i, j, 1, k), node(i, j + 1, 1, k)))
+    return edges

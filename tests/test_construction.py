@@ -1,0 +1,300 @@
+"""Bitwise checks of the array construction core against per-term loops.
+
+Models built by ``from_arrays``/``from_terms``, ``gen_random``, the
+QUBO <-> Ising conversions and the instance readers must carry the same
+bytes as the dict-and-loop construction in ``oracles``; written files must
+be the same bytes as the term-by-term formatting.
+"""
+
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from qubokit import (
+    IsingModel,
+    QuboModel,
+    ValidationError,
+    model_from_dict,
+    model_to_dict,
+    read_instance,
+    write_instance,
+)
+from qubokit.generators import _chimera_edges, gen_random, rng_stream
+from qubokit.transforms import ising_to_qubo, qubo_to_ising
+
+from oracles import (
+    canonical_pairs_loop,
+    chimera_edges_loop,
+    ising_to_qubo_loop,
+    quadratic_terms_loop,
+    quadratic_text_loop,
+    qubo_to_ising_loop,
+    read_quadratic_loop,
+)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_model_is(model, h, rows, cols, values, offset):
+    if h is not None:
+        same_bytes(model.h, h)
+    same_bytes(model.rows, rows)
+    same_bytes(model.cols, cols)
+    same_bytes(model.values, values)
+    same_bytes(np.float64(model.offset), np.float64(offset))
+
+
+def awkward_terms(n: int, seed: int, diagonal: bool) -> list[tuple[int, int, float]]:
+    """Swapped pairs, a pair repeated four times, -0.0 and unsorted order."""
+    rng = np.random.default_rng(seed)
+    terms = [(int(i), int(j), float(v)) for i, j, v in
+             zip(rng.integers(0, n, 80), rng.integers(0, n, 80), rng.standard_normal(80))
+             if diagonal or i != j]
+    terms += [(3, 1, 0.1), (1, 3, 0.2), (3, 1, 0.3), (1, 3, -1e-17)]
+    terms += [(0, n - 1, -0.0), (n - 2, 2, -0.0), (2, n - 2, -0.0)]
+    if diagonal:
+        terms += [(4, 4, -0.0), (5, 5, 0.7), (5, 5, -0.7 / 3)]
+    return terms
+
+
+def columns(terms):
+    i, j, v = zip(*terms)
+    return np.array(i), np.array(j), np.array(v)
+
+
+def random_qubo_terms(n: int, seed: int) -> list[tuple[int, int, float]]:
+    rng = np.random.default_rng(seed)
+    return [(i, j, float(rng.standard_normal())) for i in range(n) for j in range(i, n)
+            if rng.random() < 0.5]
+
+
+def gen_random_loop(edges, nvars, draw):
+    """(h, rows, cols, values) of gen_random: couplings drawn, then biases."""
+    vals = draw(len(edges))
+    h = draw(nvars)
+    couplings = [(i, j, float(v)) for (i, j), v in zip(edges, vals)]
+    return (h, *canonical_pairs_loop(couplings, nvars, allow_diagonal=False))
+
+
+CONVERSION_MODELS = {
+    "gaussian-complete-60": lambda: gen_random("complete", "gaussian", 60, n=60),
+    "chimera-2x2": lambda: gen_random("chimera", "uniform", 22, rows=2, cols=2),
+    "awkward": lambda: IsingModel.from_terms(
+        12, h=np.random.default_rng(3).standard_normal(12),
+        couplings=awkward_terms(12, 3, diagonal=False), offset=-0.3),
+}
+
+
+class TestCanonicalPairs:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ising_matches_dict(self, seed):
+        terms = awkward_terms(12, seed, diagonal=False)
+        want = canonical_pairs_loop(terms, 12, allow_diagonal=False)
+        assert_model_is(IsingModel.from_terms(12, couplings=terms), None, *want, 0.0)
+        assert_model_is(IsingModel.from_arrays(12, *columns(terms)), None, *want, 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_qubo_matches_dict(self, seed):
+        terms = awkward_terms(12, seed, diagonal=True)
+        want = canonical_pairs_loop(terms, 12, allow_diagonal=True)
+        assert_model_is(QuboModel.from_terms(12, terms=terms), None, *want, 0.0)
+        assert_model_is(QuboModel.from_arrays(12, *columns(terms)), None, *want, 0.0)
+
+    def test_duplicates_sum_in_input_order(self):
+        # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+        m = IsingModel.from_terms(2, couplings=[(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3)])
+        assert m.values[0] == (0.1 + 0.2) + 0.3
+        m = IsingModel.from_terms(2, couplings=[(0, 1, 0.3), (1, 0, 0.2), (0, 1, 0.1)])
+        assert m.values[0] == (0.3 + 0.2) + 0.1
+
+    def test_negative_zero_becomes_zero(self):
+        m = QuboModel.from_arrays(3, [0, 2], [0, 1], [-0.0, -0.0])
+        assert not np.signbit(m.values).any()
+
+    def test_first_bad_term_reported(self):
+        with pytest.raises(ValidationError, match=r"pair \(0, 5\) out of range"):
+            IsingModel.from_terms(3, couplings=[(1, 2, 1.0), (5, 0, 1.0), (0, 1, np.nan)])
+        with pytest.raises(ValidationError, match="non-finite coefficient for pair \\(0, 1\\)"):
+            IsingModel.from_terms(3, couplings=[(1, 0, np.inf), (5, 0, 1.0)])
+        with pytest.raises(ValidationError, match=r"diagonal coupling \(2, 2\)"):
+            IsingModel.from_arrays(3, [0, 2], [1, 2], [1.0, 1.0])
+
+    def test_column_lengths_checked(self):
+        with pytest.raises(ValidationError):
+            QuboModel.from_arrays(3, [0, 1], [1], [1.0, 2.0])
+
+    def test_term_lists_are_python_numbers(self):
+        m = gen_random("complete", "gaussian", 5, n=6)
+        assert m.couplings() == [(int(i), int(j), float(v))
+                                 for i, j, v in zip(m.rows, m.cols, m.values)]
+        assert all(type(i) is int and type(v) is float for i, _, v in m.couplings())
+        q = ising_to_qubo(m)
+        assert q.terms() == [(int(i), int(j), float(v)) for i, j, v in zip(q.rows, q.cols, q.values)]
+
+
+class TestGenerators:
+    def test_complete_gaussian(self):
+        n = 60
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rng = rng_stream(60)
+        assert_model_is(gen_random("complete", "gaussian", 60, n=n),
+                        *gen_random_loop(edges, n, rng.standard_normal), 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 1)])
+    def test_chimera_edges(self, shape):
+        nvars, edges = _chimera_edges(*shape)
+        assert nvars == 8 * shape[0] * shape[1]
+        assert [tuple(e) for e in edges.tolist()] == chimera_edges_loop(*shape)
+
+    def test_chimera_uniform(self):
+        rng = rng_stream(22)
+        assert_model_is(gen_random("chimera", "uniform", 22, rows=2, cols=2),
+                        *gen_random_loop(chimera_edges_loop(2, 2), 32,
+                                         lambda size: rng.uniform(-1.0, 1.0, size=size)), 0.0)
+
+    def test_edge_list_with_swaps_and_repeats(self):
+        edges = [(3, 0), (0, 3), (1, 2), (0, 3), (2, 1), (4, 0)]
+        rng = rng_stream(9)
+        draw = lambda size: rng.integers(-3, 4, size=size).astype(np.float64)  # noqa: E731
+        assert_model_is(gen_random("edge_list", "int_uniform", 9, edges=edges, a=-3, b=3),
+                        *gen_random_loop(edges, 5, draw), 0.0)
+
+    def test_edge_list_shape_checked(self):
+        with pytest.raises(ValidationError):
+            gen_random("edge_list", "gaussian", 1, edges=[(0, 1, 2)])
+
+
+class TestConversions:
+    @pytest.mark.parametrize("name", sorted(CONVERSION_MODELS))
+    def test_ising_to_qubo(self, name):
+        m = CONVERSION_MODELS[name]()
+        assert_model_is(ising_to_qubo(m), None, *ising_to_qubo_loop(m))
+
+    @pytest.mark.parametrize("name", sorted(CONVERSION_MODELS))
+    def test_qubo_to_ising_round_trip(self, name):
+        q = ising_to_qubo(CONVERSION_MODELS[name]())
+        assert_model_is(qubo_to_ising(q), *qubo_to_ising_loop(q))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_qubo_with_diagonal_terms(self, seed):
+        q = QuboModel.from_terms(20, terms=random_qubo_terms(20, seed), offset=0.25)
+        assert np.any(q.rows == q.cols)
+        assert_model_is(qubo_to_ising(q), *qubo_to_ising_loop(q))
+        m = qubo_to_ising(q)
+        assert_model_is(ising_to_qubo(m), None, *ising_to_qubo_loop(m))
+
+
+class TestFiles:
+    @pytest.mark.parametrize("name", sorted(CONVERSION_MODELS))
+    def test_text_bytes_and_read_back(self, tmp_path, name):
+        m = CONVERSION_MODELS[name]()
+        for model in (m, ising_to_qubo(m)):
+            p = write_instance(tmp_path / "m.txt", model)
+            assert p.read_text() == quadratic_text_loop(model)
+            _, _, h, *rest = read_quadratic_loop(p.read_text())
+            assert_model_is(read_instance(p), h, *rest)
+
+    def test_json_bytes_and_read_back(self, tmp_path):
+        m = CONVERSION_MODELS["awkward"]()
+        for model, domain in ((m, "spin"), (ising_to_qubo(m), "binary")):
+            p = write_instance(tmp_path / "m.json", model)
+            terms = quadratic_terms_loop(model)
+            want = {"format": "quadratic", "n": model.n, "domain": domain,
+                    "offset": model.offset, "terms": terms}
+            assert p.read_text() == json.dumps(want, indent=2) + "\n"
+            back = model_from_dict(model_to_dict(model))
+            assert_model_is(back, getattr(model, "h", None), model.rows, model.cols,
+                            model.values, model.offset)
+
+    def test_hand_written_file(self, tmp_path):
+        text = ("# a comment\n\n4 9 spin\n"
+                "2 1 0.1\n1 2 0.2\n  # mid-body comment\n\n2 1 0.3\n"
+                "3 3 -0.0\n1 1 0.5\n1 1 0.25\n4 2 -0.0\n1 4 1e-300\n2 3 7\n"
+                "# offset: 1.5\n")
+        p = tmp_path / "hand.txt"
+        p.write_text(text)
+        n, _, h, *rest = read_quadratic_loop(text)
+        m = read_instance(p)
+        assert m.n == n == 4 and m.offset == 1.5
+        assert_model_is(m, h, *rest)
+
+    def test_empty_body(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("# format: quadratic\n3 0 binary\n")
+        q = read_instance(p)
+        assert isinstance(q, QuboModel) and q.num_terms == 0 and q.n == 3
+
+    @pytest.mark.parametrize("body", [
+        "1 2 nan\n",              # non-finite value
+        "1 5 1.0\n",              # pair out of range
+        "1.5 2 1.0\n",            # non-integer index
+        "1 2\n",                  # two fields
+        "1 2 3 4.0\n",            # four fields
+        "1 2 1.0\n1 2 1.0\n",     # term-count mismatch
+    ])
+    @pytest.mark.parametrize("fmt", ["", "# format: quadratic\n"])
+    @pytest.mark.parametrize("domain", ["spin", "binary"])
+    def test_bad_lines_rejected(self, tmp_path, body, fmt, domain):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"{fmt}3 1 {domain}\n{body}")
+        with pytest.raises(ValidationError):
+            read_instance(p)
+
+    def test_index_truncated_by_numpy_rejected(self, tmp_path, monkeypatch):
+        # numpy releases that deprecate, rather than reject, parsing "1.5" as
+        # an integer warn and truncate it; that must still be an error
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(io.StringIO("1 2 1.0\n"), **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        p = tmp_path / "bad.txt"
+        p.write_text("# format: quadratic\n3 1 binary\n1.5 2 1.0\n")
+        with pytest.raises(ValidationError, match="quadratic line"):
+            read_instance(p)
+
+    def test_trailing_comments(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("3 2 binary\n1 2 1.0  # a pair\n3 3 2.0#a diagonal\n")
+        assert read_instance(p).terms() == [(0, 1, 1.0), (2, 2, 2.0)]
+        # a malformed line next to a commented one is a quadratic error, not a
+        # HUBO one: the comment's words are not counted as fields
+        p.write_text("3 2 binary\n1 2 1.0  # a pair\n1.5 3 2.0\n")
+        with pytest.raises(ValidationError, match="quadratic line"):
+            read_instance(p)
+
+    def test_comment_only_body(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("3 0 spin\n  # nothing here\n\n")
+        m = read_instance(p)
+        assert isinstance(m, IsingModel) and m.num_couplings == 0 and m.n == 3
+
+    def test_diagonal_coupling_rejected(self):
+        with pytest.raises(ValidationError, match="diagonal coupling"):
+            IsingModel.from_arrays(3, [1], [1], [1.0])
+
+    @pytest.mark.parametrize("line", ["0 0 1.0", "3 3 1.0"])
+    def test_field_index_out_of_range(self, tmp_path, line):
+        p = tmp_path / "f.txt"
+        p.write_text(f"2 1 spin\n{line}\n")
+        with pytest.raises(ValidationError, match="field index"):
+            read_instance(p)
+        i = int(line[0])
+        data = {"format": "quadratic", "n": 2, "domain": "spin", "terms": [[i, i, 1.0]]}
+        with pytest.raises(ValidationError, match="field index"):
+            model_from_dict(data)
+
+    def test_bad_json_terms_rejected(self):
+        with pytest.raises(ValidationError):
+            model_from_dict({"format": "quadratic", "n": 2, "domain": "spin",
+                             "terms": [[1, 2]]})
