@@ -1,0 +1,80 @@
+"""Unit cost of a parallel annealing (PA) and a simulated bifurcation (SBM) step.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/kernel_cost.py
+
+At fixed (replicas, n) it times ``solve_pa`` and ``solve_sbm`` on three
+models: the tile lattice L=32 (n=1024, CSR operator) with 64 replicas, a
+Wishart instance n=96 (dense) with 256 replicas, and a complete uniform
+model n=500 (dense) with 64 replicas.  SBM's c0 is resolved once before
+timing, so the eigenvalue solve is not counted.  Each figure is the
+minimum over three calls of the whole call divided by its step count,
+which includes the per-call start (replica streams, final energies).  It
+prints one JSON object: the machine, the versions and ms per step.
+"""
+
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from qubokit import PaParams, SbmParams, solve_pa, solve_sbm  # noqa: E402
+from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
+from qubokit.solvers import resolve_c0  # noqa: E402
+
+SEED = 7
+REPEATS = 3
+PA_STEPS = 200
+SBM_STEPS = 300
+SBM_DT = 0.05
+# (name, model builder, replicas)
+MODELS = (
+    ("tile-L32", lambda: gen_tile(32, [0.0, 0.8, 0.0, 0.2], SEED).model, 64),
+    ("wishart-n96", lambda: gen_wishart(96, 96, SEED).model, 256),
+    ("complete-n500", lambda: gen_random("complete", "uniform", SEED, n=500), 64),
+)
+
+
+def best_of(repeats: int, fn) -> float:
+    """Minimum wall time over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def measure(name: str, model, replicas: int) -> dict:
+    pa = PaParams(steps=PA_STEPS, replicas=replicas, seed=SEED)
+    sbm = SbmParams(steps=SBM_STEPS, dt=SBM_DT, replicas=replicas, seed=SEED,
+                    c0=resolve_c0(model))
+    pa_s = best_of(REPEATS, lambda: solve_pa(model, pa))
+    sbm_s = best_of(REPEATS, lambda: solve_sbm(model, sbm))
+    return {"model": name, "n": model.n, "replicas": replicas,
+            "operator": type(model.coupling_operator()).__name__,
+            "pa_ms_per_step": round(1e3 * pa_s / PA_STEPS, 4),
+            "sbm_ms_per_step": round(1e3 * sbm_s / SBM_STEPS, 4)}
+
+
+def main() -> int:
+    rows = [measure(name, build(), replicas) for name, build, replicas in MODELS]
+    print(json.dumps({"machine": platform.machine(), "cpus": os.cpu_count(),
+                      "python": platform.python_version(), "numpy": np.__version__,
+                      "scipy": scipy.__version__, "repeats": REPEATS,
+                      "pa_steps": PA_STEPS, "sbm_steps": SBM_STEPS,
+                      "results": rows}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -148,7 +148,11 @@ def read_instance(path) -> Model:
                 fmt, offset = _comment(line, fmt, offset)
     if header is None or len(header) != 3:
         raise ValidationError(f"{path}: missing or malformed 'n m d' header line")
-    n, m, domain = int(header[0]), int(header[1]), header[2]
+    try:
+        n, m, domain = int(header[0]), int(header[1]), header[2]
+    except ValueError:
+        raise ValidationError(f"{path}: header 'n m d' needs integer n and m, "
+                              f"got {' '.join(header)!r}") from None
 
     fields = None
     if fmt in (None, FORMAT_QUADRATIC):
@@ -169,10 +173,16 @@ def read_instance(path) -> Model:
         raise ValidationError(f"{path}: header declares {m} terms, found {len(fields)}")
     terms = []
     for f in fields:
-        k = int(f[0])
+        try:
+            k = int(f[0])
+            idx = [int(i) - 1 for i in f[1:-1]]
+            coeff = float(f[-1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
+                                  f"order and indices: {exc}") from None
         if len(f) != k + 2:
             raise ValidationError(f"{path}: HUBO line of order {k} needs {k + 2} fields, got {len(f)}")
-        terms.append(([int(i) - 1 for i in f[1:1 + k]], float(f[-1])))
+        terms.append((idx, coeff))
     return HuboModel.from_terms(n, domain, terms)
 
 

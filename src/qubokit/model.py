@@ -42,11 +42,16 @@ COMPENSATED_SUM_THRESHOLD = 100_000
 # for models of at most DENSE_OPERATOR_MAX_N variables (the matrix is 32 MiB at
 # the cap) whose operator has at least DENSE_OPERATOR_MIN_FILL of its n^2
 # entries non-zero; otherwise they are CSR.
-# The fill threshold sits at the measured crossover of the replicas x n x n
-# products in PA and SBM (2 CPUs, numpy 2.4, scipy 1.17, 64-128 replicas):
-# CSR was 1.3-2.7x faster at 0.39% fill (tile lattice, n=1024) and 1.1% (Chimera,
-# n=512), the two were within 15% of each other between 2% and 3%, and dense
-# was 1.05-1.4x faster at 4.3% (Chimera, n=128) and 6.2% (reduced 3R3X, n=96).
+# The fill threshold is where the three replica kernels disagree (ms per step,
+# dense -> CSR, 128 replicas; 2 CPUs, numpy 2.4, scipy 1.17).  With PA and SBM
+# on spin-major blocks and scipy's native CSR product, CSR is faster for them
+# up to about 6% fill: PA 1.06 -> 0.42 and SBM 1.04 -> 0.54 at 1.5% (reduced
+# 3R3X, n=400), 0.34 -> 0.22 and 0.39 -> 0.25 at 3.1% (n=192), 0.17 -> 0.12
+# and 0.21 -> 0.15 at 6.2% (n=96); at 6.25% (tile, n=64) and 12.4% (reduced
+# 3R3X, n=48) the two are within 15%.  SA is slower on CSR at every fill
+# measured: 4.0 -> 6.0 at 1.5%, 1.9 -> 2.8 at 3.1%, 1.15 -> 1.18 at 4.3%
+# (Chimera, n=128), 0.90 -> 1.57 at 6.2%.  Moving the threshold either way
+# slows one side, so it stays at 1/32.
 DENSE_OPERATOR_MAX_N = 2048
 DENSE_OPERATOR_MIN_FILL = 1 / 32
 
@@ -146,6 +151,32 @@ def _term_arrays(terms: Iterable[tuple[int, int, float]]):
 def _dense_operator(n: int, nnz: int) -> bool:
     """Whether an n x n operator with nnz non-zeros should be dense, not CSR."""
     return n <= DENSE_OPERATOR_MAX_N and nnz >= DENSE_OPERATOR_MIN_FILL * n ** 2
+
+
+def block_order(op) -> str:
+    """Memory order of the (replicas, n) blocks that multiply ``op``:
+    "F" (spin-major) when ``op`` is CSR, "C" when it is dense.
+
+    A spin-major block's transpose is C-contiguous, so ``op @ X.T`` runs
+    scipy's native CSR multi-vector kernel; ``X @ op`` would copy that
+    transpose and take the CSC path, with the same bits (both add each
+    row's terms in ascending column order).  Dense blocks stay in C order
+    because GEMM's bits depend on the output's memory order, and
+    ``np.matmul(X, op, out=F)`` into a C-ordered F gives those of ``X @ op``.
+    """
+    return "F" if sp.issparse(op) else "C"
+
+
+def block_product(X: np.ndarray, op, out: np.ndarray) -> np.ndarray:
+    """``X @ op`` for a (replicas, n) block held in ``block_order(op)``.
+
+    ``op`` must be symmetric, as coupling operators are: a CSR product is
+    computed as ``(op @ X.T).T`` and comes back as a new spin-major array.
+    A dense product is written into ``out`` (C-ordered, shaped like X).
+    """
+    if sp.issparse(op):
+        return (op @ X.T).T
+    return np.matmul(X, op, out=out)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -9,13 +9,20 @@ with a(t) ramping linearly 0 -> a0.  The dynamics drive q toward maximizing
 its coupling term, so the solver feeds (B, g) = (-A, -h): all engines then
 minimize the same Ising objective.  Positions breaching the cap are clipped
 with momenta zeroed (inelastic walls); final spins are sign(q), sign(0)=+1.
+
+The (replicas, n) positions and momenta are held in the memory order the
+coupling operator's product wants (``block_order``): spin-major (Fortran)
+when the operator is CSR, C order when it is dense.  Every step runs in
+place on buffers allocated once (only a CSR product returns a new block), in
+the arithmetic order of the equations above, so the results do not depend on
+the layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..model import IsingModel, sign_pm
+from ..model import IsingModel, block_order, block_product, sign_pm
 from .common import SampleSet, SbmParams, make_sampleset, replica_streams
 from .eigen import eig_extreme
 
@@ -34,12 +41,38 @@ def resolve_c0(model: IsingModel) -> float:
 
 def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
               q_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Core symplectic loop; exposed for integrator-invariant checks."""
+    """Core symplectic loop; exposed for integrator-invariant checks.
+
+    Q and P are (replicas, n) blocks.  They are updated in place when they
+    are float64 in ``block_order(B)``, else copied into that order first;
+    the final (Q, P) are returned either way.
+    """
+    order = block_order(B)
+    Q = np.asarray(Q, dtype=np.float64, order=order)
+    P = np.asarray(P, dtype=np.float64, order=order)
+    W = np.empty_like(Q)                  # work block
+    F = np.empty_like(Q)                  # dense product buffer
+    over = np.empty(Q.shape, dtype=bool, order=order)
+    step = dt * a0
     for a_t in a_schedule:
-        P += dt * (-(Q * Q + a0 - a_t) * Q + c0 * (Q @ B + g))
-        Q += dt * a0 * P
-        over = np.abs(Q) > q_cap
-        if np.any(over):
+        # P += dt * (-(Q * Q + a0 - a_t) * Q + c0 * (Q @ B + g))
+        np.multiply(Q, Q, out=W)
+        W += a0
+        W -= a_t
+        np.negative(W, out=W)
+        W *= Q
+        BQ = block_product(Q, B, F)
+        BQ += g
+        BQ *= c0
+        W += BQ
+        W *= dt
+        P += W
+        # Q += (dt * a0) * P
+        np.multiply(P, step, out=W)
+        Q += W
+        np.abs(Q, out=W)
+        np.greater(W, q_cap, out=over)
+        if over.any():
             np.clip(Q, -q_cap, q_cap, out=Q)
             P[over] = 0.0
     return Q, P

@@ -50,9 +50,10 @@ def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     recorded energy equals ``model.energy`` of its state up to summation
     order (the batch and the single-state sums add terms in different
     orders and may differ in the last bit); ordering is ascending by energy
-    with replica index as the stable tie-break.
+    with replica index as the stable tie-break.  States are taken in C
+    order, because the batch product's bits depend on the memory layout.
     """
-    states = np.asarray(states, dtype=np.int8)
+    states = np.ascontiguousarray(states, dtype=np.int8)
     energies = model.energies(states)
     order = np.argsort(energies, kind="stable")
     samples = [Sample(states[r].copy(), float(energies[r]), int(r)) for r in order]
@@ -116,7 +117,9 @@ class SbmParams:
     """Simulated bifurcation: Hamilton equations with a linear a(t) ramp.
 
     c0 None resolves to 1 / lambda_max of the coupling matrix driving the
-    dynamics (power-iteration estimate with a norm-bound fallback).
+    dynamics, from ``eig_extreme``: dense ``eigvalsh`` up to n=512, seeded
+    Lanczos above that, and the Gershgorin bound if Lanczos does not
+    converge.
     """
 
     steps: int = 10_000

@@ -8,13 +8,19 @@ with the target gradient evaluated at binarized spins,
 using momentum m <- alpha m - eta grad, then x <- clip(x + m, -1, 1).
 lambda(t) = lambda0 (1 - t / T) decreases linearly to zero; the final state
 of each replica is sign(x).
+
+The (replicas, n) state is held in the memory order the coupling operator's
+product wants (``block_order``): spin-major (Fortran) when the operator is
+CSR, C order when it is dense.  Every step runs in place on buffers
+allocated once (only a CSR product returns a new block), in the arithmetic
+order of the expressions above, so the results do not depend on the layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..model import IsingModel, sign_pm
+from ..model import IsingModel, block_order, block_product, sign_pm
 from .common import PaParams, SampleSet, make_sampleset, replica_streams
 
 
@@ -28,17 +34,29 @@ def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
     n, R, T = model.n, params.replicas, params.steps
     lam0 = params.lambda0 if params.lambda0 is not None else resolve_lambda0(model)
     eta, alpha = params.learning_rate, params.momentum
-
-    streams = replica_streams(params.seed, R)
-    X = np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams])
-    M = np.zeros_like(X)
     A = model.coupling_operator()
     h = model.h
 
+    streams = replica_streams(params.seed, R)
+    X = np.asarray(np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams]),
+                   order=block_order(A))
+    M = np.zeros_like(X)
+    S = np.empty_like(X)      # sign(x) as +-1.0
+    G = np.empty_like(X)      # gradient
+    F = np.empty_like(X)      # dense product buffer
+
     for t in range(T):
         lam = lam0 * (1.0 - t / T)
-        grad = lam * X + sign_pm(X).astype(np.float64) @ A + h
-        M = alpha * M - eta * grad
-        X = np.clip(X + M, -1.0, 1.0)
+        np.greater_equal(X, 0.0, out=S)     # S = 2 [x >= 0] - 1: sign(0) = +1
+        S += S
+        S -= 1.0
+        np.multiply(X, lam, out=G)
+        G += block_product(S, A, F)
+        G += h
+        M *= alpha
+        G *= eta
+        M -= G
+        X += M
+        np.clip(X, -1.0, 1.0, out=X)
 
     return make_sampleset(model, sign_pm(X), params.seed)

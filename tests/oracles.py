@@ -245,3 +245,63 @@ def chimera_edges_loop(rows: int, cols: int) -> list[tuple[int, int]]:
                 for k in range(4):
                     edges.append((node(i, j, 1, k), node(i, j + 1, 1, k)))
     return edges
+
+
+# Step-kernel oracles: the allocating PA loop and SBM integrator that ran
+# before the replica state was held in the operator's memory order and
+# stepped in place.  Copied as they were, so the in-place kernels must
+# reproduce them bit for bit.
+
+def pa_loop(model, params) -> np.ndarray:
+    """Final analog spins X of ``solve_pa`` (C-ordered, allocating steps)."""
+    from qubokit.model import sign_pm
+    from qubokit.solvers.common import replica_streams
+
+    n, R, T = model.n, params.replicas, params.steps
+    lam0 = params.lambda0 if params.lambda0 is not None else max(model.field_scale, 1e-12)
+    eta, alpha = params.learning_rate, params.momentum
+
+    streams = replica_streams(params.seed, R)
+    X = np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams])
+    M = np.zeros_like(X)
+    A = model.coupling_operator()
+    h = model.h
+
+    for t in range(T):
+        lam = lam0 * (1.0 - t / T)
+        grad = lam * X + sign_pm(X).astype(np.float64) @ A + h
+        M = alpha * M - eta * grad
+        X = np.clip(X + M, -1.0, 1.0)
+    return X
+
+
+def integrate_loop(B, g, Q, P, dt, a_schedule, a0, c0, q_cap):
+    """The allocating symplectic loop of ``integrate``; updates Q, P in place."""
+    for a_t in a_schedule:
+        P += dt * (-(Q * Q + a0 - a_t) * Q + c0 * (Q @ B + g))
+        Q += dt * a0 * P
+        over = np.abs(Q) > q_cap
+        if np.any(over):
+            np.clip(Q, -q_cap, q_cap, out=Q)
+            P[over] = 0.0
+    return Q, P
+
+
+def sbm_loop(model, params) -> np.ndarray:
+    """Final positions Q of ``solve_sbm`` through ``integrate_loop``."""
+    from qubokit.solvers.bifurcation import resolve_c0
+    from qubokit.solvers.common import replica_streams
+
+    n, R, T = model.n, params.replicas, params.steps
+    c0 = params.c0 if params.c0 is not None else resolve_c0(model)
+
+    B = -model.coupling_operator()
+    g = -model.h
+    amp = params.init_noise
+    streams = replica_streams(params.seed, R)
+    Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
+    P = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
+
+    a_schedule = np.linspace(0.0, params.a0, T)
+    Q, P = integrate_loop(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
+    return Q

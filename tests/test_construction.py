@@ -247,6 +247,20 @@ class TestFiles:
         with pytest.raises(ValidationError):
             read_instance(p)
 
+    @pytest.mark.parametrize("text, match", [
+        ("2.5 1 spin\n1 2 1.0\n", "header"),
+        ("3 1.0 spin\n1 2 1.0\n", "header"),
+        ("# format: hubo\n3 1 spin\n1.5 1 2 1.0\n", "HUBO line"),
+        ("# format: hubo\n3 1 spin\n2 1 x 1.0\n", "HUBO line"),
+        ("# format: hubo\n3 1 spin\n2 1 2 abc\n", "HUBO line"),
+        ("3 1 spin\n3 1 2.5 3 1.0\n", "HUBO line"),
+    ], ids=["header-n", "header-m", "hubo-order", "hubo-index", "hubo-value", "guessed-hubo"])
+    def test_non_integer_fields_rejected(self, tmp_path, text, match):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=match):
+            read_instance(p)
+
     def test_index_truncated_by_numpy_rejected(self, tmp_path, monkeypatch):
         # numpy releases that deprecate, rather than reject, parsing "1.5" as
         # an integer warn and truncate it; that must still be an error

@@ -1,0 +1,87 @@
+"""The in-place PA and SBM step kernels against their allocating loops.
+
+``solve_pa`` and ``integrate`` hold the replica block in the coupling
+operator's memory order and step in place; the loops in ``oracles`` are the
+allocating C-ordered versions they replaced.  States, energies, replica
+order and the final positions must be the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import integrate_loop, pa_loop, sbm_loop
+from qubokit import IsingModel, PaParams, SbmParams, solve_pa, solve_sbm
+from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
+from qubokit.model import sign_pm
+from qubokit.solvers import integrate, make_sampleset, resolve_c0
+from qubokit.solvers.common import replica_streams
+from qubokit.transforms import reduce_cubic
+
+
+def tile_with_fields():
+    m = gen_tile(16, [0.0, 0.8, 0.0, 0.2], 4).model
+    h = np.random.default_rng(4).normal(size=m.n)
+    return IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=h, offset=1.5)
+
+
+MODELS = {
+    "tile-L32": lambda: gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model,
+    "wishart-n96": lambda: gen_wishart(96, 96, 3).model,
+    # dense GEMM bits depend on the output's memory order at this size
+    "gaussian-n300": lambda: gen_random("complete", "gaussian", 5, n=300),
+    "3r3x-reduced-96": lambda: reduce_cubic(gen_3r3x(48, 7).model)[0],
+    "tile-L16-fields": tile_with_fields,
+}
+
+
+@pytest.fixture(scope="module", params=list(MODELS))
+def model(request):
+    return MODELS[request.param]()
+
+
+def assert_same_samples(got, want):
+    assert [s.replica for s in got.samples] == [s.replica for s in want.samples]
+    assert [s.energy for s in got.samples] == [s.energy for s in want.samples]
+    assert np.stack([s.state for s in got.samples]).tobytes() == \
+        np.stack([s.state for s in want.samples]).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pa_equals_allocating_loop(model, seed):
+    params = PaParams(steps=60, replicas=64, seed=seed)
+    want = make_sampleset(model, sign_pm(pa_loop(model, params)), seed)
+    assert_same_samples(solve_pa(model, params), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sbm_equals_allocating_loop(model, seed):
+    params = SbmParams(steps=80, dt=0.1, replicas=64, seed=seed)
+    want = make_sampleset(model, sign_pm(sbm_loop(model, params)), seed)
+    assert_same_samples(solve_sbm(model, params), want)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_integrate_equals_allocating_loop_in_either_order(model, order):
+    # 64 replicas: at 32 the dense GEMM's output orders happen to agree
+    streams = replica_streams(3, 64)
+    Q = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams])
+    P = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams])
+    B, g, c0 = -model.coupling_operator(), -model.h, resolve_c0(model)
+    schedule = np.linspace(0.0, 1.0, 80)
+    want_Q, want_P = integrate_loop(B, g, Q.copy(), P.copy(), 0.1, schedule, 1.0, c0, 1.0)
+    got_Q, got_P = integrate(B, g, np.array(Q, order=order), np.array(P, order=order),
+                             0.1, schedule, 1.0, c0, 1.0)
+    assert got_Q.tobytes() == want_Q.tobytes()
+    assert got_P.tobytes() == want_P.tobytes()
+
+
+@pytest.mark.parametrize("build, replicas", [
+    (lambda: gen_wishart(96, 96, 3).model, 256),
+    (lambda: gen_random("complete", "gaussian", 5, n=300), 64),
+], ids=["wishart-n96", "gaussian-n300"])
+def test_sampleset_energies_independent_of_state_layout(build, replicas):
+    m = build()
+    states = np.where(np.random.default_rng(8).random((replicas, m.n)) < 0.5, -1, 1)
+    c_order = make_sampleset(m, np.ascontiguousarray(states), seed=0)
+    f_order = make_sampleset(m, np.asfortranarray(states), seed=0)
+    assert_same_samples(f_order, c_order)
