@@ -48,10 +48,12 @@ COMPENSATED_SUM_THRESHOLD = 100_000
 # up to about 6% fill: PA 1.06 -> 0.42 and SBM 1.04 -> 0.54 at 1.5% (reduced
 # 3R3X, n=400), 0.34 -> 0.22 and 0.39 -> 0.25 at 3.1% (n=192), 0.17 -> 0.12
 # and 0.21 -> 0.15 at 6.2% (n=96); at 6.25% (tile, n=64) and 12.4% (reduced
-# 3R3X, n=48) the two are within 15%.  SA is slower on CSR at every fill
-# measured: 4.0 -> 6.0 at 1.5%, 1.9 -> 2.8 at 3.1%, 1.15 -> 1.18 at 4.3%
-# (Chimera, n=128), 0.90 -> 1.57 at 6.2%.  Moving the threshold either way
-# slows one side, so it stays at 1/32.
+# 3R3X, n=48) the two are within 15%.  SA, whose class updates run the
+# native CSR product on transposed class rows, is still slower on CSR at
+# every fill measured (ms per sweep, 40 sweeps, medians of 7 interleaved
+# runs): 3.46 -> 4.27 at 1.5%, 1.33 -> 1.66 at 3.1%, 0.81 -> 1.00 at 4.3%
+# (Chimera, n=128), 0.90 -> 1.31 at 6.1% (reduced 3R3X, n=96).  Moving the
+# threshold either way slows one side, so it stays at 1/32.
 DENSE_OPERATOR_MAX_N = 2048
 DENSE_OPERATOR_MIN_FILL = 1 / 32
 

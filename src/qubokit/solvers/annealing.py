@@ -20,6 +20,7 @@ T_final.  Each replica reports the best state seen along its trajectory.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..model import IsingModel
 from .common import SampleSet, SaParams, make_sampleset, replica_streams
@@ -47,7 +48,11 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     A = model.coupling_operator()
     F = S @ A + model.h
     classes = model.colour_classes()
-    class_rows = [A[C] for C in classes]
+    sparse = sp.issparse(A)
+    # a CSR operator keeps each class's rows transposed, so the field update
+    # (A[C]^T dS^T)^T runs scipy's native CSR product, not the transpose copy
+    # of dS @ csr; both add each entry's terms in ascending column order
+    class_rows = [A[C].T.tocsr() if sparse else A[C] for C in classes]
 
     E = model.energies(S) - model.offset
     best_E = E.copy()
@@ -71,7 +76,7 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
                 dS = np.where(flip, -2.0 * s, 0.0)
                 S[:, C] = s + dS
                 E += np.where(flip, dE, 0.0).sum(axis=1)
-                F[hit] += dS[hit] @ A_C
+                F[hit] += (A_C @ dS[hit].T).T if sparse else dS[hit] @ A_C
             improved = E < best_E
             if np.any(improved):
                 best_E[improved] = E[improved]

@@ -44,8 +44,8 @@ BATCH_BLOCKS = 64  # the (64, 2^12) energy buffer is 2 MB
 
 def _spin_table(k: int) -> np.ndarray:
     """(2^k, k) matrix of spin states; row b has spin +1 where bit t of b is 1."""
-    b = np.arange(2 ** k, dtype=np.int64)
-    bits = (b[:, None] >> np.arange(k)[None, :]) & 1
+    raw = np.arange(2 ** k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(raw, axis=1, bitorder="little", count=k)
     return 2.0 * bits - 1.0
 
 

@@ -156,7 +156,9 @@ class BBParams:
     the heuristic kinds' fixed shift max(0, -lam_min(A)) + epsilon and the
     admissible kind's Newton start -lam_min(A_free) + epsilon.
     ``leaf_size`` closes nodes by exact enumeration once that many free
-    variables remain.
+    variables remain.  ``pool_limit`` caps the frontier after each batch of
+    up to ``branch_bound.EXPAND_BATCH`` expansions: the cap holds after
+    every batch, and within one the frontier grows by at most the batch size.
     """
 
     bound_kind: str = "spd_admissible"

@@ -305,3 +305,76 @@ def sbm_loop(model, params) -> np.ndarray:
     a_schedule = np.linspace(0.0, params.a0, T)
     Q, P = integrate_loop(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
     return Q
+
+
+# SA oracle: the loop that updated the fields of a class with dS @ A[C]
+# whatever the operator, before CSR operators kept each class's rows
+# transposed.  Copied as it was, so ``solve_sa`` must reproduce it bit for bit.
+
+def sa_loop(model, params) -> np.ndarray:
+    """Best states ``best_S`` (float spins) of ``solve_sa``'s replicas."""
+    from qubokit.solvers.common import replica_streams
+
+    n, R = model.n, params.replicas
+    T_init = params.T_init if params.T_init is not None else 2.0 * max(model.field_scale, 1e-12)
+    T_final = params.T_final if params.T_final is not None else 1e-3 * T_init
+    sweeps = params.sweeps
+    if sweeps > 1:
+        ratio = (T_final / T_init) ** (1.0 / (sweeps - 1))
+        temps = T_init * ratio ** np.arange(sweeps)
+    else:
+        temps = np.array([T_init])
+
+    streams = replica_streams(params.seed, R)
+    S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
+    A = model.coupling_operator()
+    F = S @ A + model.h
+    classes = model.colour_classes()
+    class_rows = [A[C] for C in classes]
+
+    E = model.energies(S) - model.offset
+    best_E = E.copy()
+    best_S = S.copy()
+
+    chunk = max(1, 8192 // max(n, 1))
+    sweep = 0
+    while sweep < sweeps:
+        block = min(chunk, sweeps - sweep)
+        U = np.stack([g.random((block, n)) for g in streams])
+        for b in range(block):
+            T = temps[sweep + b]
+            U_b = U[:, b]
+            for C, A_C in zip(classes, class_rows):
+                s = S[:, C]
+                dE = -2.0 * s * F[:, C]
+                flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
+                hit = np.flatnonzero(flip.any(axis=1))
+                if hit.size == 0:
+                    continue
+                dS = np.where(flip, -2.0 * s, 0.0)
+                S[:, C] = s + dS
+                E += np.where(flip, dE, 0.0).sum(axis=1)
+                F[hit] += dS[hit] @ A_C
+            improved = E < best_E
+            if np.any(improved):
+                best_E[improved] = E[improved]
+                best_S[improved] = S[improved]
+        sweep += block
+    return best_S
+
+
+def descend_loop(A, h, u, energy: float) -> float:
+    """Scalar 1-opt polish that ``solve_bb`` ran per candidate: flip the
+    best-improving spin of the float spin vector ``u`` (in place, first on
+    ties) until no flip improves by more than 1e-12, at most 4n flips."""
+    n = u.shape[0]
+    f = A @ u + h
+    for _ in range(4 * n):
+        dE = -2.0 * u * f
+        best = int(np.argmin(dE))
+        if dE[best] >= -1e-12:
+            break
+        u[best] = -u[best]
+        energy += dE[best]
+        f += 2.0 * A[:, best] * u[best]
+    return energy

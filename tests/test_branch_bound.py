@@ -14,8 +14,15 @@ from qubokit import (
     solve_brute_force,
 )
 from qubokit.generators import gen_random
+from qubokit.solvers.branch_bound import EXPAND_BATCH, _descend
 
-from oracles import completion_min, ising_energy_naive
+from oracles import completion_min, descend_loop, ising_energy_naive
+
+
+def with_fields(m, scale, seed):
+    """``m`` with its fields replaced by ``scale`` times standard normals."""
+    h = scale * np.random.default_rng(seed).normal(size=m.n)
+    return IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=h, offset=0.5)
 
 
 class TestBoundBase:
@@ -140,13 +147,75 @@ class TestSolveBB:
 
     def test_deterministic(self):
         m = gen_random("complete", "uniform", 23, n=16)
-        a = solve_bb(m, BBParams(bound_kind="spd_admissible"))
-        b = solve_bb(m, BBParams(bound_kind="spd_admissible"))
-        assert a.energy == b.energy
-        assert np.array_equal(a.state, b.state)
+        for params in (BBParams(bound_kind="spd_admissible"),
+                       BBParams(bound_kind="spd_admissible", pool_limit=32, leaf_size=4),
+                       BBParams(bound_kind="spd", pool_limit=32, leaf_size=4),
+                       BBParams(bound_kind="base", pool_limit=32, leaf_size=4)):
+            a, b = solve_bb(m, params), solve_bb(m, params)
+            assert a.energy == b.energy
+            assert np.array_equal(a.state, b.state)
+            assert (a.expansions, a.evictions, a.prunes) == (b.expansions, b.evictions, b.prunes)
+            assert a.lower_bound == b.lower_bound
+
+    # n = 1 and n <= leaf_size: the root is a leaf; leaf_size + 1: one
+    # internal level; larger n: several batches of mixed depths
+    @pytest.mark.parametrize("n, leaf_size", [(1, 12), (7, 12), (12, 12), (13, 12),
+                                              (17, 4), (22, 6)])
+    def test_equals_brute_force_with_fields(self, n, leaf_size):
+        for seed in range(3):
+            m = with_fields(gen_random("complete", "gaussian", 70 + seed, n=n), 3.0, seed)
+            _, gs = solve_brute_force(m)
+            res = solve_bb(m, BBParams(leaf_size=leaf_size))
+            assert res.optimal
+            assert res.energy == pytest.approx(gs, abs=1e-9)
+            assert res.lower_bound == res.energy
+
+    def test_pool_smaller_than_batch_certifies_lower_bound(self):
+        pool = 4
+        assert pool < EXPAND_BATCH
+        for seed in range(4):
+            m = with_fields(gen_random("complete", "uniform", 80 + seed, n=18), 1.0, seed)
+            _, gs = solve_brute_force(m)
+            res = solve_bb(m, BBParams(pool_limit=pool, leaf_size=3))
+            assert res.evictions > 0
+            assert not res.optimal
+            assert res.lower_bound <= gs + 1e-9
+            assert res.energy >= gs - 1e-9
+
+    def test_prunes_counted_only_by_the_admissible_bound(self):
+        m = gen_random("complete", "int_uniform", 25, n=20, a=-31, b=31)
+        proved = solve_bb(m, BBParams(leaf_size=6))
+        assert proved.optimal and proved.prunes > 0
+        assert solve_bb(m, BBParams(bound_kind="spd", leaf_size=6)).prunes == 0
 
     def test_spd_heuristic_mode_finds_good_states(self):
         m = gen_random("complete", "uniform", 24, n=16)
         _, gs = solve_brute_force(m)
         res = solve_bb(m, BBParams(bound_kind="spd", pool_limit=256))
         assert res.energy <= gs + abs(gs) * 0.1
+
+
+class TestPolish:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_loop_on_integer_model(self, seed):
+        m = gen_random("complete", "int_uniform", 90 + seed, n=24, a=-31, b=31)
+        A = m.coupling_matrix()
+        X = np.where(np.random.default_rng(seed).random((m.n, 40)) < 0.5, -1.0, 1.0)
+        E = m.energies(X.T)
+        want_X, want_E = X.copy(), E.copy()
+        for j in range(X.shape[1]):
+            want_E[j] = descend_loop(A, m.h, want_X[:, j], E[j])
+        _descend(A, m.h, X, E)
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(E, want_E)
+
+    def test_reaches_one_opt_minimum_on_float_model(self):
+        m = with_fields(gen_random("complete", "gaussian", 95, n=30), 1.0, 5)
+        A = m.coupling_matrix()
+        X = np.where(np.random.default_rng(5).random((m.n, 40)) < 0.5, -1.0, 1.0)
+        E = m.energies(X.T)
+        _descend(A, m.h, X, E)
+        for j in range(X.shape[1]):
+            s = X[:, j]
+            assert E[j] == pytest.approx(m.energy(s.astype(np.int8)), abs=1e-9)
+            assert np.all(-2.0 * s * (A @ s + m.h) >= -1e-9)

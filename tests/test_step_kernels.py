@@ -1,16 +1,18 @@
-"""The in-place PA and SBM step kernels against their allocating loops.
+"""The PA, SBM and SA kernels against the loops they replaced.
 
 ``solve_pa`` and ``integrate`` hold the replica block in the coupling
 operator's memory order and step in place; the loops in ``oracles`` are the
-allocating C-ordered versions they replaced.  States, energies, replica
-order and the final positions must be the same bits.
+allocating C-ordered versions they replaced.  ``solve_sa`` updates a class's
+fields through the CSR product of its transposed rows; ``sa_loop`` is the
+``dS @ A[C]`` loop.  States, energies, replica order and the final positions
+must be the same bits.
 """
 
 import numpy as np
 import pytest
 
-from oracles import integrate_loop, pa_loop, sbm_loop
-from qubokit import IsingModel, PaParams, SbmParams, solve_pa, solve_sbm
+from oracles import integrate_loop, pa_loop, sa_loop, sbm_loop
+from qubokit import IsingModel, PaParams, SaParams, SbmParams, solve_pa, solve_sa, solve_sbm
 from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
 from qubokit.model import sign_pm
 from qubokit.solvers import integrate, make_sampleset, resolve_c0
@@ -24,13 +26,22 @@ def tile_with_fields():
     return IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=h, offset=1.5)
 
 
+def tile_gaussian():
+    # a CSR model with float couplings, unlike the integer tile models
+    m = gen_tile(32, [0.0, 0.8, 0.0, 0.2], 6).model
+    values = m.values * np.random.default_rng(6).normal(size=m.values.size)
+    return IsingModel.from_arrays(m.n, m.rows, m.cols, values)
+
+
 MODELS = {
     "tile-L32": lambda: gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model,
     "wishart-n96": lambda: gen_wishart(96, 96, 3).model,
     # dense GEMM bits depend on the output's memory order at this size
     "gaussian-n300": lambda: gen_random("complete", "gaussian", 5, n=300),
     "3r3x-reduced-96": lambda: reduce_cubic(gen_3r3x(48, 7).model)[0],
+    "3r3x-reduced-400": lambda: reduce_cubic(gen_3r3x(200, 7).model)[0],
     "tile-L16-fields": tile_with_fields,
+    "tile-L32-gaussian": tile_gaussian,
 }
 
 
@@ -58,6 +69,13 @@ def test_sbm_equals_allocating_loop(model, seed):
     params = SbmParams(steps=80, dt=0.1, replicas=64, seed=seed)
     want = make_sampleset(model, sign_pm(sbm_loop(model, params)), seed)
     assert_same_samples(solve_sbm(model, params), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sa_equals_class_update_loop(model, seed):
+    params = SaParams(sweeps=30, replicas=64, seed=seed)
+    want = make_sampleset(model, sa_loop(model, params).astype(np.int8), seed)
+    assert_same_samples(solve_sa(model, params), want)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
