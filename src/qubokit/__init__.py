@@ -38,9 +38,6 @@ from .model import (
     as_bits,
     as_spins,
     bits_to_spins,
-    energy_hubo,
-    energy_ising,
-    energy_qubo,
     sign_pm,
     spins_to_bits,
 )
@@ -68,7 +65,6 @@ from .transforms import (
     lift_solution,
     qubo_to_ising,
     reduce_cubic,
-    spin_binary_convert,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,20 @@ than once is summed in input order, starting from 0.0, exactly as
 -0.0 is stored as 0.0).  The same columns therefore give the same bits
 whichever constructor is used.
 
+Each model has one evaluator, ``energies(states)`` on a (replicas, n)
+block; ``energy(v)`` validates ``v`` and returns ``energies(v[None])[0]``.
+A row's energy has the same bits alone or in a batch of any size, so a
+state has one energy everywhere: in sample sets, in the exact solvers and
+in the CLI report.  Two rules keep a row's bits independent of the batch:
+
+* products with the operator run row by row (``_row_product``): a dense
+  operator through one GEMV per row, a CSR one through scipy's product,
+  which adds each entry's terms in ascending column order whatever the
+  number of vectors (GEMM gives a row different bits inside a batch);
+* every row sum runs over C-contiguous rows, where numpy sums each row
+  pairwise on its own (on other layouts it may sum column by column, and
+  the bits then depend on the number of rows).
+
 Models are immutable after construction (arrays are frozen) and therefore
 safe to share across concurrent workers; all evaluation is stateless.
 """
@@ -32,10 +46,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-
-# Above this size, energy accumulation switches to exact (fsum) summation so
-# large sparse sums do not lose digits against reference values.
-COMPENSATED_SUM_THRESHOLD = 100_000
 
 # The operators that batch products run through (IsingModel.coupling_operator()
 # and the upper-triangular term matrix of QuboModel.energies) are dense only
@@ -101,12 +111,6 @@ def spins_to_bits(s) -> np.ndarray:
 def bits_to_spins(x) -> np.ndarray:
     """Map bits to spins through s = 2x - 1."""
     return (2 * as_bits(x) - 1).astype(np.int8)
-
-
-def _accurate_sum(parts: np.ndarray, compensated: bool) -> float:
-    if compensated:
-        return math.fsum(parts.tolist())
-    return float(np.sum(parts))
 
 
 def _canonical_pairs(n: int, rows, cols, values,
@@ -181,6 +185,18 @@ def block_product(X: np.ndarray, op, out: np.ndarray) -> np.ndarray:
     return np.matmul(X, op, out=out)
 
 
+def _row_product(X: np.ndarray, op) -> np.ndarray:
+    """``X @ op`` for a C-ordered (replicas, n) block, as a C-ordered array
+    whose row r has the same bits as ``X[r:r+1] @ op`` alone.
+
+    A CSR ``op`` must hold the transpose of the matrix meant (coupling
+    operators are symmetric; the QUBO term matrix is stored transposed).
+    """
+    if sp.issparse(op):
+        return np.ascontiguousarray((op @ X.T).T)
+    return np.matmul(X[:, None, :], op)[:, 0, :]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -234,23 +250,22 @@ class IsingModel:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
 
     def energy(self, s) -> float:
-        s = as_spins(s, self.n)
-        compensated = self.n > COMPENSATED_SUM_THRESHOLD
-        quad = _accurate_sum(self.values * s[self.rows] * s[self.cols], compensated)
-        lin = _accurate_sum(self.h * s, compensated)
-        return quad + lin + self.offset
+        return float(self.energies(as_spins(s, self.n)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Batch energies for a (replicas, n) array of spin states.
 
-        Evaluated as 1/2 rowsum((S A) * S) + S h + offset through
-        ``coupling_operator()``, so the temporaries grow with replicas x n,
-        never with replicas x couplings.
+        Evaluated as rowsum(S * (1/2 S A + h)) + offset through
+        ``coupling_operator()``, row-invariant as the module docstring
+        describes; the temporaries grow with replicas x n, never with
+        replicas x couplings.
         """
-        S = np.asarray(states, dtype=np.float64)
-        quad = (0.5 * np.einsum("ij,ij->i", S @ self.coupling_operator(), S)
-                if self.num_couplings else 0.0)
-        return quad + S @ self.h + self.offset
+        S = np.ascontiguousarray(states, dtype=np.float64)
+        P = _row_product(S, self.coupling_operator())
+        P *= 0.5
+        P += self.h
+        P *= S
+        return P.sum(axis=1) + self.offset
 
     @cached_property
     def _matrix(self) -> np.ndarray:
@@ -354,27 +369,27 @@ class QuboModel:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
 
     def energy(self, x) -> float:
-        x = as_bits(x, self.n)
-        compensated = self.n > COMPENSATED_SUM_THRESHOLD
-        return _accurate_sum(self.values * x[self.rows] * x[self.cols], compensated) + self.offset
+        return float(self.energies(as_bits(x, self.n)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Batch energies for a (replicas, n) array of bit states.
 
-        Evaluated as rowsum((X U) * X) + offset, where U holds the terms in
+        Evaluated as rowsum(X * (X U)) + offset, where U holds the terms in
         its upper triangle and the linear terms on its diagonal (x_i^2 = x_i
-        for bits), so the temporaries grow with replicas x n, never with
-        replicas x terms.
+        for bits), row-invariant as the module docstring describes; the
+        temporaries grow with replicas x n, never with replicas x terms.
         """
-        X = np.asarray(states, dtype=np.float64)
-        quad = np.einsum("ij,ij->i", X @ self._upper, X) if self.num_terms else 0.0
-        return quad + self.offset
+        X = np.ascontiguousarray(states, dtype=np.float64)
+        P = _row_product(X, self._upper)
+        P *= X
+        return P.sum(axis=1) + self.offset
 
     @cached_property
     def _upper(self):
-        """Upper-triangular term matrix, dense or CSR by the coupling_operator rule."""
+        """Upper-triangular term matrix U, dense or CSR by the coupling_operator
+        rule; the CSR form holds U^T, so that ``_row_product`` gives X U."""
         if not _dense_operator(self.n, self.num_terms):
-            return sp.csr_array((self.values, (self.rows, self.cols)), shape=(self.n, self.n))
+            return sp.csr_array((self.values, (self.cols, self.rows)), shape=(self.n, self.n))
         U = np.zeros((self.n, self.n), dtype=np.float64)
         U[self.rows, self.cols] = self.values
         U.setflags(write=False)
@@ -456,23 +471,22 @@ class HuboModel:
         return as_bits(v, self.n)
 
     def energy(self, v) -> float:
-        v = self._check_domain(v).astype(np.float64)
-        total = 0.0
-        for idx, coeffs in self._by_order:
-            if idx.shape[1] == 0:
-                total += float(coeffs.sum())
-            else:
-                total += float(np.prod(v[idx], axis=1) @ coeffs)
-        return total
+        return float(self.energies(self._check_domain(v)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
+        """Batch energies for a (replicas, n) array of domain states: per
+        order, the (replicas, terms) products of the gathered entries times
+        the coefficients, summed over C-ordered rows (row-invariant as the
+        module docstring describes)."""
         V = np.asarray(states, dtype=np.float64)
         total = np.zeros(V.shape[0])
         for idx, coeffs in self._by_order:
             if idx.shape[1] == 0:
                 total += coeffs.sum()
             else:
-                total += np.prod(V[:, idx], axis=2) @ coeffs
+                P = np.prod(np.ascontiguousarray(V[:, idx]), axis=2)
+                P *= coeffs
+                total += P.sum(axis=1)
         return total
 
 
@@ -511,17 +525,3 @@ class ReductionMap:
                 f"reduced state has length {reduced.shape[0]}, expected {self.reduced_n}")
         return reduced[: self.original_n].copy()
 
-
-def energy_ising(model: IsingModel, s) -> float:
-    """Ising energy of a spin state (couplings + fields + offset)."""
-    return model.energy(s)
-
-
-def energy_qubo(model: QuboModel, x) -> float:
-    """QUBO energy of a binary state."""
-    return model.energy(x)
-
-
-def energy_hubo(model: HuboModel, v) -> float:
-    """HUBO energy of a state matching the model domain."""
-    return model.energy(v)

@@ -26,8 +26,6 @@ r(d) = -Q (Q^T c / (lam + d)).  Bound kinds:
   Moré & Sorensen (1983).  Newton steps on 1/||r(d)|| - 1/sqrt(m), started
   at d = -lam_min + epsilon, only increase d and stay left of that root,
   so every iterate is a true lower bound and pruning is exact.
-* ``spd_literal``: spd without cross-term folding (c is the bare fields of
-  the free spins), kept for comparison.
 
 The variable order is fixed, so A_rem depends on the depth alone: its
 eigendecomposition is computed once per depth reached, with the
@@ -155,8 +153,7 @@ def _relax(lam: np.ndarray, Q: np.ndarray, c: np.ndarray, d,
 
 
 def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
-              admissible: bool = False, fold_fixed: bool = True,
-              d: float | None = None) -> float:
+              admissible: bool = False, d: float | None = None) -> float:
     """SPD relaxation bound for the remaining subproblem of a node.
 
     Without ``admissible`` this is the prefix energy plus the relaxed minimum
@@ -175,9 +172,7 @@ def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
     if k >= n:
         raise ValidationError("SPD bound needs a nonempty remaining set")
     A = model.coupling_matrix()
-    c = model.h[k:].copy()
-    if fold_fixed and k:
-        c += A[k:, :k] @ u
+    c = model.h[k:] + A[k:, :k] @ u
     lam, Q = _spectrum(A[k:, k:])
     if d is None:
         d = (-lam[0] if admissible else max(0.0, -lam[0])) + epsilon
@@ -354,12 +349,9 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
                 col = Ap[k + 1:, k][:, None]
                 base_h = hp[k + 1:, None] + Ap[k + 1:, :k] @ U.T
                 h_pair = np.concatenate([base_h + col, base_h - col], axis=1)
-                h_relax = h_pair
-                if mode == "spd_literal":
-                    h_relax = np.repeat(hp[k + 1:, None], 2 * G, axis=1)
                 lam, Q = spectrum(k + 1)
                 d = -lam[0] + params.epsilon if admissible else d_root
-                relaxed, R = _relax(lam, Q, h_relax, d, admissible)
+                relaxed, R = _relax(lam, Q, h_pair, d, admissible)
                 child_bounds = pe_children + relaxed
                 # relaxation rounding: a full assignment candidate for free;
                 # quench one child per expansion so the tree doubles as a

@@ -46,14 +46,12 @@ class SampleSet:
 def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     """Assemble a SampleSet from per-replica final states.
 
-    Energies are re-evaluated through the model in one batch, so every
-    recorded energy equals ``model.energy`` of its state up to summation
-    order (the batch and the single-state sums add terms in different
-    orders and may differ in the last bit); ordering is ascending by energy
-    with replica index as the stable tie-break.  States are taken in C
-    order, because the batch product's bits depend on the memory layout.
+    Energies are re-evaluated through the model in one batch, and a row's
+    energy does not depend on the batch, so every recorded energy equals
+    ``model.energy`` of its state exactly; ordering is ascending by energy
+    with replica index as the stable tie-break.
     """
-    states = np.ascontiguousarray(states, dtype=np.int8)
+    states = np.asarray(states, dtype=np.int8)
     energies = model.energies(states)
     order = np.argsort(energies, kind="stable")
     samples = [Sample(states[r].copy(), float(energies[r]), int(r)) for r in order]
@@ -149,12 +147,11 @@ class BBParams:
     ``bound_kind``: ``base`` (prefix energy), ``spd`` (folded SPD
     relaxation score at the whole matrix's shift), ``spd_admissible`` (the
     spherical bound: the relaxation maximised over the shift, a true lower
-    bound that prunes exactly and certifies ``BBResult.lower_bound``), or
-    ``spd_literal`` (SPD score on the bare reduced subproblem with no
-    cross-term folding, kept for comparability).  The three SPD kinds read
-    one eigendecomposition of the free block per depth.  ``epsilon`` sets
-    the heuristic kinds' fixed shift max(0, -lam_min(A)) + epsilon and the
-    admissible kind's Newton start -lam_min(A_free) + epsilon.
+    bound that prunes exactly and certifies ``BBResult.lower_bound``).  The
+    SPD kinds read one eigendecomposition of the free block per depth.
+    ``epsilon`` sets the heuristic kind's fixed shift
+    max(0, -lam_min(A)) + epsilon and the admissible kind's Newton start
+    -lam_min(A_free) + epsilon.
     ``leaf_size`` closes nodes by exact enumeration once that many free
     variables remain.  ``pool_limit`` caps the frontier after each batch of
     up to ``branch_bound.EXPAND_BATCH`` expansions: the cap holds after
@@ -168,7 +165,7 @@ class BBParams:
     leaf_size: int = 12
 
     def validate(self):
-        if self.bound_kind not in ("base", "spd", "spd_admissible", "spd_literal"):
+        if self.bound_kind not in ("base", "spd", "spd_admissible"):
             raise ValidationError(f"unknown bound_kind {self.bound_kind!r}")
         if self.pool_limit < 1:
             raise ValidationError("pool_limit must be >= 1")

@@ -30,7 +30,6 @@ from .model import (
     QuboModel,
     ReductionMap,
     as_spins,
-    bits_to_spins,
     spins_to_bits,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "ising_to_qubo",
     "reduce_cubic",
     "lift_solution",
-    "spin_binary_convert",
     "hubo_to_spin_domain",
     "to_ising",
     "Lift",
@@ -84,18 +82,6 @@ def _running_sum(start: float, parts: np.ndarray) -> float:
     """start + parts[0] + parts[1] + ..., added left to right (np.sum is
     pairwise and can differ in the last bits)."""
     return float(np.cumsum(np.concatenate([[start], parts]))[-1])
-
-
-def spin_binary_convert(v) -> np.ndarray:
-    """Apply the bijection between spin and binary vectors (either direction).
-
-    Spin input maps through x = (1 + s) / 2; binary input through s = 2x - 1.
-    Composing the two directions is the identity.
-    """
-    v = np.asarray(v)
-    if np.all(np.abs(v) == 1):
-        return spins_to_bits(v)
-    return bits_to_spins(v)
 
 
 def reduce_cubic(h: HuboModel) -> tuple[IsingModel, ReductionMap]:

@@ -92,15 +92,6 @@ class TestBoundSpd:
             b = bound_spd(m, node, epsilon=1.0, admissible=True, d=d_root)
             assert b <= completion_min(m, prefix) + 1e-9
 
-    def test_literal_variant_ignores_cross_terms(self):
-        m = gen_random("complete", "gaussian", 5, n=8)
-        node_a = BBNode.from_prefix(m, [1, 1, 1])
-        node_b = BBNode.from_prefix(m, [-1, -1, -1])
-        # literal bound differs between prefixes only through prefix energy
-        la = bound_spd(m, node_a, 1.0, fold_fixed=False) - bound_base(m, node_a)
-        lb = bound_spd(m, node_b, 1.0, fold_fixed=False) - bound_base(m, node_b)
-        assert la == pytest.approx(lb, rel=1e-12)
-
     def test_empty_remaining_rejected(self):
         m = gen_random("complete", "gaussian", 6, n=4)
         node = BBNode.from_prefix(m, [1, 1, 1, 1])

@@ -7,7 +7,7 @@ import pytest
 
 from qubokit.cli import main
 from qubokit.instance_io import read_instance, write_instance
-from qubokit.generators import gen_chain3
+from qubokit.generators import gen_chain3, gen_random
 from qubokit.model import HuboModel
 
 
@@ -76,6 +76,18 @@ class TestSolve:
         assert data["best_energy"] == -12.0
         assert data["lifted_energy"] == -12.0
         assert len(data["lifted_state"]) == 12
+
+    def test_sa_and_bf_report_one_energy_per_state(self, tmp_path):
+        src = write_instance(tmp_path / "c.txt", gen_random("complete", "gaussian", 1, n=11))
+        reports = []
+        for solver in ("sa", "bf"):
+            report = tmp_path / f"{solver}.json"
+            assert run(["solve", src, "--solver", solver, "--out", report]) == 0
+            reports.append(json.loads(report.read_text()))
+        sa, bf = reports
+        assert sa["best_state"] == bf["best_state"]
+        assert sa["best_energy"] == bf["best_energy"]
+        assert sa["lifted_energy"] == bf["lifted_energy"]
 
     def test_qubo_solves_like_its_conversion(self, tmp_path):
         from qubokit.model import QuboModel

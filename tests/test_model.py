@@ -13,12 +13,9 @@ from qubokit import (
     ValidationError,
     as_bits,
     as_spins,
-    energy_hubo,
-    energy_ising,
-    energy_qubo,
     sign_pm,
 )
-from qubokit.generators import apply_gauge, gen_3r3x, gen_random, gen_tile, gen_wishart
+from qubokit.generators import apply_gauge, gen_3r3x, gen_mw3s, gen_random, gen_tile, gen_wishart
 from qubokit.transforms import ising_to_qubo, reduce_cubic
 
 from oracles import all_spin_states, hubo_energy_naive, ising_energy_naive, qubo_energy_naive
@@ -27,20 +24,20 @@ from oracles import all_spin_states, hubo_energy_naive, ising_energy_naive, qubo
 class TestIsingEnergy:
     def test_single_field(self):
         m = IsingModel.from_terms(1, h=[1.0])
-        assert energy_ising(m, [1]) == 1.0
+        assert m.energy([1]) == 1.0
 
     def test_ferromagnetic_pair(self):
         m = IsingModel.from_terms(2, couplings=[(0, 1, -1.0)])
-        assert energy_ising(m, [1, 1]) == -1.0
+        assert m.energy([1, 1]) == -1.0
 
     def test_dimension_mismatch(self):
         m = IsingModel.from_terms(2, couplings=[(0, 1, -1.0)])
         with pytest.raises(ValidationError):
-            energy_ising(m, [1, 1, 1])
+            m.energy([1, 1, 1])
 
     def test_offset_included(self):
         m = IsingModel.from_terms(1, h=[0.0], offset=2.5)
-        assert energy_ising(m, [-1]) == 2.5
+        assert m.energy([-1]) == 2.5
 
     def test_minimum_matches_naive_enumeration(self):
         m = gen_random("complete", "gaussian", 11, n=10)
@@ -148,11 +145,11 @@ class TestColourClasses:
 class TestQuboEnergy:
     def test_zero_vector(self):
         q = QuboModel.from_terms(1, terms=[(0, 0, 1.0)])
-        assert energy_qubo(q, [0]) == 0.0
+        assert q.energy([0]) == 0.0
 
     def test_diagonal_is_linear(self):
         q = QuboModel.from_terms(1, terms=[(0, 0, 1.0)])
-        assert energy_qubo(q, [1]) == 1.0
+        assert q.energy([1]) == 1.0
 
     def test_full_enumeration_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -192,22 +189,22 @@ class TestQuboEnergy:
     def test_dimension_mismatch(self):
         q = QuboModel.from_terms(2, terms=[(0, 1, 1.0)])
         with pytest.raises(ValidationError):
-            energy_qubo(q, [1])
+            q.energy([1])
 
 
 class TestHuboEnergy:
     def test_all_up_product(self):
         h = HuboModel.from_terms(3, "spin", [((0, 1, 2), 1.0)])
-        assert energy_hubo(h, [1, 1, 1]) == 1.0
+        assert h.energy([1, 1, 1]) == 1.0
 
     def test_sign_flip(self):
         h = HuboModel.from_terms(3, "spin", [((0, 1, 2), 1.0)])
-        assert energy_hubo(h, [-1, 1, 1]) == -1.0
+        assert h.energy([-1, 1, 1]) == -1.0
 
     def test_domain_mismatch(self):
         h = HuboModel.from_terms(3, "spin", [((0, 1, 2), 1.0)])
         with pytest.raises(ValidationError):
-            energy_hubo(h, [0, 1, 1])
+            h.energy([0, 1, 1])
 
     def test_random_cubic_enumeration_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -225,7 +222,49 @@ class TestHuboEnergy:
 
     def test_constant_term(self):
         h = HuboModel.from_terms(2, "spin", [((), 4.0), ((0,), 1.0)])
-        assert energy_hubo(h, [-1, 1]) == 3.0
+        assert h.energy([-1, 1]) == 3.0
+
+
+def _chimera16():
+    return gen_random("chimera", "gaussian", 16, rows=16, cols=16)
+
+
+# (model, whether its operator is CSR) for every model type, dense and CSR
+EVALUATOR_MODELS = {
+    "wishart-96": (lambda: gen_wishart(96, 96, 1).model, False),
+    "complete-500": (lambda: gen_random("complete", "gaussian", 1, n=500), False),
+    "chimera-16": (_chimera16, True),
+    "qubo-wishart-96": (lambda: ising_to_qubo(gen_wishart(96, 96, 1).model), False),
+    "qubo-chimera-16": (lambda: ising_to_qubo(_chimera16()), True),
+    "mw3s-40": (lambda: gen_mw3s(40, 1), None),
+}
+
+
+def _operator(m):
+    if isinstance(m, IsingModel):
+        return m.coupling_operator()
+    return m._upper if isinstance(m, QuboModel) else None
+
+
+class TestOneEvaluator:
+    """A row has the same energy bits alone, in a batch of any size, and
+    through ``energy``."""
+
+    @pytest.mark.parametrize("name", list(EVALUATOR_MODELS))
+    def test_energy_is_one_row_of_energies(self, name):
+        build, sparse = EVALUATOR_MODELS[name]
+        m = build()
+        if sparse is not None:
+            assert sp.issparse(_operator(m)) == sparse
+        binary = isinstance(m, QuboModel) or getattr(m, "domain", None) == "binary"
+        rng = np.random.default_rng(17)
+        for R in (1, 7, 64, 256):
+            bits = (rng.random((R, m.n)) < 0.5).astype(np.int8)
+            S = bits if binary else 2 * bits - 1
+            batch = m.energies(S)
+            for r in range(R):
+                alone = m.energies(S[r:r + 1])[0]
+                assert batch[r] == alone == m.energy(S[r]), (R, r)
 
 
 class TestValidation:

@@ -16,7 +16,7 @@ from qubokit import (
     solve_sa,
     solve_sbm,
 )
-from qubokit.generators import gen_3r3x, gen_random, gen_tile
+from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
 from qubokit.solvers.common import make_sampleset, params_from_dict, params_to_dict, replica_streams
@@ -321,3 +321,18 @@ class TestSampleSet:
         for sample in sset.samples:
             assert np.array_equal(sample.state, states[sample.replica])
             assert sample.energy == pytest.approx(m.energy(sample.state), rel=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_wishart(96, 96, 1).model,
+        lambda: gen_random("complete", "gaussian", 1, n=500),
+        lambda: gen_random("chimera", "gaussian", 16, rows=16, cols=16),
+    ], ids=["wishart-96", "complete-500", "chimera-16"])
+    @pytest.mark.parametrize("solve, params", [
+        (solve_sa, SaParams(sweeps=5, replicas=24, seed=2)),
+        (solve_pa, PaParams(steps=20, replicas=24, seed=2)),
+        (solve_sbm, SbmParams(steps=20, replicas=24, seed=2)),
+    ], ids=["sa", "pa", "sbm"])
+    def test_sample_energies_equal_model_energy_bitwise(self, build, solve, params):
+        m = build()
+        for sample in solve(m, params).samples:
+            assert sample.energy == m.energy(sample.state)

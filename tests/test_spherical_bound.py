@@ -61,7 +61,7 @@ def test_proof_needs_fewer_expansions_than_full_tree(seed):
     assert res.gap == 0.0
 
 
-@pytest.mark.parametrize("kind", ["base", "spd", "spd_literal", "spd_admissible"])
+@pytest.mark.parametrize("kind", ["base", "spd", "spd_admissible"])
 def test_lower_bound_never_above_energy(kind):
     m = int_model(2200, 16)
     res = solve_bb(m, BBParams(bound_kind=kind, pool_limit=64))

@@ -16,9 +16,8 @@ from qubokit import (
     lift_solution,
     qubo_to_ising,
     reduce_cubic,
-    spin_binary_convert,
 )
-from qubokit.model import ReductionMap, bits_to_spins
+from qubokit.model import ReductionMap, bits_to_spins, spins_to_bits
 
 from oracles import all_bit_states, all_spin_states, exhaustive_min_hubo
 
@@ -93,13 +92,15 @@ class TestIsingToQubo:
 
 class TestSpinBinaryConvert:
     def test_examples(self):
-        assert np.array_equal(spin_binary_convert([-1, 1]), [0, 1])
-        assert np.array_equal(spin_binary_convert([0, 0]), [-1, -1])
+        assert np.array_equal(spins_to_bits([-1, 1]), [0, 1])
+        assert np.array_equal(bits_to_spins([0, 0]), [-1, -1])
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         v = rng.choice([-1, 1], size=20)
-        assert np.array_equal(spin_binary_convert(spin_binary_convert(v)), v)
+        assert np.array_equal(bits_to_spins(spins_to_bits(v)), v)
+        x = rng.choice([0, 1], size=20)
+        assert np.array_equal(spins_to_bits(bits_to_spins(x)), x)
 
 
 class TestReduceCubic:
