@@ -16,20 +16,15 @@ versions and one row per instance.
 """
 
 import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
 from qubokit import BBParams, solve_bb  # noqa: E402
 from qubokit.generators import gen_random  # noqa: E402
+from timing import best_of, environment  # noqa: E402
 
 REPEATS = 3
 LEAF_SIZE = 14
@@ -44,11 +39,7 @@ TIME_LIMIT = 5.0
 def measure(n: int, seed: int, time_limit: float | None, repeats: int) -> dict:
     model = gen_random("complete", "int_uniform", seed, n=n, a=COUPLINGS[0], b=COUPLINGS[1])
     params = BBParams(bound_kind="spd_admissible", leaf_size=LEAF_SIZE, time_limit=time_limit)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        res = solve_bb(model, params)
-        best = min(best, time.perf_counter() - t0)
+    best, res = best_of(repeats, lambda: solve_bb(model, params))
     return {"n": n, "seed": seed, "time_limit": time_limit, "wall_s": round(best, 4),
             "expansions": res.expansions,
             "us_per_expansion": round(1e6 * best / max(res.expansions, 1), 1),
@@ -59,10 +50,7 @@ def measure(n: int, seed: int, time_limit: float | None, repeats: int) -> dict:
 def main() -> int:
     rows = [measure(n, seed, None, REPEATS) for n, seed in PROOF_INSTANCES]
     rows.append(measure(*LIMIT_INSTANCE, TIME_LIMIT, 1))
-    print(json.dumps({"machine": platform.machine(), "cpus": os.cpu_count(),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__, "repeats": REPEATS,
-                      "results": rows}, indent=2))
+    print(json.dumps({**environment(), "repeats": REPEATS, "results": rows}, indent=2))
     return 0
 
 

@@ -12,35 +12,20 @@ the file size and the timings in seconds.
 """
 
 import json
-import os
-import platform
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
 from qubokit import ising_to_qubo, qubo_to_ising, read_instance, write_instance  # noqa: E402
 from qubokit.generators import gen_random  # noqa: E402
+from timing import best_of, environment  # noqa: E402
 
 SEED = 1000
 N_VALUES = (500, 1000)
 REPEATS = 3
-
-
-def best_of(repeats: int, fn):
-    """(minimum wall time, result of the last call) over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
 
 
 def measure(n: int, workdir: Path) -> dict:
@@ -60,10 +45,7 @@ def measure(n: int, workdir: Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [measure(n, Path(tmp)) for n in N_VALUES]
-    print(json.dumps({"machine": platform.machine(), "cpus": os.cpu_count(),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__, "repeats": REPEATS,
-                      "results": rows}, indent=2))
+    print(json.dumps({**environment(), "repeats": REPEATS, "results": rows}, indent=2))
     return 0
 
 

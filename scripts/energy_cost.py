@@ -18,8 +18,6 @@ prints one JSON object: the machine, the versions and the figures.
 
 import json
 import math
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -28,10 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 from qubokit import IsingModel  # noqa: E402
 from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
+from timing import best_of, environment  # noqa: E402
 
 SEED = 7
 REPEATS = 5
@@ -45,21 +43,11 @@ LATTICE_L = 1024
 LATTICE_STATES = 3
 
 
-def best_of(repeats: int, fn) -> float:
-    """Minimum wall time over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure(name: str, model, replicas: int) -> dict:
     rng = np.random.default_rng(SEED)
     S = rng.choice(np.array([-1, 1], dtype=np.int8), size=(replicas, model.n))
     model.energies(S)  # builds the cached operator
-    seconds = best_of(REPEATS, lambda: model.energies(S))
+    seconds, _ = best_of(REPEATS, lambda: model.energies(S))
     return {"model": name, "n": model.n, "replicas": replicas,
             "operator": type(model.coupling_operator()).__name__,
             "us_per_replica": round(1e6 * seconds / replicas, 3)}
@@ -81,7 +69,7 @@ def lattice_accuracy(model: IsingModel) -> dict:
     t0 = time.perf_counter()
     model.energy(states[0])
     first_s = time.perf_counter() - t0
-    energy_s = best_of(3, lambda: model.energy(states[0]))
+    energy_s, _ = best_of(3, lambda: model.energy(states[0]))
     worst_ulps, worst_abs, energies = 0.0, 0.0, []
     for s in states:
         e = model.energy(s)
@@ -99,9 +87,7 @@ def lattice_accuracy(model: IsingModel) -> dict:
 def main() -> int:
     rows = [measure(name, build(), replicas) for name, build, replicas in MODELS]
     lattice = lattice_accuracy(periodic_lattice(LATTICE_L))
-    print(json.dumps({"machine": platform.machine(), "cpus": os.cpu_count(),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__, "repeats": REPEATS,
+    print(json.dumps({**environment(), "repeats": REPEATS,
                       "energies": rows, "lattice": lattice}, indent=2))
     return 0
 

@@ -15,21 +15,16 @@ prints one JSON object: the machine, the versions and ms per step.
 """
 
 import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
 from qubokit import PaParams, SbmParams, solve_pa, solve_sbm  # noqa: E402
 from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
 from qubokit.solvers import resolve_c0  # noqa: E402
+from timing import best_of, environment  # noqa: E402
 
 SEED = 7
 REPEATS = 3
@@ -44,22 +39,12 @@ MODELS = (
 )
 
 
-def best_of(repeats: int, fn) -> float:
-    """Minimum wall time over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure(name: str, model, replicas: int) -> dict:
     pa = PaParams(steps=PA_STEPS, replicas=replicas, seed=SEED)
     sbm = SbmParams(steps=SBM_STEPS, dt=SBM_DT, replicas=replicas, seed=SEED,
                     c0=resolve_c0(model))
-    pa_s = best_of(REPEATS, lambda: solve_pa(model, pa))
-    sbm_s = best_of(REPEATS, lambda: solve_sbm(model, sbm))
+    pa_s, _ = best_of(REPEATS, lambda: solve_pa(model, pa))
+    sbm_s, _ = best_of(REPEATS, lambda: solve_sbm(model, sbm))
     return {"model": name, "n": model.n, "replicas": replicas,
             "operator": type(model.coupling_operator()).__name__,
             "pa_ms_per_step": round(1e3 * pa_s / PA_STEPS, 4),
@@ -68,9 +53,7 @@ def measure(name: str, model, replicas: int) -> dict:
 
 def main() -> int:
     rows = [measure(name, build(), replicas) for name, build, replicas in MODELS]
-    print(json.dumps({"machine": platform.machine(), "cpus": os.cpu_count(),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__, "repeats": REPEATS,
+    print(json.dumps({**environment(), "repeats": REPEATS,
                       "pa_steps": PA_STEPS, "sbm_steps": SBM_STEPS,
                       "results": rows}, indent=2))
     return 0

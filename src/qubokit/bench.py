@@ -11,10 +11,9 @@ sample, and records the optimality gap
     gap = (energy - reference_energy) / |reference_energy|
 
 against the suite's reference policy.  Wall time covers the solve call only
-(monotonic clock, I/O excluded) unless ``include_overhead`` adds end-to-end
-timing.  Failed entries become per-record errors and the suite continues; a
-file in the glob that cannot be read or normalised gives each solver one
-record carrying that error.
+(monotonic clock, I/O excluded).  Failed entries become per-record errors
+and the suite continues; a file in the glob that cannot be read or
+normalised gives each solver one record carrying that error.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import csv
 import dataclasses
 import glob as globmod
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,9 +61,6 @@ class GapRecord:
     seed: int | None
     error: str = ""
 
-    def to_row(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class SuiteSpec:
@@ -84,7 +79,6 @@ class SuiteSpec:
     reference_file: str | None = None
     brute_force_cap: int = 30
     workers: int = 1
-    include_overhead: bool = False
 
     def validate(self):
         if not self.source:
@@ -175,14 +169,12 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
         sid = solver.get("name", solver["id"])
         if entry.error:
             return (entry, sid, np.nan, 0.0, entry.error)
-        t_all = time.perf_counter()
         try:
             result = run_solver(solver["id"], entry.model, solver.get("params", {}),
                                 replicas=replicas,
                                 seed=entry.seed if entry.seed is not None else 0,
                                 cap=spec.brute_force_cap)
-            dt = time.perf_counter() - t_all if spec.include_overhead else result.wall_time
-            return (entry, sid, result.energy, dt, "")
+            return (entry, sid, result.energy, result.wall_time, "")
         except Exception as exc:  # per-entry failure: record and continue
             return (entry, sid, np.nan, 0.0, f"{type(exc).__name__}: {exc}")
 
@@ -230,17 +222,15 @@ def _resolve_reference(entry: _Entry, spec: SuiteSpec, best_by_instance, file_re
         return e
     if spec.reference == "best_of_suite":
         return best_by_instance[entry.instance_id]
-    if spec.reference == "file":
-        if entry.instance_id not in file_refs:
-            raise ValidationError(f"{entry.instance_id}: not in reference file")
-        return file_refs[entry.instance_id]
-    raise ValidationError(f"unknown reference policy {spec.reference!r}")
+    # "file": SuiteSpec.validate admits no other policy
+    if entry.instance_id not in file_refs:
+        raise ValidationError(f"{entry.instance_id}: not in reference file")
+    return file_refs[entry.instance_id]
 
 
 def spectrum(sampleset, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram of sample energies; counts sum to sample count."""
-    energies = np.asarray(sampleset.energies() if hasattr(sampleset, "energies")
-                          else sampleset, dtype=np.float64)
+    energies = sampleset.energies()
     if energies.size == 0:
         raise ValidationError("spectrum needs at least one sample")
     lo, hi = float(energies.min()), float(energies.max())
@@ -259,10 +249,10 @@ def export_records(records: list[GapRecord], path, fmt: str = "csv") -> Path:
                 writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
                 writer.writeheader()
                 for rec in records:
-                    writer.writerow(rec.to_row())
+                    writer.writerow(dataclasses.asdict(rec))
         elif fmt == "json":
             payload = {"version": REPORT_SCHEMA_VERSION,
-                       "records": [rec.to_row() for rec in records]}
+                       "records": [dataclasses.asdict(rec) for rec in records]}
             path.write_text(json.dumps(payload, indent=2) + "\n")
         else:
             raise ValidationError(f"unknown export format {fmt!r}")
@@ -271,12 +261,11 @@ def export_records(records: list[GapRecord], path, fmt: str = "csv") -> Path:
     return path
 
 
-def load_records(path, fmt: str | None = None) -> list[GapRecord]:
+def load_records(path) -> list[GapRecord]:
+    """Records written by ``export_records``: JSON for a ``.json`` path, else CSV."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
     records = []
-    if fmt == "csv":
+    if path.suffix != ".json":
         with path.open(newline="") as fh:
             for row in csv.DictReader(fh):
                 records.append(GapRecord(

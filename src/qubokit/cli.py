@@ -2,15 +2,13 @@
 
 Every subcommand is a thin adapter over the library API.  Exit codes:
 0 success, 2 usage error (argparse), 3 validation error, 4 runtime failure.
-The QUBOKIT_WORKERS environment variable sets the default worker budget for
-``bench``; the --workers flag overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -77,11 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print solver parameter defaults and exit")
 
     b = sub.add_parser("bench", help="run a benchmark suite")
-    b.add_argument("suite", type=Path, nargs="?")
+    b.add_argument("suite", type=Path)
     b.add_argument("--out", type=Path, help="report path prefix")
     b.add_argument("--format", choices=["csv", "json"], default="csv")
     b.add_argument("--workers", type=int)
-    b.add_argument("--print-config", action="store_true")
 
     v = sub.add_parser("verify", help="check a planted certificate")
     v.add_argument("instance", type=Path)
@@ -122,20 +119,13 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _reduction_map_to_dict(rmap) -> dict:
-    return {"original_n": rmap.original_n,
-            "aux_bindings": [[aux, list(trip)] for aux, trip in rmap.aux_bindings],
-            "energy_scale": rmap.energy_scale,
-            "energy_shift": rmap.energy_shift}
-
-
 def _cmd_reduce(args) -> int:
     reduced, lift = to_ising(read_instance(args.instance))
     rmap = lift.reduction
     if rmap is None:
         raise ValidationError("reduce expects a HUBO instance file")
     write_instance(args.out, reduced)
-    args.map_out.write_text(json.dumps(_reduction_map_to_dict(rmap), indent=2) + "\n")
+    args.map_out.write_text(json.dumps(dataclasses.asdict(rmap), indent=2) + "\n")
     print(f"reduced {args.instance}: {rmap.original_n} vars + "
           f"{len(rmap.aux_bindings)} auxiliaries -> {args.out}")
     return EXIT_OK
@@ -174,7 +164,7 @@ def _cmd_solve(args) -> int:
         report["gap"] = result.energy - result.lower_bound
         bound = f" lower_bound={report['lower_bound']} gap={report['gap']}"
     if rmap is not None:
-        report["reduction"] = _reduction_map_to_dict(rmap)
+        report["reduction"] = dataclasses.asdict(rmap)
     report["lifted_state"] = [int(x) for x in lifted]
     report["lifted_energy"] = float(model.energy(lifted))
     if args.out is not None:
@@ -184,16 +174,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.print_config:
-        print(default_config())
-        return EXIT_OK
-    if args.suite is None:
-        raise ValidationError("bench needs a suite spec file")
     spec = bench_mod.SuiteSpec.from_json(args.suite)
     if args.workers is not None:
         spec.workers = args.workers
-    elif os.environ.get("QUBOKIT_WORKERS"):
-        spec.workers = int(os.environ["QUBOKIT_WORKERS"])
     records = bench_mod.run_suite(spec)
     out = args.out if args.out is not None else Path("bench_report")
     path = out.with_suffix(f".{args.format}")

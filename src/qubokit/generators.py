@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GenerationError, ValidationError
-from .model import SPIN_DOMAIN, HuboModel, IsingModel, as_spins
+from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, as_spins
+from .transforms import hubo_to_spin_domain
 
 __all__ = [
     "PlantedInstance",
@@ -94,7 +95,8 @@ def gen_mw3s(n: int, seed) -> HuboModel:
 
     Clause i covers the sliding window (i, i+1, i+2) and contributes
     (w_i / 8) * prod_{v in window} (1 + a_v s_v) with a_v = (-1)^{c_v},
-    w_i uniform on [0, 1] and c_v uniform on {0, 1}.
+    w_i uniform on [0, 1] and c_v uniform on {0, 1}: the binary clause
+    w_i x_i x_{i+1} x_{i+2} in spins, gauged by a.
     """
     if n < 3:
         raise ValidationError("mw3s needs n >= 3")
@@ -102,15 +104,9 @@ def gen_mw3s(n: int, seed) -> HuboModel:
     omega = rng.random(n - 2)
     c = rng.integers(0, 2, size=n)
     a = np.where(c == 0, 1.0, -1.0)
-    acc: dict[tuple[int, ...], float] = {}
-    for i in range(n - 2):
-        window = (i, i + 1, i + 2)
-        w = omega[i] / 8.0
-        for r in range(4):
-            for sub in itertools.combinations(window, r):
-                coeff = w * float(np.prod([a[v] for v in sub])) if sub else w
-                acc[sub] = acc.get(sub, 0.0) + coeff
-    return HuboModel.from_terms(n, SPIN_DOMAIN, acc.items(), max_order=3)
+    clauses = [((i, i + 1, i + 2), float(omega[i])) for i in range(n - 2)]
+    spin = hubo_to_spin_domain(HuboModel.from_terms(n, BINARY_DOMAIN, clauses, max_order=3))
+    return _hubo_gauge(spin, a)
 
 
 def _hubo_gauge(h: HuboModel, g: np.ndarray) -> HuboModel:
@@ -118,7 +114,11 @@ def _hubo_gauge(h: HuboModel, g: np.ndarray) -> HuboModel:
     return HuboModel.from_terms(h.n, h.domain, terms, max_order=h.max_order)
 
 
-def gen_3r3x(n: int, seed, max_tries: int = 1000) -> PlantedInstance:
+# Random incidences drawn before gen_3r3x gives up on finding a simple one
+MAX_INCIDENCE_TRIES = 1000
+
+
+def gen_3r3x(n: int, seed) -> PlantedInstance:
     """3-regular 3-XORSAT planted instance as a cubic spin HUBO.
 
     Builds a random incidence where every equation touches exactly three
@@ -132,7 +132,7 @@ def gen_3r3x(n: int, seed, max_tries: int = 1000) -> PlantedInstance:
     rng = rng_stream(seed)
     stubs = np.repeat(np.arange(n), 3)
     triples = None
-    for _ in range(max_tries):
+    for _ in range(MAX_INCIDENCE_TRIES):
         cand = np.sort(rng.permutation(stubs).reshape(n, 3), axis=1)
         if np.any(cand[:, 0] == cand[:, 1]) or np.any(cand[:, 1] == cand[:, 2]):
             continue
@@ -141,7 +141,8 @@ def gen_3r3x(n: int, seed, max_tries: int = 1000) -> PlantedInstance:
         triples = cand
         break
     if triples is None:
-        raise GenerationError(f"no simple 3-regular incidence found in {max_tries} tries")
+        raise GenerationError(
+            f"no simple 3-regular incidence found in {MAX_INCIDENCE_TRIES} tries")
 
     planted = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     clause_J = planted[triples].prod(axis=1).astype(np.float64)
@@ -319,7 +320,7 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
             raise ValidationError("chimera topology needs rows and cols")
         nvars, edge_list = _chimera_edges(rows, cols)
     elif topology == "edge_list":
-        if not edges:
+        if edges is None or len(edges) == 0:
             raise ValidationError("edge_list topology needs a nonempty edge list")
         edge_list = np.array(edges, dtype=np.int64)
         if edge_list.ndim != 2 or edge_list.shape[1] != 2:

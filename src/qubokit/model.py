@@ -38,7 +38,7 @@ safe to share across concurrent workers; all evaluation is stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -291,14 +291,9 @@ class IsingModel:
         enough for BLAS to beat CSR (see DENSE_OPERATOR_MIN_FILL), else CSR."""
         return self._matrix if _dense_operator(self.n, 2 * self.num_couplings) else self._csr
 
-    def neighbor_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR triplet (indptr, indices, data) of the symmetric adjacency."""
-        csr = self._csr
-        return csr.indptr, csr.indices, csr.data
-
     @cached_property
     def _colour_classes(self) -> tuple[np.ndarray, ...]:
-        indptr, indices, _ = self.neighbor_lists()
+        indptr, indices = self._csr.indptr, self._csr.indices
         colour = np.full(self.n, -1, dtype=np.int64)
         for i in range(self.n):
             used = colour[indices[indptr[i]:indptr[i + 1]]]
@@ -322,12 +317,17 @@ class IsingModel:
         return self._colour_classes
 
     @cached_property
-    def field_scale(self) -> float:
-        """max_i (|h_i| + sum_j |J_ij|): dominates the gradient of H."""
-        row = np.abs(self.h).copy()
+    def row_weights(self) -> np.ndarray:
+        """|h_i| + sum_j |J_ij| per spin (read-only)."""
+        row = np.abs(self.h)
         np.add.at(row, self.rows, np.abs(self.values))
         np.add.at(row, self.cols, np.abs(self.values))
-        return float(row.max()) if self.n else 0.0
+        return _freeze(row)
+
+    @cached_property
+    def field_scale(self) -> float:
+        """max_i (|h_i| + sum_j |J_ij|): dominates the gradient of H."""
+        return float(self.row_weights.max()) if self.n else 0.0
 
 
 @dataclass(frozen=True)
@@ -519,9 +519,5 @@ class ReductionMap:
         return self.original_n + len(self.aux_bindings)
 
     def lift(self, reduced) -> np.ndarray:
-        reduced = as_spins(reduced)
-        if reduced.shape[0] != self.reduced_n:
-            raise ValidationError(
-                f"reduced state has length {reduced.shape[0]}, expected {self.reduced_n}")
-        return reduced[: self.original_n].copy()
+        return as_spins(reduced, self.reduced_n)[: self.original_n].copy()
 

@@ -3,6 +3,7 @@ parameter record and a run returning the common ``SolveResult``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from typing import Callable, NamedTuple
@@ -23,7 +24,6 @@ from .common import (
     SbmParams,
     make_sampleset,
     params_from_dict,
-    params_to_dict,
     replica_streams,
 )
 from .eigen import eig_extreme
@@ -35,7 +35,7 @@ __all__ = [
     "resolve_c0", "resolve_lambda0",
     "BBNode", "BBResult", "Sample", "SampleSet",
     "SaParams", "PaParams", "SbmParams", "BBParams",
-    "default_config", "make_sampleset", "params_from_dict", "params_to_dict",
+    "default_config", "make_sampleset", "params_from_dict",
     "replica_streams", "DEFAULT_CAP",
     "SOLVERS", "SolveResult", "run_solver",
 ]
@@ -98,5 +98,5 @@ def run_solver(solver_id: str, model: IsingModel, data: dict, *,
 
 def default_config() -> str:
     """JSON dump of every solver's default parameter record."""
-    return json.dumps({sid: params_to_dict(s.params()) for sid, s in SOLVERS.items()
+    return json.dumps({sid: dataclasses.asdict(s.params()) for sid, s in SOLVERS.items()
                        if s.params is not None}, indent=2)

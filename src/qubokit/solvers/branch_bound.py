@@ -91,12 +91,10 @@ class BBNode:
 
     fixed_prefix: np.ndarray
     prefix_energy: float
-    bound: float = -np.inf
 
     @classmethod
     def from_prefix(cls, model: IsingModel, prefix) -> "BBNode":
-        prefix = as_spins(np.asarray(prefix)) if len(prefix) else np.zeros(0, dtype=np.int8)
-        node = cls(fixed_prefix=prefix, prefix_energy=0.0)
+        node = cls(fixed_prefix=as_spins(prefix), prefix_energy=0.0)
         node.prefix_energy = bound_base(model, node)
         return node
 
@@ -239,10 +237,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     n = model.n
     A_full = model.coupling_matrix()
 
-    weight = np.abs(model.h).copy()
-    np.add.at(weight, model.rows, np.abs(model.values))
-    np.add.at(weight, model.cols, np.abs(model.values))
-    perm = np.argsort(-weight, kind="stable")
+    perm = np.argsort(-model.row_weights, kind="stable")
     Ap = A_full[np.ix_(perm, perm)]
     hp = model.h[perm]
 

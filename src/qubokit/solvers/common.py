@@ -8,7 +8,7 @@ are scheduled and bitwise reproducible for a fixed (model, params, seed).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -174,10 +174,6 @@ class BBParams:
             _positive("time_limit", self.time_limit)
         if self.leaf_size < 1:
             raise ValidationError("leaf_size must be >= 1")
-
-
-def params_to_dict(params) -> dict:
-    return dataclasses.asdict(params)
 
 
 def params_from_dict(solver_id: str, data: dict, **defaults):

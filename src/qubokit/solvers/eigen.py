@@ -22,36 +22,27 @@ LANCZOS_MAXITER = 5000
 
 
 def _gershgorin(mat, which: str) -> float:
-    if sp.issparse(mat):
-        A = mat.tocsr()
-        diag = A.diagonal()
-        radius = np.abs(A).sum(axis=1).ravel() - np.abs(diag)
-    else:
-        A = np.asarray(mat)
-        diag = np.diag(A)
-        radius = np.abs(A).sum(axis=1) - np.abs(diag)
+    diag = mat.diagonal()
+    radius = np.ravel(abs(mat).sum(axis=1)) - np.abs(diag)
     if which == "min":
         return float(np.min(diag - radius))
     return float(np.max(diag + radius))
 
 
-def eig_extreme(mat, which: str = "min", tol: float = LANCZOS_TOL,
-                maxiter: int = LANCZOS_MAXITER) -> float:
+def eig_extreme(mat, which: str = "min") -> float:
     """Extreme eigenvalue of a symmetric matrix (``which`` in {min, max})."""
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
     n = mat.shape[0]
-    if n == 1:
-        return float(mat[0, 0]) if not sp.issparse(mat) else float(mat.diagonal()[0])
     if n <= DENSE_LIMIT:
         dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=np.float64)
         vals = np.linalg.eigvalsh(dense)
         return float(vals[0] if which == "min" else vals[-1])
 
-    arpack_which = "SA" if which == "min" else "LA"
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(mat, k=1, which=arpack_which, tol=tol, maxiter=maxiter,
-                                v0=np.random.default_rng(0).standard_normal(n))
+        vals, vecs = spla.eigsh(mat, k=1, which="SA" if which == "min" else "LA",
+                                tol=LANCZOS_TOL, maxiter=LANCZOS_MAXITER, v0=v0)
     except spla.ArpackNoConvergence:
         return _gershgorin(mat, which)
     theta = float(vals[0])

@@ -247,6 +247,26 @@ def chimera_edges_loop(rows: int, cols: int) -> list[tuple[int, int]]:
     return edges
 
 
+def mw3s_loop(n: int, seed) -> list[tuple[tuple[int, ...], float]]:
+    """Terms of ``gen_mw3s``, (key, coefficient) sorted by (order, key), from
+    the per-clause dict expansion of (w_i / 8) * prod (1 + a_v s_v)."""
+    from qubokit.generators import rng_stream
+
+    rng = rng_stream(seed)
+    omega = rng.random(n - 2)
+    c = rng.integers(0, 2, size=n)
+    a = np.where(c == 0, 1.0, -1.0)
+    acc: dict[tuple[int, ...], float] = {}
+    for i in range(n - 2):
+        window = (i, i + 1, i + 2)
+        w = omega[i] / 8.0
+        for r in range(4):
+            for sub in itertools.combinations(window, r):
+                coeff = w * float(np.prod([a[v] for v in sub])) if sub else w
+                acc[sub] = acc.get(sub, 0.0) + coeff
+    return [(k, float(acc[k])) for k in sorted(acc, key=lambda k: (len(k), k))]
+
+
 # Step-kernel oracles: the allocating PA loop and SBM integrator that ran
 # before the replica state was held in the operator's memory order and
 # stepped in place.  Copied as they were, so the in-place kernels must

@@ -153,6 +153,24 @@ class TestRunSuite:
             assert refs.setdefault(rec.instance_id, rec.reference_energy) == rec.reference_energy
             assert rec.gap == optimality_gap(rec.energy, rec.reference_energy)
 
+    def test_file_reference(self, tmp_path):
+        refs = {"tile-n4-s1": -100.0, "tile-n4-s3": -7.5}
+        ref_path = tmp_path / "refs.json"
+        ref_path.write_text(json.dumps(refs))
+        spec = suite_for(tmp_path, reference="file")
+        spec.reference_file = str(ref_path)
+        records = run_suite(spec)
+        assert [r.instance_id for r in records] == ["tile-n4-s1", "tile-n4-s2", "tile-n4-s3"]
+        for rec in records:
+            assert np.isfinite(rec.energy)
+            if rec.instance_id in refs:
+                assert rec.error == ""
+                assert rec.reference_energy == refs[rec.instance_id]
+                assert rec.gap == optimality_gap(rec.energy, rec.reference_energy)
+            else:
+                assert rec.error == "ValidationError: tile-n4-s2: not in reference file"
+                assert np.isnan(rec.reference_energy) and np.isnan(rec.gap)
+
     def test_determinism_across_worker_budgets(self, tmp_path):
         a = run_suite(suite_for(tmp_path, workers=1))
         b = run_suite(suite_for(tmp_path, workers=4))

@@ -58,11 +58,14 @@ class TestEigExtreme:
         A = rng.normal(size=(30, 30))
         A = (A + A.T) / 2
         vals = np.linalg.eigvalsh(A)
-        assert _gershgorin(A, "min") <= vals[0]
-        assert _gershgorin(A, "max") >= vals[-1]
+        for mat in (A, sp.csr_array(A)):
+            assert _gershgorin(mat, "min") <= vals[0]
+            assert _gershgorin(mat, "max") >= vals[-1]
 
     def test_single_entry(self):
-        assert eig_extreme(np.array([[4.0]]), "min") == 4.0
+        for mat in (np.array([[4.0]]), sp.csr_array([[4.0]])):
+            assert eig_extreme(mat, "min") == 4.0
+            assert eig_extreme(mat, "max") == 4.0
 
     def test_bad_which(self):
         with pytest.raises(ValueError):

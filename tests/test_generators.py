@@ -22,7 +22,7 @@ from qubokit.generators import (
 from qubokit.solvers import solve_brute_force
 from qubokit.transforms import lift_solution, reduce_cubic
 
-from oracles import all_spin_states, exhaustive_min_hubo
+from oracles import all_spin_states, exhaustive_min_hubo, mw3s_loop
 
 
 class TestChain3:
@@ -101,6 +101,15 @@ class TestMw3s:
         assert np.allclose(expanded, product, atol=1e-9)
         assert float(expanded.min()) == pytest.approx(float(product.min()), abs=1e-9)
         assert float(expanded.max()) == pytest.approx(float(product.max()), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 40, 200])
+    def test_terms_match_dict_expansion_bitwise(self, n):
+        for seed in range(10):
+            h = gen_mw3s(n, seed)
+            want = mw3s_loop(n, seed)
+            assert [k for k, _ in h.terms()] == [k for k, _ in want]
+            assert [c.hex() for _, c in h.terms()] == [c.hex() for _, c in want]
+            assert h.max_order == 3
 
 
 class TestR3X3:
@@ -231,6 +240,18 @@ class TestRandom:
         m = gen_random("edge_list", "gaussian", 1, edges=[(0, 1), (1, 2)])
         assert m.n == 3
         assert m.num_couplings == 2
+
+    def test_edge_array_builds_the_list_model(self):
+        listed = gen_random("edge_list", "gaussian", 1, edges=[[0, 1], [1, 2]])
+        arrayed = gen_random("edge_list", "gaussian", 1, edges=np.array([[0, 1], [1, 2]]))
+        assert arrayed.n == listed.n
+        for name in ("h", "rows", "cols", "values"):
+            assert np.array_equal(getattr(arrayed, name), getattr(listed, name))
+
+    @pytest.mark.parametrize("edges", [[], np.zeros((0, 2), dtype=np.int64), None])
+    def test_empty_edge_list_rejected(self, edges):
+        with pytest.raises(ValidationError):
+            gen_random("edge_list", "gaussian", 1, edges=edges)
 
     def test_unknown_topology(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Tests for the heuristic engines: SA, PA, SBM."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -19,7 +20,7 @@ from qubokit import (
 from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
-from qubokit.solvers.common import make_sampleset, params_from_dict, params_to_dict, replica_streams
+from qubokit.solvers.common import make_sampleset, params_from_dict, replica_streams
 from qubokit.transforms import reduce_cubic
 
 
@@ -305,7 +306,7 @@ class TestParams:
 
     def test_json_round_trip(self):
         p = PaParams(steps=123, learning_rate=0.07, seed=5)
-        back = params_from_dict("pa", params_to_dict(p))
+        back = params_from_dict("pa", dataclasses.asdict(p))
         assert back == p
 
     def test_unknown_keys_rejected(self):
