@@ -1,4 +1,4 @@
-"""Unit cost of model construction and instance read/write on complete graphs.
+"""Unit cost of model construction and instance read/write.
 
 Usage, from the root of a checkout:
 
@@ -6,25 +6,35 @@ Usage, from the root of a checkout:
 
 For n = 500 and n = 1000 it generates a complete uniform Ising model with a fixed seed and
 times ``gen_random``, ``write_instance``, ``read_instance``,
-``ising_to_qubo`` and ``qubo_to_ising``, each as the minimum over
-three calls.  It prints one JSON object: the machine, the versions,
-the file size and the timings in seconds.
+``ising_to_qubo`` and ``qubo_to_ising``.  For n = 10^4 and 10^5 it
+generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
+``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` and
+``energies`` on 64 random replicas, whose tracemalloc peak it also
+records.  Each time is the minimum over three calls.  It prints one JSON
+object: the machine, the versions, the file sizes, the timings in seconds
+and the peak in MB.
 """
 
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from qubokit import ising_to_qubo, qubo_to_ising, read_instance, write_instance  # noqa: E402
-from qubokit.generators import gen_random  # noqa: E402
+from qubokit.generators import gen_mw3s, gen_random  # noqa: E402
+from qubokit.transforms import to_ising  # noqa: E402
 from timing import best_of, environment  # noqa: E402
 
 SEED = 1000
 N_VALUES = (500, 1000)
+HUBO_N_VALUES = (10_000, 100_000)
+REPLICAS = 64
 REPEATS = 3
 
 
@@ -42,10 +52,34 @@ def measure(n: int, workdir: Path) -> dict:
             "qubo_to_ising_s": round(to_ising_s, 4)}
 
 
+def measure_hubo(n: int, workdir: Path) -> dict:
+    path = workdir / f"mw3s-{n}.txt"
+    gen_s, model = best_of(REPEATS, lambda: gen_mw3s(n, SEED + n))
+    to_ising_s, _ = best_of(REPEATS, lambda: to_ising(model))
+    write_s, _ = best_of(REPEATS, lambda: write_instance(path, model))
+    read_s, _ = best_of(REPEATS, lambda: read_instance(path))
+    rng = np.random.default_rng(SEED)
+    states = np.where(rng.random((REPLICAS, n)) < 0.5, -1, 1).astype(np.int8)
+    energies_s, _ = best_of(REPEATS, lambda: model.energies(states))
+    tracemalloc.start()
+    try:
+        model.energies(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"n": n, "terms": model.num_terms,
+            "file_mb": round(path.stat().st_size / 1e6, 3),
+            "gen_mw3s_s": round(gen_s, 4), "to_ising_s": round(to_ising_s, 4),
+            "write_instance_s": round(write_s, 4), "read_instance_s": round(read_s, 4),
+            "energies_s": round(energies_s, 4), "energies_peak_mb": round(peak / 1e6, 2)}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [measure(n, Path(tmp)) for n in N_VALUES]
-    print(json.dumps({**environment(), "repeats": REPEATS, "results": rows}, indent=2))
+        hubo = [measure_hubo(n, Path(tmp)) for n in HUBO_N_VALUES]
+    print(json.dumps({**environment(), "repeats": REPEATS, "replicas": REPLICAS,
+                      "results": rows, "hubo": hubo}, indent=2))
     return 0
 
 

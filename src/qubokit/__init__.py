@@ -42,7 +42,6 @@ from .model import (
     spins_to_bits,
 )
 from .solvers import (
-    BBNode,
     BBParams,
     BBResult,
     PaParams,

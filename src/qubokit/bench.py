@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import glob as globmod
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,8 +86,12 @@ class SuiteSpec:
             raise ValidationError("suite needs an instance source")
         if not self.solvers:
             raise ValidationError("suite needs at least one solver")
-        if self.sample_count < 1:
-            raise ValidationError("sample_count must be >= 1")
+        for name in ("sample_count", "replicas", "brute_force_cap", "workers"):
+            value = getattr(self, name)
+            if name == "replicas" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.reference not in ("planted", "brute_force", "best_of_suite", "file"):
             raise ValidationError(f"unknown reference policy {self.reference!r}")
         if self.reference == "file" and not self.reference_file:

@@ -83,11 +83,10 @@ def gen_chain3(n: int, seed) -> HuboModel:
     h = rng.standard_normal(n)
     J = rng.standard_normal(n - 1)
     K = rng.standard_normal(n - 2)
-    terms: list[tuple[tuple[int, ...], float]] = []
-    terms += [((i,), float(h[i])) for i in range(n)]
-    terms += [((i, i + 1), float(J[i])) for i in range(n - 1)]
-    terms += [((i, i + 1, i + 2), float(K[i])) for i in range(n - 2)]
-    return HuboModel.from_terms(n, SPIN_DOMAIN, terms, max_order=3)
+    i = np.arange(n)
+    blocks = [(i[:, None], h), (np.stack([i[:-1], i[1:]], axis=1), J),
+              (np.stack([i[:-2], i[1:-1], i[2:]], axis=1), K)]
+    return HuboModel.from_arrays(n, SPIN_DOMAIN, blocks, max_order=3)
 
 
 def gen_mw3s(n: int, seed) -> HuboModel:
@@ -104,14 +103,16 @@ def gen_mw3s(n: int, seed) -> HuboModel:
     omega = rng.random(n - 2)
     c = rng.integers(0, 2, size=n)
     a = np.where(c == 0, 1.0, -1.0)
-    clauses = [((i, i + 1, i + 2), float(omega[i])) for i in range(n - 2)]
-    spin = hubo_to_spin_domain(HuboModel.from_terms(n, BINARY_DOMAIN, clauses, max_order=3))
+    windows = np.arange(n - 2)[:, None] + np.arange(3)
+    spin = hubo_to_spin_domain(
+        HuboModel.from_arrays(n, BINARY_DOMAIN, [(windows, omega)], max_order=3))
     return _hubo_gauge(spin, a)
 
 
 def _hubo_gauge(h: HuboModel, g: np.ndarray) -> HuboModel:
-    terms = [(t, c * float(np.prod(g[list(t)])) if t else c) for t, c in h.terms()]
-    return HuboModel.from_terms(h.n, h.domain, terms, max_order=h.max_order)
+    """``h`` with every term's coefficient times the product of g over its indices."""
+    blocks = [(idx, c * g[idx].prod(axis=1)) for idx, c in h.blocks]
+    return HuboModel.from_arrays(h.n, h.domain, blocks, max_order=h.max_order)
 
 
 # Random incidences drawn before gen_3r3x gives up on finding a simple one
@@ -146,8 +147,7 @@ def gen_3r3x(n: int, seed) -> PlantedInstance:
 
     planted = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     clause_J = planted[triples].prod(axis=1).astype(np.float64)
-    terms = [(tuple(int(v) for v in t), -float(j)) for t, j in zip(triples, clause_J)]
-    model = HuboModel.from_terms(n, SPIN_DOMAIN, terms, max_order=3)
+    model = HuboModel.from_arrays(n, SPIN_DOMAIN, [(triples, -clause_J)], max_order=3)
 
     g = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     model = _hubo_gauge(model, g)

@@ -8,13 +8,15 @@ a linear term (Ising field / QUBO diagonal).  HUBO files use the extended
 ``#`` starts a comment.  Writers emit ``# format:`` and ``# offset:`` comment
 lines so files are self-describing; without the format comment a file is
 read as quadratic when every term line has three fields, else as HUBO.
-Quadratic bodies are parsed in one ``np.loadtxt`` call; repeated lines are
-summed in line order (fields into ``h``, pairs as in ``from_arrays``), and
-a malformed line, an index out of range (field lines included) or a term
-count that differs from the header is a ValidationError.
+Quadratic bodies are parsed in one ``np.loadtxt`` call, HUBO bodies in one
+per order; repeated lines are summed in line order (fields into ``h``,
+pairs and terms as in ``from_arrays``), and a malformed line, an index out
+of range (field lines included) or a term count that differs from the
+header is a ValidationError.
 
 The JSON mirror carries the same schema:
-``{"format", "n", "domain", "offset", "terms"}`` with 1-based indices.
+``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
+indices.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .model import BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel
+from .model import (BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel,
+                    _as_indices, _term_blocks)
 
 Model = Union[IsingModel, QuboModel, HuboModel]
 
 FORMAT_QUADRATIC = "quadratic"
 FORMAT_HUBO = "hubo"
 
-_TERM_LINE = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)  # a line that is not blank or a comment
+_TERM_LINE = re.compile(r"^[ \t]*[^\s#].*$", re.MULTILINE)  # a line that is not blank or a comment
 
 
 def model_to_dict(model: Model) -> dict:
@@ -46,7 +49,9 @@ def model_to_dict(model: Model) -> dict:
         return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": domain,
                 "offset": model.offset, "terms": list(map(list, zip(*columns)))}
     if isinstance(model, HuboModel):
-        terms = [[[int(i) + 1 for i in t], float(c)] for t, c in model.terms()]
+        terms = []
+        for idx, c in model.blocks:
+            terms += map(list, zip((idx + 1).tolist(), c.tolist()))
         return {"format": FORMAT_HUBO, "n": model.n, "domain": model.domain,
                 "max_order": model.max_order, "terms": terms}
     raise ValidationError(f"unsupported model type {type(model).__name__}")
@@ -71,13 +76,20 @@ def model_from_dict(data: dict) -> Model:
     if fmt == FORMAT_QUADRATIC:
         offset = float(data.get("offset", 0.0))
         try:
-            t = np.fromiter(map(tuple, data["terms"]), dtype=TERM_DTYPE)
+            t = np.fromiter(map(tuple, data["terms"]), dtype=np.dtype((np.float64, 3)))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"quadratic terms need [i, j, v]: {exc}") from None
-        return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
+        pairs, non_integer = _as_indices(t[:, :2])
+        if non_integer.any():
+            raise ValidationError(f"term index pair {tuple(t[non_integer.argmax(), :2].tolist())} "
+                                  "is not a pair of integers")
+        return _quadratic_model(n, domain, pairs[:, 0] - 1, pairs[:, 1] - 1, t[:, 2], offset)
     if fmt == FORMAT_HUBO:
-        terms = [([int(i) - 1 for i in idx], float(c)) for idx, c in data["terms"]]
-        return HuboModel.from_terms(n, domain, terms, max_order=data.get("max_order"))
+        try:
+            blocks = [(idx - 1, c) for idx, c in _term_blocks(data["terms"])]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"HUBO terms need [[i1, ..., ik], v]: {exc}") from None
+        return HuboModel.from_arrays(n, domain, blocks, max_order=data.get("max_order"))
     raise ValidationError(f"unknown instance format {fmt!r}")
 
 
@@ -115,10 +127,11 @@ def write_instance(path, model: Model) -> Path:
         lines.append(f"{model.n} {len(values)} {domain}")
         lines += [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, values)]
     else:
-        data = model_to_dict(model)
-        lines = [f"# format: {FORMAT_HUBO}", f"{model.n} {len(data['terms'])} {model.domain}"]
-        for idx, c in data["terms"]:
-            lines.append(" ".join([str(len(idx))] + [str(i) for i in idx] + [repr(c)]))
+        lines = [f"# format: {FORMAT_HUBO}", f"{model.n} {model.num_terms} {model.domain}"]
+        for idx, c in model.blocks:
+            k = idx.shape[1]
+            line = " ".join([str(k)] + ["{}"] * k + ["{!r}"])
+            lines += map(line.format, *(idx.T + 1).tolist(), c.tolist())
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -154,36 +167,23 @@ def read_instance(path) -> Model:
         raise ValidationError(f"{path}: header 'n m d' needs integer n and m, "
                               f"got {' '.join(header)!r}") from None
 
-    fields = None
     if fmt in (None, FORMAT_QUADRATIC):
-        try:
-            t = _quadratic_terms(body)
+        try:  # loadtxt warns on a body without term lines
+            t = (_loadtxt(io.StringIO(body), TERM_DTYPE) if _TERM_LINE.search(body)
+                 else np.empty(0, dtype=TERM_DTYPE))
         except (ValueError, DeprecationWarning) as exc:
-            fields = _body_fields(body)
-            if fmt is not None or all(len(f) == 3 for f in fields):
+            if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
+                                      for line in _TERM_LINE.findall(body)):
                 raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
         else:
             if t.size != m:
                 raise ValidationError(f"{path}: header declares {m} terms, found {t.size}")
             return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
 
-    if fields is None:
-        fields = _body_fields(body)
-    if len(fields) != m:
-        raise ValidationError(f"{path}: header declares {m} terms, found {len(fields)}")
-    terms = []
-    for f in fields:
-        try:
-            k = int(f[0])
-            idx = [int(i) - 1 for i in f[1:-1]]
-            coeff = float(f[-1])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
-                                  f"order and indices: {exc}") from None
-        if len(f) != k + 2:
-            raise ValidationError(f"{path}: HUBO line of order {k} needs {k + 2} fields, got {len(f)}")
-        terms.append((idx, coeff))
-    return HuboModel.from_terms(n, domain, terms)
+    lines = _TERM_LINE.findall(body)
+    if len(lines) != m:
+        raise ValidationError(f"{path}: header declares {m} terms, found {len(lines)}")
+    return HuboModel.from_arrays(n, domain, _hubo_blocks(lines, path))
 
 
 def _comment(line: str, fmt, offset):
@@ -196,22 +196,38 @@ def _comment(line: str, fmt, offset):
     return fmt, offset
 
 
-def _quadratic_terms(body: str) -> np.ndarray:
-    """The ``TERM_DTYPE`` records of a quadratic body; ValueError (or
-    DeprecationWarning) on a line that is not ``i j v`` with integer indices."""
-    if not _TERM_LINE.search(body):
-        return np.empty(0, dtype=TERM_DTYPE)
+def _loadtxt(lines, dtype, usecols=None) -> np.ndarray:
+    """``np.loadtxt`` of term lines (a text or a list of lines) with ``#``
+    comments; ValueError (or DeprecationWarning) on a field that does not
+    parse as ``dtype`` and on a line with the wrong number of fields."""
     with warnings.catch_warnings():
         # numpy releases that only deprecate parsing "1.5" as an integer
         # truncate it; the warning as an error rejects it on all of them
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(io.StringIO(body), dtype=TERM_DTYPE, comments="#", ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1, usecols=usecols)
 
 
-def _body_fields(body: str) -> list[list[str]]:
-    """Fields of the term lines after the header, with ``#`` comments cut
-    off as ``np.loadtxt`` cuts them."""
-    return [f for raw in body.splitlines() if (f := raw.split("#", 1)[0].split())]
+def _hubo_blocks(lines: list[str], path) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(0-based index matrix, coefficients) of the ``k i1 ... ik v`` term
+    lines of each order k, parsed in one ``np.loadtxt`` call per order."""
+    if not lines:
+        return []
+    try:
+        order = _loadtxt(lines, np.int64, usecols=0)
+        # a line of order k has at least 2k + 3 characters
+        misfit = (order < 0) | (order > max(map(len, lines)))
+        if misfit.any():
+            raise ValueError(f"order {order[misfit.argmax()]} does not fit its line")
+        lines = np.array(lines, dtype=object)
+        blocks = []
+        for k in np.unique(order):
+            dtype = np.dtype([("k", np.int64), ("idx", np.int64, (k,)), ("v", np.float64)])
+            t = _loadtxt(lines[order == k].tolist(), dtype)
+            blocks.append((t["idx"] - 1, t["v"]))
+    except (ValueError, DeprecationWarning) as exc:
+        raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
+                              f"order and indices: {exc}") from None
+    return blocks
 
 
 def write_certificate(path, planted_energy: float, planted_state, family: str,

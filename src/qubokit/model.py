@@ -17,6 +17,12 @@ than once is summed in input order, starting from 0.0, exactly as
 -0.0 is stored as 0.0).  The same columns therefore give the same bits
 whichever constructor is used.
 
+A HUBO model holds one block per order k (``HuboModel.blocks``): an (m, k)
+index matrix of sorted rows, unique and in lexicographic order, and its
+coefficients.  ``HuboModel.from_arrays`` builds it from such blocks and
+``from_terms`` from (indices, coefficient) terms, summing a repeated term as
+a repeated pair is summed; every HUBO path works order by order.
+
 Each model has one evaluator, ``energies(states)`` on a (replicas, n)
 block; ``energy(v)`` validates ``v`` and returns ``energies(v[None])[0]``.
 A row's energy has the same bits alone or in a batch of any size, so a
@@ -37,6 +43,7 @@ safe to share across concurrent workers; all evaluation is stateless.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +73,11 @@ from .errors import ValidationError
 # threshold either way slows one side, so it stays at 1/32.
 DENSE_OPERATOR_MAX_N = 2048
 DENSE_OPERATOR_MIN_FILL = 1 / 32
+
+# Products per replica chunk in HuboModel.energies: at gen_mw3s n=10^5 with 64
+# replicas, chunks of 2^16 to 2^18 took 0.24-0.29 s with a 2-3 MB tracemalloc
+# peak, against 1.4 s and 256 MB unchunked (2 CPUs, numpy 2.4).
+HUBO_CHUNK_ENTRIES = 2 ** 17
 
 # One quadratic term (i, j, v) as a structured record.
 TERM_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -396,74 +408,98 @@ class QuboModel:
         return U
 
 
+def _as_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 copy of an (m, k) index matrix, and per row whether it holds a
+    value that is not an integer (NaN and inf included)."""
+    with np.errstate(invalid="ignore"):
+        rows = idx.astype(np.int64)
+    return rows, (rows != idx).any(axis=1)
+
+
+def _term_blocks(terms: Iterable[tuple[Sequence[int], float]]):
+    """(index matrix, coefficients) of each run of terms of one order."""
+    for k, run in itertools.groupby(terms, key=lambda term: len(term[0])):
+        idx, coeffs = zip(*run)
+        yield np.array(idx).reshape(len(idx), k), np.array(coeffs, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class HuboModel:
-    """Higher-order polynomial over spin or binary variables.
-
-    Terms are (strictly increasing index tuple, coefficient); the empty tuple
-    holds the constant.  ``max_order`` is the declared order cap P.
-    """
+    """Higher-order polynomial over spin or binary variables, held as one
+    (index matrix (m, k), coefficients (m,)) block per order k present, in
+    ascending order (see the module docstring); the order-0 block holds the
+    constant.  ``max_order`` is the declared order cap P."""
 
     n: int
     domain: str
-    term_index: tuple[tuple[int, ...], ...]
-    coefficients: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     max_order: int
+
+    @classmethod
+    def from_arrays(cls, n: int, domain: str, blocks, max_order: int | None = None) -> "HuboModel":
+        """Model from (index matrix, coefficients) blocks in any order, several
+        per order allowed.  The first bad term in input order is a
+        ValidationError: a non-integer, repeated or out-of-range index, or a
+        non-finite coefficient, checked in that order.  A repeated term is
+        summed in input order into 0.0, as ``_canonical_pairs`` sums."""
+        if n < 1:
+            raise ValidationError("model needs at least one variable")
+        if domain not in (SPIN_DOMAIN, BINARY_DOMAIN):
+            raise ValidationError(f"unknown domain {domain!r}")
+        by_order: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for idx, coeffs in blocks:
+            idx, coeffs = np.asarray(idx), np.asarray(coeffs, dtype=np.float64)
+            if idx.ndim != 2 or coeffs.shape != idx.shape[:1]:
+                raise ValidationError(f"index block {idx.shape} needs one coefficient per row")
+            rows, non_integer = _as_indices(idx)
+            rows.sort(axis=1)
+            repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+            outside = (rows[:, :1] < 0).any(axis=1) | (rows[:, -1:] >= n).any(axis=1)
+            bad = non_integer | repeated | outside | ~np.isfinite(coeffs)
+            if bad.any():
+                t = int(bad.argmax())
+                key = tuple(rows[t].tolist())
+                raise ValidationError(
+                    f"term {tuple(idx[t].tolist())} has a non-integer index" if non_integer[t]
+                    else f"term {key} repeats an index" if repeated[t]
+                    else f"term {key} out of range for n={n}" if outside[t]
+                    else f"non-finite coefficient for term {key}")
+            if rows.shape[0]:
+                by_order.setdefault(rows.shape[1], []).append((rows, coeffs))
+        order = max(by_order, default=1)
+        if max_order is None:
+            max_order = max(order, 1)
+        if max_order != int(max_order) or max_order < 1:
+            raise ValidationError(f"max_order must be an integer >= 1, got {max_order!r}")
+        if order > max_order:
+            raise ValidationError(f"term of order {order} exceeds declared max_order {max_order}")
+        merged = []
+        for _, parts in sorted(by_order.items()):
+            rows, coeffs = map(np.concatenate, zip(*parts))
+            ranking = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(rows.shape[0])
+            ranked = rows[ranking]
+            first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+            inverse = np.empty_like(ranking)
+            inverse[ranking] = np.cumsum(first) - 1
+            values = np.zeros(int(first.sum()))
+            np.add.at(values, inverse, coeffs)
+            merged.append((_freeze(ranked[first]), _freeze(values)))
+        return cls(n=n, domain=domain, blocks=tuple(merged), max_order=int(max_order))
 
     @classmethod
     def from_terms(cls, n: int, domain: str,
                    terms: Iterable[tuple[Sequence[int], float]],
                    max_order: int | None = None) -> "HuboModel":
-        if n < 1:
-            raise ValidationError("model needs at least one variable")
-        if domain not in (SPIN_DOMAIN, BINARY_DOMAIN):
-            raise ValidationError(f"unknown domain {domain!r}")
-        acc: dict[tuple[int, ...], float] = {}
-        for idx, coeff in terms:
-            key = tuple(int(i) for i in sorted(idx))
-            if len(set(key)) != len(key):
-                raise ValidationError(f"term {key} repeats an index")
-            if key and not (0 <= key[0] and key[-1] < n):
-                raise ValidationError(f"term {key} out of range for n={n}")
-            coeff = float(coeff)
-            if not math.isfinite(coeff):
-                raise ValidationError(f"non-finite coefficient for term {key}")
-            acc[key] = acc.get(key, 0.0) + coeff
-        keys = sorted(acc, key=lambda k: (len(k), k))
-        order = max((len(k) for k in keys), default=1)
-        if max_order is None:
-            max_order = max(order, 1)
-        if max_order < 1:
-            raise ValidationError("max_order must be >= 1")
-        if order > max_order:
-            raise ValidationError(f"term of order {order} exceeds declared max_order {max_order}")
-        coeffs = np.array([acc[k] for k in keys], dtype=np.float64)
-        return cls(n=n, domain=domain, term_index=tuple(keys),
-                   coefficients=_freeze(coeffs), max_order=int(max_order))
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           _freeze(np.asarray(self.coefficients, dtype=np.float64)))
+        """``from_arrays`` of each run of consecutive terms of one order."""
+        return cls.from_arrays(n, domain, _term_blocks(terms), max_order=max_order)
 
     @property
     def num_terms(self) -> int:
-        return len(self.term_index)
+        return sum(c.shape[0] for _, c in self.blocks)
 
     def terms(self) -> list[tuple[tuple[int, ...], float]]:
-        return [(k, float(c)) for k, c in zip(self.term_index, self.coefficients)]
-
-    @cached_property
-    def _by_order(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Terms grouped by order as (index array (m, k), coeff array (m,))."""
-        groups: dict[int, list[int]] = {}
-        for pos, key in enumerate(self.term_index):
-            groups.setdefault(len(key), []).append(pos)
-        out = []
-        for k in sorted(groups):
-            pos = groups[k]
-            idx = np.array([self.term_index[p] for p in pos], dtype=np.int64).reshape(len(pos), k)
-            out.append((idx, self.coefficients[np.array(pos)]))
-        return out
+        return list(itertools.chain.from_iterable(
+            zip(map(tuple, idx.tolist()), c.tolist()) for idx, c in self.blocks))
 
     def _check_domain(self, v) -> np.ndarray:
         if self.domain == SPIN_DOMAIN:
@@ -474,19 +510,21 @@ class HuboModel:
         return float(self.energies(self._check_domain(v)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Batch energies for a (replicas, n) array of domain states: per
-        order, the (replicas, terms) products of the gathered entries times
-        the coefficients, summed over C-ordered rows (row-invariant as the
-        module docstring describes)."""
-        V = np.asarray(states, dtype=np.float64)
+        """Batch energies for a (replicas, n) array of domain states: per order,
+        the coefficients times the k gathered columns, summed over C-ordered
+        rows (row-invariant as the module docstring describes; products of
+        +-1 and 0/1 entries are exact).  Replicas go in chunks of about
+        HUBO_CHUNK_ENTRIES products, so temporaries stay a few MB."""
+        V = np.asarray(states)
         total = np.zeros(V.shape[0])
-        for idx, coeffs in self._by_order:
-            if idx.shape[1] == 0:
-                total += coeffs.sum()
-            else:
-                P = np.prod(np.ascontiguousarray(V[:, idx]), axis=2)
-                P *= coeffs
-                total += P.sum(axis=1)
+        for idx, coeffs in self.blocks:
+            step = max(1, HUBO_CHUNK_ENTRIES // coeffs.shape[0])
+            for r in range(0, V.shape[0], step):
+                chunk = V[r:r + step]
+                P = np.tile(coeffs, (chunk.shape[0], 1))
+                for col in idx.T:
+                    P *= chunk[:, col]
+                total[r:r + step] += P.sum(axis=1)
         return total
 
 
@@ -508,11 +546,15 @@ class ReductionMap:
     def __post_init__(self):
         if self.energy_scale <= 0:
             raise ValidationError("energy_scale must be positive")
-        for pos, (aux, trip) in enumerate(self.aux_bindings):
-            if aux != self.original_n + pos:
+        aux, trips = zip(*self.aux_bindings) if self.aux_bindings else ((), ())
+        t = np.asarray(trips).reshape(-1, 3)
+        misplaced = np.asarray(aux) != self.original_n + np.arange(len(aux))
+        unsorted = (t[:, 0] >= t[:, 1]) | (t[:, 1] >= t[:, 2])
+        if misplaced.any() or unsorted.any():
+            pos = int((misplaced | unsorted).argmax())
+            if misplaced[pos]:
                 raise ValidationError("aux indices must be contiguous from original_n")
-            if not (trip[0] < trip[1] < trip[2]):
-                raise ValidationError(f"binding triple {trip} must be strictly increasing")
+            raise ValidationError(f"binding triple {trips[pos]} must be strictly increasing")
 
     @property
     def reduced_n(self) -> int:

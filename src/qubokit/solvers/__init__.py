@@ -13,7 +13,7 @@ import numpy as np
 from ..model import IsingModel
 from .annealing import solve_sa
 from .bifurcation import integrate, resolve_c0, solve_sbm
-from .branch_bound import BBNode, BBResult, bound_base, bound_spd, solve_bb
+from .branch_bound import BBResult, bound_base, bound_spd, solve_bb
 from .brute_force import DEFAULT_CAP, solve_brute_force
 from .common import (
     BBParams,
@@ -33,7 +33,7 @@ __all__ = [
     "solve_sa", "solve_pa", "solve_sbm", "solve_brute_force", "solve_bb",
     "bound_base", "bound_spd", "eig_extreme", "integrate",
     "resolve_c0", "resolve_lambda0",
-    "BBNode", "BBResult", "Sample", "SampleSet",
+    "BBResult", "Sample", "SampleSet",
     "SaParams", "PaParams", "SbmParams", "BBParams",
     "default_config", "make_sampleset", "params_from_dict",
     "replica_streams", "DEFAULT_CAP",

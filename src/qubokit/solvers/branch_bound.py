@@ -44,7 +44,8 @@ the incumbent are polished by 1-opt descent.
 The frontier is expanded in batches: up to ``EXPAND_BATCH`` nodes are popped
 in heap order and grouped by depth.  The nodes of one depth share (lam, Q),
 so a group of G nodes costs a few products with its (G, k) prefix block and
-one ``_relax`` call on the (m, 2G) folded fields of all its children; the
+one ``_relax`` call on the (m, 2G) folded fields of all its children
+(``_child_bounds``, whose one-node case is ``bound_spd``); the
 candidates of the whole batch are scored together and polished together,
 tested against the incumbent as it stood when the batch was popped.  Once
 ``leaf_size`` free variables remain, nodes are closed by exact enumeration
@@ -60,6 +61,7 @@ energy when the search proves optimality.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass
@@ -85,23 +87,9 @@ EXPAND_BATCH = 64
 LEAF_CHUNK_BYTES = 2 ** 19
 
 
-@dataclass
-class BBNode:
-    """Partial assignment over the first k variables of the model order."""
-
-    fixed_prefix: np.ndarray
-    prefix_energy: float
-
-    @classmethod
-    def from_prefix(cls, model: IsingModel, prefix) -> "BBNode":
-        node = cls(fixed_prefix=as_spins(prefix), prefix_energy=0.0)
-        node.prefix_energy = bound_base(model, node)
-        return node
-
-
-def bound_base(model: IsingModel, node: BBNode) -> float:
+def bound_base(model: IsingModel, prefix) -> float:
     """Energy of the prefix-induced subproblem (plus the model offset)."""
-    u = np.asarray(node.fixed_prefix, dtype=np.float64)
+    u = as_spins(prefix).astype(np.float64)
     k = u.shape[0]
     if k > model.n:
         raise ValidationError("prefix longer than the model")
@@ -150,34 +138,48 @@ def _relax(lam: np.ndarray, Q: np.ndarray, c: np.ndarray, d,
     return value, -(Q @ w)
 
 
-def bound_spd(model: IsingModel, node: BBNode, epsilon: float, *,
-              admissible: bool = False, d: float | None = None) -> float:
-    """SPD relaxation bound for the remaining subproblem of a node.
+def _child_bounds(A: np.ndarray, h: np.ndarray, U: np.ndarray, spectrum, epsilon: float,
+                  admissible: bool, d: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Folded linear terms c (m, 2G), relaxed values and minimisers of the
+    children s_k = +1 (columns :G) and -1 (G:) of the depth-k prefixes ``U``
+    (G, k).  ``spectrum(depth)`` gives (lam, Q) of the free block; the shift
+    is ``d``, by default -lam_min + epsilon when admissible, else
+    max(0, -lam_min) + epsilon."""
+    k = U.shape[1]
+    col = A[k + 1:, k][:, None]
+    base = h[k + 1:, None] + A[k + 1:, :k] @ U.T
+    c = np.concatenate([base + col, base - col], axis=1)
+    lam, Q = spectrum(k + 1)
+    if d is None:
+        d = (-lam[0] if admissible else max(0.0, -lam[0])) + epsilon
+    value, R = _relax(lam, Q, c, d, admissible)
+    return c, value, R
 
-    Without ``admissible`` this is the prefix energy plus the relaxed minimum
-    at shift ``d``, by default max(0, -lam_min) + epsilon of the remaining
-    block.  With ``admissible`` it is the spherical bound that ``solve_bb``
-    prunes with, never above the energy of any spin completion; Newton steps
-    start from ``d``, by default -lam_min + epsilon.  A supplied ``d`` must
-    exceed -lam_min of the remaining block (any shift derived from the full
-    matrix by eigenvalue interlacing does).
+
+def bound_spd(model: IsingModel, prefix, epsilon: float, *,
+              admissible: bool = False, d: float | None = None) -> float:
+    """SPD relaxation bound below a nonempty prefix, in the model's own
+    variable order: the one-node case of ``solve_bb``'s depth-group bound.
+
+    Without ``admissible`` it is the prefix energy plus the relaxed minimum
+    at shift ``d``; with it, the spherical bound that ``solve_bb`` prunes
+    with, never above any completion's energy, with Newton steps from ``d``.
+    A supplied ``d`` must exceed -lam_min of the remaining block (any shift
+    derived from the full matrix by eigenvalue interlacing does).
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    u = np.asarray(node.fixed_prefix, dtype=np.float64)
+    u = as_spins(prefix).astype(np.float64)
     k = u.shape[0]
-    n = model.n
-    if k >= n:
-        raise ValidationError("SPD bound needs a nonempty remaining set")
+    if not 0 < k < model.n:
+        raise ValidationError("SPD bound needs a nonempty prefix and a nonempty remaining set")
     A = model.coupling_matrix()
-    c = model.h[k:] + A[k:, :k] @ u
-    lam, Q = _spectrum(A[k:, k:])
-    if d is None:
-        d = (-lam[0] if admissible else max(0.0, -lam[0])) + epsilon
-    elif d <= -lam[0]:
-        raise ValidationError(f"shift d={d} must exceed -lam_min={-lam[0]}")
-    value, _ = _relax(lam, Q, c[:, None], d, admissible)
-    return bound_base(model, node) + float(value[0])
+    spectrum = functools.cache(lambda depth: _spectrum(A[depth:, depth:]))
+    lam_min = spectrum(k)[0][0]
+    if d is not None and d <= -lam_min:
+        raise ValidationError(f"shift d={d} must exceed -lam_min={-lam_min}")
+    _, value, _ = _child_bounds(A, model.h, u[None, :-1], spectrum, epsilon, admissible, d)
+    return bound_base(model, u) + float(value[0 if u[-1] > 0 else 1])
 
 
 @dataclass
@@ -241,13 +243,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     Ap = A_full[np.ix_(perm, perm)]
     hp = model.h[perm]
 
-    spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def spectrum(depth: int) -> tuple[np.ndarray, np.ndarray]:
-        if depth not in spectra:
-            spectra[depth] = _spectrum(Ap[depth:, depth:])
-        return spectra[depth]
-
+    spectrum = functools.cache(lambda depth: _spectrum(Ap[depth:, depth:]))
     mode = params.bound_kind
     spd = mode.startswith("spd")
     admissible = mode == "spd_admissible"
@@ -341,12 +337,8 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
             pe_children = np.concatenate([pe + step, pe - step])
             if spd:
                 # columns g and G + g hold node g's children s_k = +1 and -1
-                col = Ap[k + 1:, k][:, None]
-                base_h = hp[k + 1:, None] + Ap[k + 1:, :k] @ U.T
-                h_pair = np.concatenate([base_h + col, base_h - col], axis=1)
-                lam, Q = spectrum(k + 1)
-                d = -lam[0] + params.epsilon if admissible else d_root
-                relaxed, R = _relax(lam, Q, h_pair, d, admissible)
+                h_pair, relaxed, R = _child_bounds(Ap, hp, U, spectrum, params.epsilon,
+                                                   admissible, None if admissible else d_root)
                 child_bounds = pe_children + relaxed
                 # relaxation rounding: a full assignment candidate for free;
                 # quench one child per expansion so the tree doubles as a

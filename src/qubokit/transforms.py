@@ -18,6 +18,7 @@ left to right, so the results are bitwise those of that pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -96,45 +97,38 @@ def reduce_cubic(h: HuboModel) -> tuple[IsingModel, ReductionMap]:
     scaled by |K|, with the sign chosen by sign(K).  Minimizing over the
     auxiliary reproduces the cubic value exactly for all 8 assignments, so
     the recorded affine relation is scale 1, shift 0.  Quadratic, linear and
-    constant terms pass through unchanged.
+    constant terms pass through unchanged, and then per non-zero cubic term
+    come its couplings (i, aux), (j, aux), (k, aux), (i, j), (j, k), (i, k):
+    repeated entries are summed as in one pass over the sorted terms.
     """
     if h.domain != SPIN_DOMAIN:
         raise ValidationError("cubic reduction expects a spin-domain HUBO")
-    order = max((len(t) for t in h.term_index), default=0)
+    blocks = {idx.shape[1]: (idx, c) for idx, c in h.blocks}
+    order = max(blocks, default=0)
     if order > 3:
         raise UnsupportedOrderError(f"reduction supports order <= 3, model has order {order}")
-
-    cubic = [(t, float(c)) for t, c in h.terms() if len(t) == 3 and c != 0.0]
-    total_n = h.n + len(cubic)
-    fields = np.zeros(total_n)
-    couplings: list[tuple[int, int, float]] = []
-    offset = 0.0
-
-    for t, c in h.terms():
-        if len(t) == 0:
-            offset += c
-        elif len(t) == 1:
-            fields[t[0]] += c
-        elif len(t) == 2:
-            couplings.append((t[0], t[1], c))
-
-    bindings = []
-    for pos, ((i, j, k), coeff) in enumerate(cubic):
-        aux = h.n + pos
-        w = abs(coeff)
-        sgn = 1.0 if coeff > 0 else -1.0
-        offset += 3.0 * w
-        for v in (i, j, k):
-            fields[v] += w * sgn
-            couplings.append((v, aux, 2.0 * w))
-        fields[aux] += 2.0 * w * sgn
-        couplings.append((i, j, w))
-        couplings.append((j, k, w))
-        couplings.append((i, k, w))
-        bindings.append((aux, (i, j, k)))
-
-    reduced = IsingModel.from_terms(total_n, h=fields, couplings=couplings, offset=offset)
-    rmap = ReductionMap(original_n=h.n, aux_bindings=tuple(bindings))
+    empty = (np.zeros((0, 3), dtype=np.int64), np.zeros(0))
+    constant = blocks.get(0, empty)[1]
+    lin, lin_c = blocks.get(1, empty)
+    quad, quad_c = blocks.get(2, empty)
+    cubic, coeff = blocks.get(3, empty)
+    keep = coeff != 0.0
+    cubic, coeff = cubic[keep], coeff[keep]
+    w = np.abs(coeff)
+    sgn = np.where(coeff > 0, 1.0, -1.0)
+    aux = h.n + np.arange(cubic.shape[0])
+    fields = np.zeros(h.n + aux.size)
+    np.add.at(fields, lin[:, 0], lin_c)
+    np.add.at(fields, cubic.ravel(), np.repeat(w * sgn, 3))
+    fields[aux] = 2.0 * w * sgn
+    i, j, k = cubic.T
+    rows = np.concatenate([quad[:, 0], np.stack([i, j, k, i, j, i], axis=1).ravel()])
+    cols = np.concatenate([quad[:, 1], np.stack([aux, aux, aux, j, k, k], axis=1).ravel()])
+    values = np.concatenate([quad_c, np.stack([2.0 * w] * 3 + [w] * 3, axis=1).ravel()])
+    reduced = IsingModel.from_arrays(h.n + aux.size, rows, cols, values, h=fields,
+                                     offset=_running_sum(0.0, np.concatenate([constant, 3.0 * w])))
+    rmap = ReductionMap(original_n=h.n,
+                        aux_bindings=tuple(zip(aux.tolist(), map(tuple, cubic.tolist()))))
     return reduced, rmap
 
 
@@ -147,20 +141,20 @@ def hubo_to_spin_domain(h: HuboModel) -> HuboModel:
     """Expand a binary-domain HUBO into the equivalent spin-domain HUBO.
 
     Each product of bits expands through x_i = (1 + s_i) / 2 into 2^k spin
-    monomials of order <= k, so the polynomial order never grows.
+    monomials of order <= k, so the polynomial order never grows; they come
+    term by term, then by subset, so sums run as one pass over the terms.
     """
     if h.domain == SPIN_DOMAIN:
         return h
-    from itertools import combinations
-
-    acc: dict[tuple[int, ...], float] = {}
-    for t, c in h.terms():
-        k = len(t)
-        base = c / (2.0 ** k)
+    blocks = []
+    for idx, c in h.blocks:
+        k = idx.shape[1]
+        base = c / 2.0 ** k
         for r in range(k + 1):
-            for sub in combinations(t, r):
-                acc[sub] = acc.get(sub, 0.0) + base
-    return HuboModel.from_terms(h.n, SPIN_DOMAIN, acc.items(), max_order=h.max_order)
+            subsets = np.array(list(combinations(range(k), r)), dtype=np.int64)
+            m = idx.shape[0] * subsets.shape[0]
+            blocks.append((idx[:, subsets].reshape(m, r), np.repeat(base, subsets.shape[0])))
+    return HuboModel.from_arrays(h.n, SPIN_DOMAIN, blocks, max_order=h.max_order)
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,113 @@ def mw3s_loop(n: int, seed) -> list[tuple[tuple[int, ...], float]]:
     return [(k, float(acc[k])) for k in sorted(acc, key=lambda k: (len(k), k))]
 
 
+# HUBO oracles: the dict loops that built, converted, reduced and read HUBO
+# models while ``HuboModel`` held one index tuple per term.  Copied as they
+# were, returning plain terms, arrays and text.
+
+def hubo_terms_loop(n: int, terms, max_order=None):
+    """(terms sorted by (order, key), max_order) of ``HuboModel.from_terms``
+    through the dict; a bad term raises ValueError with the model's message."""
+    import math
+
+    acc: dict[tuple[int, ...], float] = {}
+    for idx, coeff in terms:
+        key = tuple(int(i) for i in sorted(idx))
+        if len(set(key)) != len(key):
+            raise ValueError(f"term {key} repeats an index")
+        if key and not (0 <= key[0] and key[-1] < n):
+            raise ValueError(f"term {key} out of range for n={n}")
+        coeff = float(coeff)
+        if not math.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient for term {key}")
+        acc[key] = acc.get(key, 0.0) + coeff
+    keys = sorted(acc, key=lambda k: (len(k), k))
+    order = max((len(k) for k in keys), default=1)
+    if max_order is None:
+        max_order = max(order, 1)
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if order > max_order:
+        raise ValueError(f"term of order {order} exceeds declared max_order {max_order}")
+    return [(k, acc[k]) for k in keys], int(max_order)
+
+
+def hubo_to_spin_loop(n: int, terms, max_order: int):
+    """Terms of the spin expansion of sorted binary terms, monomial by monomial."""
+    acc: dict[tuple[int, ...], float] = {}
+    for t, c in terms:
+        k = len(t)
+        base = c / (2.0 ** k)
+        for r in range(k + 1):
+            for sub in itertools.combinations(t, r):
+                acc[sub] = acc.get(sub, 0.0) + base
+    return hubo_terms_loop(n, acc.items(), max_order=max_order)[0]
+
+
+def reduce_cubic_loop(n: int, terms):
+    """(h, rows, cols, values, offset, aux_bindings) of the cubic reduction
+    of sorted spin terms of order <= 3, term by term."""
+    cubic = [(t, float(c)) for t, c in terms if len(t) == 3 and c != 0.0]
+    fields = np.zeros(n + len(cubic))
+    couplings: list[tuple[int, int, float]] = []
+    offset = 0.0
+    for t, c in terms:
+        if len(t) == 0:
+            offset += c
+        elif len(t) == 1:
+            fields[t[0]] += c
+        elif len(t) == 2:
+            couplings.append((t[0], t[1], c))
+    bindings = []
+    for pos, ((i, j, k), coeff) in enumerate(cubic):
+        aux = n + pos
+        w = abs(coeff)
+        sgn = 1.0 if coeff > 0 else -1.0
+        offset += 3.0 * w
+        for v in (i, j, k):
+            fields[v] += w * sgn
+            couplings.append((v, aux, 2.0 * w))
+        fields[aux] += 2.0 * w * sgn
+        couplings.append((i, j, w))
+        couplings.append((j, k, w))
+        couplings.append((i, k, w))
+        bindings.append((aux, (i, j, k)))
+    rows, cols, vals = canonical_pairs_loop(couplings, n + len(cubic), allow_diagonal=False)
+    return fields, rows, cols, vals, offset, tuple(bindings)
+
+
+def hubo_text_loop(n: int, domain: str, terms) -> str:
+    """Text file of a HUBO model, formatted term by term."""
+    lines = ["# format: hubo", f"{n} {len(terms)} {domain}"]
+    for idx, c in terms:
+        lines.append(" ".join([str(len(idx))] + [str(i + 1) for i in idx] + [repr(c)]))
+    return "\n".join(lines) + "\n"
+
+
+def read_hubo_loop(text: str):
+    """(n, domain, sorted terms) of a HUBO text file, parsed line by line."""
+    header = None
+    body = []
+    for raw in text.splitlines():
+        f = raw.split("#", 1)[0].split()
+        if not f:
+            continue
+        if header is None:
+            header = f
+        else:
+            body.append(f)
+    terms = []
+    for f in body:
+        k = int(f[0])
+        idx = [int(i) - 1 for i in f[1:-1]]
+        coeff = float(f[-1])
+        if len(f) != k + 2:
+            raise ValueError(f"HUBO line of order {k} needs {k + 2} fields, got {len(f)}")
+        terms.append((idx, coeff))
+    n = int(header[0])
+    return n, header[2], hubo_terms_loop(n, terms)[0]
+
+
 # Step-kernel oracles: the allocating PA loop and SBM integrator that ran
 # before the replica state was held in the operator's memory order and
 # stepped in place.  Copied as they were, so the in-place kernels must

@@ -189,8 +189,7 @@ def test_criterion_06_bb_exactness_and_admissible_dominance():
     for _ in range(100):
         k = int(rng.integers(1, 17))
         prefix = rng.choice([-1, 1], size=k)
-        node = qk.BBNode.from_prefix(m, prefix)
-        b = qk.bound_spd(m, node, epsilon=1.0, admissible=True)
+        b = qk.bound_spd(m, prefix, epsilon=1.0, admissible=True)
         assert b <= completion_min(m, prefix) + 1e-9
     elapsed = time.time() - t0
     report(6, f"spd_admissible B&B matches brute force 20/20 (n<=26, worst "

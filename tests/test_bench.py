@@ -267,6 +267,20 @@ class TestSuiteInputs:
         with pytest.raises(ValidationError):
             run_suite(spec)
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "2", True])
+    @pytest.mark.parametrize("field", ["workers", "brute_force_cap", "replicas"])
+    def test_counts_must_be_positive_integers(self, field, value):
+        from qubokit import ValidationError
+        spec = SuiteSpec(source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
+                         solvers=[{"id": "bf"}], sample_count=4, **{field: value})
+        with pytest.raises(ValidationError, match=field):
+            run_suite(spec)
+
+    def test_replicas_may_be_none(self):
+        spec = SuiteSpec(source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
+                         solvers=[{"id": "bf"}], sample_count=4, replicas=None)
+        spec.validate()
+
     def test_3r3x_family_name(self):
         spec = SuiteSpec(source={"generator": {"family": "3r3x", "sizes": [6], "seeds": [2]}},
                          solvers=[{"id": "bf"}], reference="planted", sample_count=4)

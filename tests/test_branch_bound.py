@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qubokit import (
-    BBNode,
     BBParams,
     IsingModel,
     ValidationError,
@@ -28,23 +27,20 @@ def with_fields(m, scale, seed):
 class TestBoundBase:
     def test_empty_prefix_is_zero(self):
         m = gen_random("complete", "gaussian", 1, n=6)
-        node = BBNode.from_prefix(m, [])
-        assert bound_base(m, node) == 0.0
+        assert bound_base(m, []) == 0.0
 
     def test_full_prefix_is_total_energy(self):
         m = gen_random("complete", "gaussian", 2, n=6)
         s = np.array([1, -1, 1, 1, -1, -1], dtype=np.int8)
-        node = BBNode.from_prefix(m, s)
-        assert bound_base(m, node) == pytest.approx(m.energy(s), abs=1e-12)
+        assert bound_base(m, s) == pytest.approx(m.energy(s), abs=1e-12)
 
     def test_half_prefix_matches_induced_subgraph(self):
         m = gen_random("complete", "gaussian", 3, n=10)
         prefix = np.array([1, -1, -1, 1, 1], dtype=np.int8)
-        node = BBNode.from_prefix(m, prefix)
         sub = IsingModel.from_terms(
             5, h=m.h[:5],
             couplings=[(i, j, v) for i, j, v in m.couplings() if i < 5 and j < 5])
-        assert bound_base(m, node) == pytest.approx(
+        assert bound_base(m, prefix) == pytest.approx(
             ising_energy_naive(sub, prefix), abs=1e-12)
 
 
@@ -54,8 +50,7 @@ class TestBoundSpd:
         rng = np.random.default_rng(0)
         for _ in range(20):
             prefix = rng.choice([-1, 1], size=5)
-            node = BBNode.from_prefix(m, prefix)
-            b = bound_spd(m, node, epsilon=0.5, admissible=True)
+            b = bound_spd(m, prefix, epsilon=0.5, admissible=True)
             # closed form: best completion is prefix energy - |h~| + cross
             true = completion_min(m, prefix)
             assert b <= true + 1e-9
@@ -63,12 +58,11 @@ class TestBoundSpd:
     def test_epsilon_branch_for_psd_remainder(self):
         # a single free spin has remaining matrix [[0]]: eigmin = 0, d = eps
         m = IsingModel.from_terms(2, h=[0.0, 3.0], couplings=[(0, 1, 1.0)])
-        node = BBNode.from_prefix(m, [1])
         eps = 0.25
         # relaxed minimum is -h~^2 / (2 d) with d = eps, plus prefix
         h_eff = 3.0 + 1.0
         expected = 0.0 + (-h_eff ** 2 / (2 * eps))
-        assert bound_spd(m, node, epsilon=eps) == pytest.approx(expected, rel=1e-9)
+        assert bound_spd(m, [1], epsilon=eps) == pytest.approx(expected, rel=1e-9)
 
     def test_admissible_never_exceeds_completion_min(self):
         m = gen_random("complete", "uniform", 999, n=18)
@@ -76,8 +70,7 @@ class TestBoundSpd:
         for _ in range(100):
             k = int(rng.integers(1, 17))
             prefix = rng.choice([-1, 1], size=k)
-            node = BBNode.from_prefix(m, prefix)
-            b = bound_spd(m, node, epsilon=1.0, admissible=True)
+            b = bound_spd(m, prefix, epsilon=1.0, admissible=True)
             assert b <= completion_min(m, prefix) + 1e-9
 
     def test_interlaced_d_still_admissible(self):
@@ -88,15 +81,13 @@ class TestBoundSpd:
         for _ in range(30):
             k = int(rng.integers(1, 11))
             prefix = rng.choice([-1, 1], size=k)
-            node = BBNode.from_prefix(m, prefix)
-            b = bound_spd(m, node, epsilon=1.0, admissible=True, d=d_root)
+            b = bound_spd(m, prefix, epsilon=1.0, admissible=True, d=d_root)
             assert b <= completion_min(m, prefix) + 1e-9
 
     def test_empty_remaining_rejected(self):
         m = gen_random("complete", "gaussian", 6, n=4)
-        node = BBNode.from_prefix(m, [1, 1, 1, 1])
         with pytest.raises(ValidationError):
-            bound_spd(m, node, 1.0)
+            bound_spd(m, [1, 1, 1, 1], 1.0)
 
 
 class TestSolveBB:

@@ -182,6 +182,16 @@ class TestBench:
         records = load_records(out.with_suffix(".csv"))
         assert len(records) == 15
 
+    def test_workers_override_is_validated(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "source": {"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
+            "solvers": [{"id": "bf"}],
+        }))
+        assert run(["bench", suite, "--out", tmp_path / "r", "--workers", 0]) == 3
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_rerun_determinism(self, tmp_path):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({

@@ -1,9 +1,10 @@
 """Bitwise checks of the array construction core against per-term loops.
 
 Models built by ``from_arrays``/``from_terms``, ``gen_random``, the
-QUBO <-> Ising conversions and the instance readers must carry the same
-bytes as the dict-and-loop construction in ``oracles``; written files must
-be the same bytes as the term-by-term formatting.
+QUBO <-> Ising conversions, the HUBO spin expansion and cubic reduction and
+the instance readers must carry the same bytes as the dict-and-loop
+construction in ``oracles``; written files must be the same bytes as the
+term-by-term formatting.
 """
 
 import io
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from qubokit import (
+    HuboModel,
     IsingModel,
     QuboModel,
     ValidationError,
@@ -22,17 +24,29 @@ from qubokit import (
     read_instance,
     write_instance,
 )
-from qubokit.generators import _chimera_edges, gen_random, rng_stream
-from qubokit.transforms import ising_to_qubo, qubo_to_ising
+from qubokit.generators import (
+    _chimera_edges,
+    gen_3r3x,
+    gen_chain3,
+    gen_mw3s,
+    gen_random,
+    rng_stream,
+)
+from qubokit.transforms import hubo_to_spin_domain, ising_to_qubo, qubo_to_ising, reduce_cubic
 
 from oracles import (
     canonical_pairs_loop,
     chimera_edges_loop,
+    hubo_terms_loop,
+    hubo_text_loop,
+    hubo_to_spin_loop,
     ising_to_qubo_loop,
     quadratic_terms_loop,
     quadratic_text_loop,
     qubo_to_ising_loop,
+    read_hubo_loop,
     read_quadratic_loop,
+    reduce_cubic_loop,
 )
 
 
@@ -312,3 +326,160 @@ class TestFiles:
         with pytest.raises(ValidationError):
             model_from_dict({"format": "quadratic", "n": 2, "domain": "spin",
                              "terms": [[1, 2]]})
+
+
+# HUBO: per-order index blocks against the dict loops that held one index
+# tuple per term.
+
+def awkward_hubo_terms(n: int, seed: int, max_k: int = 4) -> list[tuple[tuple, float]]:
+    """Random terms of interleaved orders with unsorted indices, then
+    repeats in other index orders, -0.0, two constants and a pair that
+    sums to zero."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(8 * n):
+        k = int(rng.integers(0, min(max_k, n) + 1))
+        idx = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+        terms.append((idx, float(rng.standard_normal())))
+    terms += [((2, 0, 1), 0.1), ((1, 2, 0), 0.2), ((0, 1, 2), 0.3), ((), 0.5), ((), -0.0),
+              ((n - 1,), -0.0), ((3, 1), 0.3), ((1, 3), -0.3)]
+    return terms
+
+
+def hubo_blocks_of(terms):
+    """from_arrays blocks of the terms: one per order, rows in input order."""
+    by_order = {}
+    for idx, c in terms:
+        by_order.setdefault(len(idx), []).append((idx, c))
+    return [(np.array([i for i, _ in ts], dtype=np.int64).reshape(len(ts), k),
+             np.array([c for _, c in ts])) for k, ts in sorted(by_order.items(), reverse=True)]
+
+
+def same_terms(got, want):
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert [float(c).hex() for _, c in got] == [float(c).hex() for _, c in want]
+    assert all(type(i) is int for k, _ in got for i in k)
+
+
+HUBO_SIZES = [4, 7, 40, 200]
+
+
+class TestHuboBlocks:
+    @pytest.mark.parametrize("n", HUBO_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_terms_match_dict(self, n, seed):
+        terms = awkward_hubo_terms(n, seed)
+        want, max_order = hubo_terms_loop(n, terms)
+        for h in (HuboModel.from_terms(n, "spin", terms),
+                  HuboModel.from_arrays(n, "spin", hubo_blocks_of(terms))):
+            same_terms(h.terms(), want)
+            assert h.max_order == max_order and h.num_terms == len(want)
+            for idx, c in h.blocks:
+                assert idx.dtype == np.int64 and c.dtype == np.float64
+                assert not idx.flags.writeable and not c.flags.writeable
+
+    def test_duplicates_sum_in_input_order(self):
+        h = HuboModel.from_terms(3, "spin", [((0, 1, 2), 0.1), ((2, 1, 0), 0.2), ((1, 0, 2), 0.3)])
+        assert h.terms() == [((0, 1, 2), (0.1 + 0.2) + 0.3)]
+        blocks = [(np.array([[2, 1, 0]]), [0.3]), (np.array([[0, 2, 1], [0, 1, 2]]), [0.2, 0.1])]
+        assert HuboModel.from_arrays(3, "spin", blocks).terms() == [((0, 1, 2), (0.3 + 0.2) + 0.1)]
+
+    def test_negative_zero_and_empty_blocks(self):
+        h = HuboModel.from_arrays(3, "binary", [(np.zeros((0, 2), dtype=np.int64), []),
+                                                (np.array([[1]]), [-0.0])])
+        assert h.terms() == [((1,), 0.0)] and not np.signbit(h.blocks[0][1]).any()
+        assert len(h.blocks) == 1 and h.max_order == 1
+
+    @pytest.mark.parametrize("terms, max_order", [
+        ([((0, 1), 1.0), ((2, 2), 1.0)], None),
+        ([((0, 1), 1.0), ((5, 0), 1.0)], None),
+        ([((0, 1), 1.0), ((-1,), 1.0)], None),
+        ([((1, 0), np.nan), ((0, 0), 1.0)], None),
+        ([((0, 1, 2), 1.0), ((3, 7), 1.0), ((1, 1, 2), 1.0)], None),
+        ([((0, 1, 2), 1.0), ((1, 1, 2), 1.0), ((3, 7), 1.0)], None),
+        ([((9, 0, 9), np.inf)], None),
+        ([((0, 9), np.inf)], None),
+        ([((0, 1, 2), 1.0)], 2),
+    ])
+    def test_first_bad_term_reported_as_the_loop_does(self, terms, max_order):
+        with pytest.raises(ValueError) as want:
+            hubo_terms_loop(4, terms, max_order=max_order)
+        with pytest.raises(ValidationError) as got:
+            HuboModel.from_terms(4, "spin", terms, max_order=max_order)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: HuboModel.from_terms(3, "spin", [((0.5, 1), 1.0)]),
+        lambda: HuboModel.from_arrays(3, "spin", [(np.array([[0.0, np.nan]]), [1.0])]),
+        lambda: HuboModel.from_terms(3, "spin", [((0, 1), 1.0)], max_order=2.5),
+        lambda: HuboModel.from_terms(3, "spin", [((0, 1), 1.0)], max_order=0),
+        lambda: model_from_dict({"format": "quadratic", "n": 3, "domain": "spin",
+                                 "terms": [[1.5, 2, 1.0]]}),
+        lambda: model_from_dict({"format": "hubo", "n": 3, "domain": "spin",
+                                 "terms": [[[1.5, 2], 1.0]]}),
+        lambda: model_from_dict({"format": "hubo", "n": 3, "domain": "spin",
+                                 "terms": [[[1, 2], 1.0]], "max_order": 2.5}),
+    ], ids=["from_terms", "from_arrays-nan", "max_order", "max_order-0", "json-quadratic",
+            "json-hubo", "json-max_order"])
+    def test_non_integer_indices_rejected(self, build):
+        with pytest.raises(ValidationError, match="integer"):
+            build()
+
+    def test_block_shapes_checked(self):
+        with pytest.raises(ValidationError, match="coefficient per row"):
+            HuboModel.from_arrays(3, "spin", [(np.array([[0, 1], [1, 2]]), [1.0])])
+
+    @pytest.mark.parametrize("n", [3, 7, 40, 200])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spin_expansion_matches_dict(self, n, seed):
+        terms = ([((0, 1, 2), 0.7), ((1,), -0.2), ((2, 0, 1), 0.1), ((), 0.1)] if n < 4
+                 else awkward_hubo_terms(n, seed))
+        h = HuboModel.from_terms(n, "binary", terms, max_order=4)
+        same_terms(hubo_to_spin_domain(h).terms(), hubo_to_spin_loop(n, h.terms(), 4))
+
+    @pytest.mark.parametrize("n", [4, 7, 40, 200])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reduction_matches_loop(self, n, seed):
+        terms = awkward_hubo_terms(n, seed, max_k=3)
+        terms += [((0, 1, 3), 0.0), ((n - 1, 0, 2), -1.25)]
+        h = HuboModel.from_terms(n, "spin", terms)
+        fields, rows, cols, vals, offset, bindings = reduce_cubic_loop(n, h.terms())
+        reduced, rmap = reduce_cubic(h)
+        assert_model_is(reduced, fields, rows, cols, vals, offset)
+        assert rmap.aux_bindings == bindings and rmap.original_n == n
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_mw3s(40, 3), lambda: gen_chain3(12, 5), lambda: gen_3r3x(48, 2).model,
+        lambda: HuboModel.from_terms(7, "binary", awkward_hubo_terms(7, 4)),
+    ], ids=["mw3s", "chain3", "3r3x", "awkward-binary"])
+    def test_text_and_json_bytes_and_read_back(self, tmp_path, build):
+        h = build()
+        p = write_instance(tmp_path / "h.txt", h)
+        assert p.read_text() == hubo_text_loop(h.n, h.domain, h.terms())
+        n, domain, want = read_hubo_loop(p.read_text())
+        back = read_instance(p)
+        assert (back.n, back.domain) == (n, domain)
+        same_terms(back.terms(), want)
+        p = write_instance(tmp_path / "h.json", h)
+        data = {"format": "hubo", "n": h.n, "domain": h.domain, "max_order": h.max_order,
+                "terms": [[[i + 1 for i in k], c] for k, c in h.terms()]}
+        assert p.read_text() == json.dumps(data, indent=2) + "\n"
+        same_terms(read_instance(p).terms(), h.terms())
+
+    def test_hand_written_hubo_file(self, tmp_path):
+        text = ("# format: hubo\n# a comment\n5 9 spin\n"
+                "3 3 1 2 0.1\n2 2 1 0.2\n  # mid-body comment\n\n3 1 2 3 0.3\n"
+                "0 4.0\n1 5 -0.0\n2 1 2 1e-300 # trailing\n0 -1.5\n4 5 4 3 2 7\n1 1 0.5\n")
+        p = tmp_path / "hand.txt"
+        p.write_text(text)
+        n, domain, want = read_hubo_loop(text)
+        h = read_instance(p)
+        assert (h.n, h.domain, h.max_order) == (n, domain, 4)
+        same_terms(h.terms(), want)
+
+    @pytest.mark.parametrize("line", ["2 1 2 3 1.0", "2 1 1.0", "-1 1.0", "999999 1 1.0"])
+    def test_hubo_line_field_count_checked(self, tmp_path, line):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# format: hubo\n3 2 spin\n1 1 0.5\n{line}\n")
+        with pytest.raises(ValidationError, match="HUBO line"):
+            read_instance(p)

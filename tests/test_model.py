@@ -18,7 +18,13 @@ from qubokit import (
 from qubokit.generators import apply_gauge, gen_3r3x, gen_mw3s, gen_random, gen_tile, gen_wishart
 from qubokit.transforms import ising_to_qubo, reduce_cubic
 
-from oracles import all_spin_states, hubo_energy_naive, ising_energy_naive, qubo_energy_naive
+from oracles import (
+    all_bit_states,
+    all_spin_states,
+    hubo_energy_naive,
+    ising_energy_naive,
+    qubo_energy_naive,
+)
 
 
 class TestIsingEnergy:
@@ -223,6 +229,45 @@ class TestHuboEnergy:
     def test_constant_term(self):
         h = HuboModel.from_terms(2, "spin", [((), 4.0), ((0,), 1.0)])
         assert h.energy([-1, 1]) == 3.0
+
+    @pytest.mark.parametrize("domain", ["spin", "binary"])
+    def test_energies_match_naive_and_single_rows(self, domain):
+        rng = np.random.default_rng(11)
+        n = 9
+        terms = [((), 0.75)]
+        for _ in range(40):
+            order = int(rng.integers(1, 5))
+            terms.append((tuple(rng.choice(n, size=order, replace=False)), float(rng.normal())))
+        h = HuboModel.from_terms(n, domain, terms)
+        states = all_spin_states(n) if domain == "spin" else all_bit_states(n)
+        E = h.energies(states)
+        for s, e in zip(states[::7], E[::7]):
+            assert e == pytest.approx(hubo_energy_naive(h, s), abs=1e-12)
+            assert h.energy(s) == e  # the same bits alone as in the batch
+
+    def test_replica_chunks_keep_the_bits(self, monkeypatch):
+        import qubokit.model
+        h = gen_mw3s(40, 2)
+        states = np.where(np.random.default_rng(2).random((50, 40)) < 0.5, -1, 1)
+        whole = h.energies(states)
+        monkeypatch.setattr(qubokit.model, "HUBO_CHUNK_ENTRIES", 7)
+        assert h.energies(states).tobytes() == whole.tobytes()
+        assert h.energies(states.astype(np.float64)).tobytes() == whole.tobytes()
+
+    def test_energies_memory_bounded_by_one_order(self):
+        # A (replicas, terms, order) gather peaks at about 51 MB here; the
+        # bound is twice one (replicas, cubic terms) float64 block, 10 MB.
+        h = gen_mw3s(10 ** 4, 3)
+        cubic = dict((idx.shape[1], c.size) for idx, c in h.blocks)[3]
+        R = 64
+        states = np.where(np.random.default_rng(3).random((R, h.n)) < 0.5, -1, 1).astype(np.int8)
+        tracemalloc.start()
+        try:
+            h.energies(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * R * cubic
 
 
 def _chimera16():

@@ -5,7 +5,7 @@ replaced, the search size it buys, and the certified lower bound."""
 import numpy as np
 import pytest
 
-from qubokit import BBNode, BBParams, bound_base, bound_spd, solve_bb, solve_brute_force
+from qubokit import BBParams, bound_base, bound_spd, solve_bb, solve_brute_force
 from qubokit.generators import gen_random
 
 from oracles import completion_min
@@ -28,7 +28,7 @@ def scalar_shift_bound(model, prefix, epsilon):
     d_root = max(0.0, -np.linalg.eigvalsh(A)[0]) + epsilon
     m = model.n - k
     r = np.linalg.solve(A[k:, k:] + d_root * np.eye(m), -c)
-    return bound_base(model, BBNode.from_prefix(model, prefix)) + 0.5 * c @ r - d_root * m
+    return bound_base(model, prefix) + 0.5 * c @ r - d_root * m
 
 
 def random_prefixes(count, n, rng):
@@ -43,7 +43,7 @@ def test_admissible_and_dominates_scalar_shift_on_int_models():
     for seed in range(10):
         m = int_model(1200 + seed, 12)
         for prefix in random_prefixes(60, 12, rng):
-            b = bound_spd(m, BBNode.from_prefix(m, prefix), EPS, admissible=True)
+            b = bound_spd(m, prefix, EPS, admissible=True)
             assert b <= completion_min(m, prefix) + 1e-9
             assert b >= scalar_shift_bound(m, prefix, EPS) - 1e-9
             checked += 1
