@@ -8,9 +8,10 @@ For n = 500 and n = 1000 it generates a complete uniform Ising model with a fixe
 times ``gen_random``, ``write_instance``, ``read_instance``,
 ``ising_to_qubo`` and ``qubo_to_ising``.  For n = 10^4 and 10^5 it
 generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
-``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` and
-``energies`` on 64 random replicas, whose tracemalloc peak it also
-records.  Each time is the minimum over three calls.  It prints one JSON
+``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` (of the
+file as written, and of a copy without its ``# format:`` line, which the
+reader must then recognise as HUBO) and ``energies`` on 64 random replicas,
+whose tracemalloc peak it also records.  Each time is the minimum over three calls.  It prints one JSON
 object: the machine, the versions, the file sizes, the timings in seconds
 and the peak in MB.
 """
@@ -58,6 +59,9 @@ def measure_hubo(n: int, workdir: Path) -> dict:
     to_ising_s, _ = best_of(REPEATS, lambda: to_ising(model))
     write_s, _ = best_of(REPEATS, lambda: write_instance(path, model))
     read_s, _ = best_of(REPEATS, lambda: read_instance(path))
+    bare = workdir / f"mw3s-{n}-no-format.txt"
+    bare.write_text(path.read_text().replace("# format: hubo\n", "", 1))
+    read_bare_s, _ = best_of(REPEATS, lambda: read_instance(bare))
     rng = np.random.default_rng(SEED)
     states = np.where(rng.random((REPLICAS, n)) < 0.5, -1, 1).astype(np.int8)
     energies_s, _ = best_of(REPEATS, lambda: model.energies(states))
@@ -71,6 +75,7 @@ def measure_hubo(n: int, workdir: Path) -> dict:
             "file_mb": round(path.stat().st_size / 1e6, 3),
             "gen_mw3s_s": round(gen_s, 4), "to_ising_s": round(to_ising_s, 4),
             "write_instance_s": round(write_s, 4), "read_instance_s": round(read_s, 4),
+            "read_instance_no_format_s": round(read_bare_s, 4),
             "energies_s": round(energies_s, 4), "energies_peak_mb": round(peak / 1e6, 2)}
 
 

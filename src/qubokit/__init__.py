@@ -61,7 +61,6 @@ from .solvers import (
 from .transforms import (
     hubo_to_spin_domain,
     ising_to_qubo,
-    lift_solution,
     qubo_to_ising,
     reduce_cubic,
 )

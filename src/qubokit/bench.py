@@ -33,13 +33,10 @@ from .errors import ReferenceUndefinedError, ValidationError
 from .generators import GENERATORS, generate
 from .instance_io import read_certificate, read_instance
 from .model import IsingModel
-from .solvers import run_solver, solve_brute_force
+from .solvers import DEFAULT_CAP, run_solver, solve_brute_force
 from .transforms import to_ising
 
 REPORT_SCHEMA_VERSION = 1
-
-RECORD_FIELDS = ["instance_id", "solver_id", "energy", "reference_energy", "gap",
-                 "wall_time", "seed", "error"]
 
 
 def optimality_gap(e: float, e_ref: float) -> float:
@@ -75,10 +72,9 @@ class SuiteSpec:
     source: dict
     solvers: list[dict]
     reference: str = "best_of_suite"
-    sample_count: int = 1024
-    replicas: int | None = None
+    replicas: int = 1024
     reference_file: str | None = None
-    brute_force_cap: int = 30
+    brute_force_cap: int = DEFAULT_CAP
     workers: int = 1
 
     def validate(self):
@@ -86,10 +82,8 @@ class SuiteSpec:
             raise ValidationError("suite needs an instance source")
         if not self.solvers:
             raise ValidationError("suite needs at least one solver")
-        for name in ("sample_count", "replicas", "brute_force_cap", "workers"):
+        for name in ("replicas", "brute_force_cap", "workers"):
             value = getattr(self, name)
-            if name == "replicas" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.reference not in ("planted", "brute_force", "best_of_suite", "file"):
@@ -167,7 +161,6 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
                      json.loads(Path(spec.reference_file).read_text()).items()}
 
     tasks = [(entry, solver) for entry in entries for solver in spec.solvers]
-    replicas = spec.replicas if spec.replicas is not None else spec.sample_count
 
     def run_task(task):
         entry, solver = task
@@ -176,7 +169,7 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
             return (entry, sid, np.nan, 0.0, entry.error)
         try:
             result = run_solver(solver["id"], entry.model, solver.get("params", {}),
-                                replicas=replicas,
+                                replicas=spec.replicas,
                                 seed=entry.seed if entry.seed is not None else 0,
                                 cap=spec.brute_force_cap)
             return (entry, sid, result.energy, result.wall_time, "")
@@ -245,22 +238,22 @@ def spectrum(sampleset, bins: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-def export_records(records: list[GapRecord], path, fmt: str = "csv") -> Path:
-    """Write records to CSV or JSON with a stable column order."""
+def export_records(records: list[GapRecord], path) -> Path:
+    """Write records in ``GapRecord``'s field order: JSON for a ``.json``
+    path, else CSV."""
     path = Path(path)
     try:
-        if fmt == "csv":
-            with path.open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
-                writer.writeheader()
-                for rec in records:
-                    writer.writerow(dataclasses.asdict(rec))
-        elif fmt == "json":
+        if path.suffix == ".json":
             payload = {"version": REPORT_SCHEMA_VERSION,
                        "records": [dataclasses.asdict(rec) for rec in records]}
             path.write_text(json.dumps(payload, indent=2) + "\n")
         else:
-            raise ValidationError(f"unknown export format {fmt!r}")
+            fields = [f.name for f in dataclasses.fields(GapRecord)]
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                for rec in records:
+                    writer.writerow(dataclasses.asdict(rec))
     except OSError as exc:
         raise OSError(f"failed to write report {path}: {exc}") from exc
     return path

@@ -18,11 +18,10 @@ from . import bench as bench_mod
 from .errors import QubokitError, SizeCapError, UnsupportedOrderError, ValidationError
 from .generators import GENERATORS, generate
 from .instance_io import read_certificate, read_instance, write_certificate, write_instance
-from .solvers import SOLVERS, default_config, run_solver, solve_brute_force
+from .solvers import DEFAULT_CAP, SOLVERS, default_config, run_solver, solve_brute_force
 from .transforms import ising_to_qubo, to_ising
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
@@ -69,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--params", type=Path, help="JSON file with solver parameters")
     s.add_argument("--replicas", type=int)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--bf-cap", type=int, default=30)
+    s.add_argument("--bf-cap", type=int, default=DEFAULT_CAP)
     s.add_argument("--out", type=Path, help="write report JSON here")
     s.add_argument("--print-config", action="store_true",
                    help="print solver parameter defaults and exit")
@@ -100,8 +99,7 @@ def _cmd_generate(args) -> int:
     write_instance(args.out, model)
     if planted is not None:
         cert_path = args.out.with_suffix(args.out.suffix + ".cert.json")
-        write_certificate(cert_path, planted.planted_energy, planted.planted_state,
-                          planted.family, planted.hardness, args.seed)
+        write_certificate(cert_path, planted)
         summary += f" planted_energy={planted.planted_energy} certificate={cert_path}"
     print(f"generated {summary} -> {args.out}")
     return EXIT_OK
@@ -180,7 +178,7 @@ def _cmd_bench(args) -> int:
     records = bench_mod.run_suite(spec)
     out = args.out if args.out is not None else Path("bench_report")
     path = out.with_suffix(f".{args.format}")
-    bench_mod.export_records(records, path, args.format)
+    bench_mod.export_records(records, path)
     ok = [r for r in records if not r.error]
     mean_gap = float(np.mean([r.gap for r in ok])) if ok else float("nan")
     print(f"bench: {len(records)} records ({len(records) - len(ok)} errors), "

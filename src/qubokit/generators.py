@@ -166,8 +166,6 @@ TILE_COUPLING_SETS: dict[int, tuple[float, float, float, float]] = {
     4: (1.0, 1.0, 1.0, -1.0),
 }
 
-_FERRO4 = np.ones(4, dtype=np.int8)
-
 
 def _tile_cell_check(couplings) -> tuple[float, int]:
     """Minimum and minimizer count of the 16-state cell Hamiltonian."""

@@ -6,13 +6,18 @@ count, domain tag ``spin`` or ``binary``), followed by m term lines with
 a linear term (Ising field / QUBO diagonal).  HUBO files use the extended
 ``k i1 ... ik v`` form, where k is the term order (k = 0 holds a constant).
 ``#`` starts a comment.  Writers emit ``# format:`` and ``# offset:`` comment
-lines so files are self-describing; without the format comment a file is
-read as quadratic when every term line has three fields, else as HUBO.
-Quadratic bodies are parsed in one ``np.loadtxt`` call, HUBO bodies in one
-per order; repeated lines are summed in line order (fields into ``h``,
-pairs and terms as in ``from_arrays``), and a malformed line, an index out
-of range (field lines included) or a term count that differs from the
-header is a ValidationError.
+lines so files are self-describing.  Such a settings line counts wherever
+it stands and the last of each kind wins; the body is scanned for them only
+when it holds a ``#``.  A format other than ``quadratic`` or ``hubo``, an
+offset that is not a number, and a non-zero offset on a HUBO (its constant
+is an order-0 term; in JSON too) are ValidationErrors.  Without the format
+comment a file is HUBO when its first term line (trailing comment cut) has
+other than three fields, else quadratic when every term line has three
+fields, else HUBO.  Quadratic bodies are parsed in one ``np.loadtxt`` call,
+HUBO bodies in one per order; repeated lines are summed in line order
+(fields into ``h``, pairs and terms as in ``from_arrays``), and a malformed
+line, an index out of range (field lines included) or a term count that
+differs from the header is a ValidationError.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
@@ -31,6 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
+from .generators import PlantedInstance
 from .model import (BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel,
                     _as_indices, _term_blocks)
 
@@ -40,6 +46,9 @@ FORMAT_QUADRATIC = "quadratic"
 FORMAT_HUBO = "hubo"
 
 _TERM_LINE = re.compile(r"^[ \t]*[^\s#].*$", re.MULTILINE)  # a line that is not blank or a comment
+# a "# format: ..." or "# offset: ..." comment line, as (key, value)
+_SETTING = re.compile(r"^[^\S\n]*#[^\S\n]*(format|offset):(.*)$", re.MULTILINE)
+_HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 
 
 def model_to_dict(model: Model) -> dict:
@@ -85,6 +94,8 @@ def model_from_dict(data: dict) -> Model:
                                   "is not a pair of integers")
         return _quadratic_model(n, domain, pairs[:, 0] - 1, pairs[:, 1] - 1, t[:, 2], offset)
     if fmt == FORMAT_HUBO:
+        if data.get("offset", 0.0) != 0.0:
+            raise ValidationError(_HUBO_OFFSET)
         try:
             blocks = [(idx - 1, c) for idx, c in _term_blocks(data["terms"])]
         except (TypeError, ValueError) as exc:
@@ -142,34 +153,35 @@ def read_instance(path) -> Model:
     if path.suffix == ".json":
         return model_from_dict(json.loads(path.read_text()))
 
-    fmt = None
-    offset = 0.0
-    header = None
-    stream = io.StringIO(path.read_text())
-    for raw in stream:
-        line = raw.strip()
-        if line.startswith("#"):
-            fmt, offset = _comment(line, fmt, offset)
-        elif line:
-            header = line.split()
-            break
-    body = stream.read()
-    if "#" in body:  # format and offset comments count wherever they stand
-        for raw in body.splitlines():
-            line = raw.strip()
-            if line.startswith("#"):
-                fmt, offset = _comment(line, fmt, offset)
-    if header is None or len(header) != 3:
+    text = path.read_text()
+    head = _TERM_LINE.search(text)
+    header = head.group().split() if head is not None else []
+    if len(header) != 3:
         raise ValidationError(f"{path}: missing or malformed 'n m d' header line")
     try:
         n, m, domain = int(header[0]), int(header[1]), header[2]
     except ValueError:
         raise ValidationError(f"{path}: header 'n m d' needs integer n and m, "
                               f"got {' '.join(header)!r}") from None
+    body = text[head.end():]
+    settings = dict(_SETTING.findall(text[:head.start()]))
+    if "#" in body:  # settings comments count wherever they stand
+        settings.update(_SETTING.findall(body))
+    fmt = settings["format"].strip() if "format" in settings else None
+    if fmt not in (None, FORMAT_QUADRATIC, FORMAT_HUBO):
+        raise ValidationError(f"{path}: unknown instance format {fmt!r}")
+    try:
+        offset = float(settings.get("offset", 0.0))
+    except ValueError:
+        raise ValidationError(f"{path}: offset {settings['offset'].strip()!r} "
+                              "is not a number") from None
+    first = _TERM_LINE.search(body)
+    if fmt is None and first and len(first.group().split("#", 1)[0].split()) != 3:
+        fmt = FORMAT_HUBO
 
     if fmt in (None, FORMAT_QUADRATIC):
         try:  # loadtxt warns on a body without term lines
-            t = (_loadtxt(io.StringIO(body), TERM_DTYPE) if _TERM_LINE.search(body)
+            t = (_loadtxt(io.StringIO(body), TERM_DTYPE) if first
                  else np.empty(0, dtype=TERM_DTYPE))
         except (ValueError, DeprecationWarning) as exc:
             if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
@@ -180,20 +192,12 @@ def read_instance(path) -> Model:
                 raise ValidationError(f"{path}: header declares {m} terms, found {t.size}")
             return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
 
+    if offset != 0.0:
+        raise ValidationError(f"{path}: {_HUBO_OFFSET}")
     lines = _TERM_LINE.findall(body)
     if len(lines) != m:
         raise ValidationError(f"{path}: header declares {m} terms, found {len(lines)}")
     return HuboModel.from_arrays(n, domain, _hubo_blocks(lines, path))
-
-
-def _comment(line: str, fmt, offset):
-    """(format, offset) after one ``#`` comment line."""
-    comment = line[1:].strip()
-    if comment.startswith("format:"):
-        fmt = comment.split(":", 1)[1].strip()
-    elif comment.startswith("offset:"):
-        offset = float(comment.split(":", 1)[1])
-    return fmt, offset
 
 
 def _loadtxt(lines, dtype, usecols=None) -> np.ndarray:
@@ -230,16 +234,15 @@ def _hubo_blocks(lines: list[str], path) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def write_certificate(path, planted_energy: float, planted_state, family: str,
-                      hardness: dict, seed) -> Path:
-    """Write the sidecar certificate carried by planted instances."""
+def write_certificate(path, planted: PlantedInstance) -> Path:
+    """Write the sidecar certificate of a planted instance."""
     path = Path(path)
     payload = {
-        "planted_energy": float(planted_energy),
-        "planted_state": [int(s) for s in np.asarray(planted_state)],
-        "family": family,
-        "hardness": hardness,
-        "seed": seed,
+        "planted_energy": float(planted.planted_energy),
+        "planted_state": [int(s) for s in planted.planted_state],
+        "family": planted.family,
+        "hardness": planted.hardness,
+        "seed": planted.seed,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

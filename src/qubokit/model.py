@@ -134,21 +134,26 @@ def _canonical_pairs(n: int, rows, cols, values,
     the terms would (so -0.0 becomes 0.0): ``np.add.at`` applies repeated
     indices one after another in array order.
     """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
+    rows, cols = np.ravel(rows), np.ravel(cols)
     values = np.asarray(values, dtype=np.float64).ravel()
     if not rows.shape == cols.shape == values.shape:
         raise ValidationError(
             f"term arrays differ in length: {rows.size}, {cols.size}, {values.size}")
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
+    # an (m, 2) view of the (2, m) stack: the per-term reductions run fast
+    # down its contiguous columns
+    pairs, non_integer = _as_indices(np.stack([rows, cols]).T)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
     out_of_range = (lo < 0) | (hi >= n)
     diagonal = (lo == hi) & (not allow_diagonal)
     non_finite = ~np.isfinite(values)
-    bad = out_of_range | diagonal | non_finite
+    bad = non_integer | out_of_range | diagonal | non_finite
     if bad.any():
         k = int(bad.argmax())  # the first bad term, checked as the term loop would
         i, j = int(lo[k]), int(hi[k])
+        if non_integer[k]:
+            raise ValidationError(f"term index pair ({rows[k]}, {cols[k]}) "
+                                  "is not a pair of integers")
         if out_of_range[k]:
             raise ValidationError(f"term index pair ({i}, {j}) out of range for n={n}")
         if diagonal[k]:
@@ -161,9 +166,10 @@ def _canonical_pairs(n: int, rows, cols, values,
 
 
 def _term_arrays(terms: Iterable[tuple[int, int, float]]):
-    """(rows, cols, values) columns of an iterable of (i, j, v) terms."""
-    t = np.fromiter(map(tuple, terms), dtype=TERM_DTYPE)
-    return t["i"], t["j"], t["v"]
+    """(rows, cols, values) columns of an iterable of (i, j, v) terms; the
+    indices stay floats, so ``_canonical_pairs`` sees any fraction."""
+    t = np.fromiter(map(tuple, terms), dtype=np.dtype((np.float64, 3)))
+    return t[:, 0], t[:, 1], t[:, 2]
 
 
 def _dense_operator(n: int, nnz: int) -> bool:

@@ -17,14 +17,14 @@ r(d) = -Q (Q^T c / (lam + d)).  Bound kinds:
 * ``base``: the prefix energy (no contribution from free spins).
 * ``spd``: prefix energy plus the relaxed minimum
   -1/2 sum_i (Q^T c)_i^2 / (lam_i + d) at the fixed shift
-  d_root = max(0, -lam_min(A)) + epsilon of the whole matrix (positive
+  d_root = max(0, -lam_min(A)) + EPSILON of the whole matrix (positive
   definite at every depth by eigenvalue interlacing), without the -d m / 2
   term: a selection score, not a bound.
 * ``spd_admissible``: the spherical bound (Poljak & Rendl 1995), the
   right-hand side above maximised over d.  It is concave in d with its
   maximum where ||r(d)|| = sqrt(m), the trust-region secular equation of
   Moré & Sorensen (1983).  Newton steps on 1/||r(d)|| - 1/sqrt(m), started
-  at d = -lam_min + epsilon, only increase d and stay left of that root,
+  at d = -lam_min + EPSILON, only increase d and stay left of that root,
   so every iterate is a true lower bound and pruning is exact.
 
 The variable order is fixed, so A_rem depends on the depth alone: its
@@ -77,6 +77,9 @@ from .common import BBParams
 # m below which the shift counts as converged (the bound is flat there)
 _NEWTON_STEPS = 8
 _NEWTON_RTOL = 1e-9
+# Margin above -lam_min of the shifts solve_bb starts from, which keeps the
+# shifted free blocks positive definite
+EPSILON = 1e-6
 
 # Nodes popped and expanded together: one group per depth shares (lam, Q),
 # so a group costs one _relax call and one polish over all its candidates
@@ -249,7 +252,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     admissible = mode == "spd_admissible"
     d_root = 0.0
     if spd and not admissible:
-        d_root = max(0.0, -spectrum(0)[0][0]) + params.epsilon
+        d_root = max(0.0, -spectrum(0)[0][0]) + EPSILON
 
     leaf = min(params.leaf_size, n)
     kc = n - leaf
@@ -337,7 +340,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
             pe_children = np.concatenate([pe + step, pe - step])
             if spd:
                 # columns g and G + g hold node g's children s_k = +1 and -1
-                h_pair, relaxed, R = _child_bounds(Ap, hp, U, spectrum, params.epsilon,
+                h_pair, relaxed, R = _child_bounds(Ap, hp, U, spectrum, EPSILON,
                                                    admissible, None if admissible else d_root)
                 child_bounds = pe_children + relaxed
                 # relaxation rounding: a full assignment candidate for free;

@@ -29,8 +29,11 @@ class SampleSet:
     """Seeded, replica-indexed ensemble of (state, energy), best-first."""
 
     samples: list[Sample]
-    replica_count: int
     seed: int | None
+
+    @property
+    def replica_count(self) -> int:
+        return len(self.samples)
 
     @property
     def best(self) -> Sample:
@@ -55,7 +58,7 @@ def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     energies = model.energies(states)
     order = np.argsort(energies, kind="stable")
     samples = [Sample(states[r].copy(), float(energies[r]), int(r)) for r in order]
-    return SampleSet(samples=samples, replica_count=states.shape[0], seed=seed)
+    return SampleSet(samples=samples, seed=seed)
 
 
 def replica_streams(seed, count: int) -> list[np.random.Generator]:
@@ -149,9 +152,6 @@ class BBParams:
     spherical bound: the relaxation maximised over the shift, a true lower
     bound that prunes exactly and certifies ``BBResult.lower_bound``).  The
     SPD kinds read one eigendecomposition of the free block per depth.
-    ``epsilon`` sets the heuristic kind's fixed shift
-    max(0, -lam_min(A)) + epsilon and the admissible kind's Newton start
-    -lam_min(A_free) + epsilon.
     ``leaf_size`` closes nodes by exact enumeration once that many free
     variables remain.  ``pool_limit`` caps the frontier after each batch of
     up to ``branch_bound.EXPAND_BATCH`` expansions: the cap holds after
@@ -160,7 +160,6 @@ class BBParams:
 
     bound_kind: str = "spd_admissible"
     pool_limit: int = 2 ** 20
-    epsilon: float = 1e-6
     time_limit: float | None = None
     leaf_size: int = 12
 
@@ -169,7 +168,6 @@ class BBParams:
             raise ValidationError(f"unknown bound_kind {self.bound_kind!r}")
         if self.pool_limit < 1:
             raise ValidationError("pool_limit must be >= 1")
-        _positive("epsilon", self.epsilon)
         if self.time_limit is not None:
             _positive("time_limit", self.time_limit)
         if self.leaf_size < 1:

@@ -38,7 +38,6 @@ __all__ = [
     "qubo_to_ising",
     "ising_to_qubo",
     "reduce_cubic",
-    "lift_solution",
     "hubo_to_spin_domain",
     "to_ising",
     "Lift",
@@ -130,11 +129,6 @@ def reduce_cubic(h: HuboModel) -> tuple[IsingModel, ReductionMap]:
     rmap = ReductionMap(original_n=h.n,
                         aux_bindings=tuple(zip(aux.tolist(), map(tuple, cubic.tolist()))))
     return reduced, rmap
-
-
-def lift_solution(rmap: ReductionMap, reduced) -> np.ndarray:
-    """Project a reduced-model spin state back to the original variables."""
-    return rmap.lift(reduced)
 
 
 def hubo_to_spin_domain(h: HuboModel) -> HuboModel:

@@ -7,6 +7,7 @@ check.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -505,3 +506,11 @@ def descend_loop(A, h, u, energy: float) -> float:
         energy += dE[best]
         f += 2.0 * A[:, best] * u[best]
     return energy
+
+
+def certificate_text(planted_energy, planted_state, family, hardness, seed) -> str:
+    """Certificate file text written from its five fields one by one."""
+    payload = {"planted_energy": float(planted_energy),
+               "planted_state": [int(s) for s in np.asarray(planted_state)],
+               "family": family, "hardness": hardness, "seed": seed}
+    return json.dumps(payload, indent=2) + "\n"

@@ -79,7 +79,7 @@ def test_criterion_02_reduction_gadget():
         S = all_spin_states(reduced.n)
         energies = reduced.energies(S)
         assert float(energies.min()) == pytest.approx(direct_min, abs=1e-9)
-        lifted = qk.lift_solution(rmap, S[int(np.argmin(energies))])
+        lifted = rmap.lift(S[int(np.argmin(energies))])
         assert h.energy(lifted) == pytest.approx(direct_min, abs=1e-9)
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -157,7 +157,7 @@ def test_criterion_05_heuristic_quality_oracle_scale():
         reduced, rmap = qk.reduce_cubic(pi.model)
         for name, run in solvers.items():
             best = run(reduced, seed).best
-            lifted = qk.lift_solution(rmap, best.state)
+            lifted = rmap.lift(best.state)
             hits_planted[name] += abs(pi.model.energy(lifted) - pi.planted_energy) < 1e-9
     elapsed = time.time() - t0
     for name in solvers:
@@ -304,7 +304,7 @@ def test_criterion_10_determinism_any_worker_budget():
                  {"id": "sbm", "params": {"steps": 300, "dt": 0.1}},
                  {"id": "bb", "params": {"bound_kind": "spd_admissible"}},
                  {"id": "bf"}],
-        reference="brute_force", sample_count=16)
+        reference="brute_force", replicas=16)
     runs = [qk.run_suite(qk.SuiteSpec(workers=w, **spec_kwargs)) for w in (1, 4, 2)]
     for other in runs[1:]:
         for ra, rb in zip(runs[0], other):

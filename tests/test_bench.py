@@ -46,7 +46,7 @@ class TestSpectrum:
     def test_constant_samples_single_bin(self):
         from qubokit.solvers.common import Sample, SampleSet
         s = SampleSet(samples=[Sample(np.ones(2, dtype=np.int8), 1.5, r) for r in range(5)],
-                      replica_count=5, seed=0)
+                      seed=0)
         edges, counts = spectrum(s, bins=10)
         assert len(counts) == 1
         assert counts[0] == 5
@@ -66,7 +66,7 @@ def suite_for(tmp_path, reference="planted", solvers=None, workers=1):
                               "p2": 0.2}},
         solvers=solvers or [{"id": "sa", "params": {"sweeps": 300}}],
         reference=reference,
-        sample_count=32,
+        replicas=32,
         workers=workers,
     )
 
@@ -84,7 +84,7 @@ class TestRunSuite:
             source={"generator": {"family": "random", "sizes": [12], "seeds": [5, 6]}},
             solvers=[{"id": "sa", "params": {"sweeps": 100}},
                      {"id": "pa", "params": {"steps": 200}}],
-            reference="brute_force", sample_count=16)
+            reference="brute_force", replicas=16)
         records = run_suite(spec)
         assert len(records) == 4
         for rec in records:
@@ -97,7 +97,7 @@ class TestRunSuite:
             solvers=[{"id": "sa", "name": "sa-short", "params": {"sweeps": 20}},
                      {"id": "sa", "name": "sa-long", "params": {"sweeps": 400}},
                      {"id": "bf"}],
-            reference="best_of_suite", sample_count=8)
+            reference="best_of_suite", replicas=8)
         records = run_suite(spec)
         by_instance = {}
         for rec in records:
@@ -109,7 +109,7 @@ class TestRunSuite:
         spec = SuiteSpec(
             source={"generator": {"family": "random", "sizes": [8], "seeds": [1]}},
             solvers=[{"id": "sa", "params": {"sweeps": 10}}],
-            reference="planted", sample_count=4)
+            reference="planted", replicas=4)
         records = run_suite(spec)
         assert len(records) == 1
         assert "planted" in records[0].error
@@ -117,11 +117,10 @@ class TestRunSuite:
     def test_file_source_with_certificates(self, tmp_path):
         pi = gen_tile(4, (0, 0.2, 0, 0.8), seed=9)
         p = write_instance(tmp_path / "tile.txt", pi.model)
-        write_certificate(tmp_path / "tile.txt.cert.json", pi.planted_energy,
-                          pi.planted_state, pi.family, pi.hardness, 9)
+        write_certificate(tmp_path / "tile.txt.cert.json", pi)
         spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
                          solvers=[{"id": "sa", "params": {"sweeps": 300, "seed": 0}}],
-                         reference="planted", sample_count=32)
+                         reference="planted", replicas=32)
         records = run_suite(spec)
         assert records[0].error == ""
         assert records[0].reference_energy == pi.planted_energy
@@ -143,7 +142,7 @@ class TestRunSuite:
                      {"id": "pa", "params": {"steps": 50}},
                      {"id": "sbm", "params": {"steps": 50, "dt": 0.1}},
                      {"id": "bb"}],
-            reference="brute_force", sample_count=4)
+            reference="brute_force", replicas=4)
         records = run_suite(spec)
         assert len(records) == 12
         assert len(calls) == 3
@@ -186,24 +185,32 @@ class TestExport:
                 GapRecord("i2", "pa", -9.5, -10.0, 0.05, 0.456, 2, error="")]
 
     def test_csv_round_trip(self, tmp_path):
-        p = export_records(self.records(), tmp_path / "r.csv", "csv")
+        p = export_records(self.records(), tmp_path / "r.csv")
         back = load_records(p)
         assert back == self.records()
 
     def test_json_round_trip(self, tmp_path):
-        p = export_records(self.records(), tmp_path / "r.json", "json")
+        p = export_records(self.records(), tmp_path / "r.json")
         back = load_records(p)
         assert back == self.records()
         payload = json.loads(p.read_text())
         assert payload["version"] == 1
 
     def test_empty_records_header_only(self, tmp_path):
-        p = export_records([], tmp_path / "empty.csv", "csv")
+        p = export_records([], tmp_path / "empty.csv")
         lines = p.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].split(",") == ["instance_id", "solver_id", "energy",
                                        "reference_energy", "gap", "wall_time",
                                        "seed", "error"]
+
+    @pytest.mark.parametrize("name", ["r.txt", "r", "r.json.csv"])
+    def test_format_follows_suffix(self, tmp_path, name):
+        p = export_records(self.records(), tmp_path / name)
+        assert p.read_text().startswith("instance_id,solver_id,")
+        assert load_records(p) == self.records()
+        p = export_records(self.records(), tmp_path / "r.json")
+        assert json.loads(p.read_text())["version"] == 1
 
 
 def _binary_hubo(n, seed):
@@ -217,7 +224,7 @@ class TestSuiteInputs:
         write_instance(tmp_path / "bh.txt", _binary_hubo(6, 4))
         spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
                          solvers=[{"id": "sa", "params": {"sweeps": 50}}, {"id": "bf"}],
-                         reference="brute_force", sample_count=8)
+                         reference="brute_force", replicas=8)
         records = run_suite(spec)
         assert len(records) == 2
         for rec in records:
@@ -232,7 +239,7 @@ class TestSuiteInputs:
                        HuboModel.from_terms(5, "spin", [((0, 1, 2, 3), 1.0)]))
         spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
                          solvers=[{"id": "sa", "params": {"sweeps": 20}}, {"id": "bf"}],
-                         reference="best_of_suite", sample_count=4)
+                         reference="best_of_suite", replicas=4)
         records = run_suite(spec)
         assert [(r.instance_id, r.solver_id) for r in records] == [
             (f, s) for f in ("a_good.txt", "b_header.txt", "c_order4.txt")
@@ -249,7 +256,7 @@ class TestSuiteInputs:
     def test_unknown_bf_params_rejected(self, tmp_path):
         spec = SuiteSpec(
             source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
-            solvers=[{"id": "bf", "params": {"bogus": 3}}], sample_count=4)
+            solvers=[{"id": "bf", "params": {"bogus": 3}}], replicas=4)
         [rec] = run_suite(spec)
         assert "unknown bf parameters" in rec.error and "bogus" in rec.error
 
@@ -263,7 +270,7 @@ class TestSuiteInputs:
     def test_generator_keywords_checked(self, generator):
         from qubokit import ValidationError
         spec = SuiteSpec(source={"generator": generator},
-                         solvers=[{"id": "bf"}], sample_count=4)
+                         solvers=[{"id": "bf"}], replicas=4)
         with pytest.raises(ValidationError):
             run_suite(spec)
 
@@ -272,18 +279,21 @@ class TestSuiteInputs:
     def test_counts_must_be_positive_integers(self, field, value):
         from qubokit import ValidationError
         spec = SuiteSpec(source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
-                         solvers=[{"id": "bf"}], sample_count=4, **{field: value})
+                         solvers=[{"id": "bf"}], **{"replicas": 4, field: value})
         with pytest.raises(ValidationError, match=field):
             run_suite(spec)
 
-    def test_replicas_may_be_none(self):
-        spec = SuiteSpec(source={"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
-                         solvers=[{"id": "bf"}], sample_count=4, replicas=None)
-        spec.validate()
+    def test_sample_count_is_an_unknown_field(self, tmp_path):
+        from qubokit import ValidationError
+        p = tmp_path / "suite.json"
+        p.write_text(json.dumps({"source": {"files": "*.txt"}, "solvers": [{"id": "bf"}],
+                                 "sample_count": 8}))
+        with pytest.raises(ValidationError, match="unknown suite fields: \\['sample_count'\\]"):
+            SuiteSpec.from_json(p)
 
     def test_3r3x_family_name(self):
         spec = SuiteSpec(source={"generator": {"family": "3r3x", "sizes": [6], "seeds": [2]}},
-                         solvers=[{"id": "bf"}], reference="planted", sample_count=4)
+                         solvers=[{"id": "bf"}], reference="planted", replicas=4)
         [rec] = run_suite(spec)
         assert rec.instance_id == "3r3x-n6-s2"
         assert rec.gap == 0.0

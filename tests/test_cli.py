@@ -118,6 +118,12 @@ class TestSolve:
         assert run(["solve", "--print-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert set(cfg) == {"sa", "pa", "sbm", "bb"}
+        assert {sid: sorted(params) for sid, params in cfg.items()} == {
+            "sa": ["T_final", "T_init", "replicas", "seed", "sweeps"],
+            "pa": ["lambda0", "learning_rate", "momentum", "replicas", "seed", "steps"],
+            "sbm": ["a0", "c0", "dt", "init_noise", "q_cap", "replicas", "seed", "steps"],
+            "bb": ["bound_kind", "leaf_size", "pool_limit", "time_limit"],
+        }
         assert cfg["sbm"]["dt"] == 0.01
 
     def test_brute_force_over_cap_clear_error(self, tmp_path, capsys):
@@ -174,7 +180,7 @@ class TestBench:
                         {"id": "pa", "params": {"steps": 100}},
                         {"id": "bf"}],
             "reference": "best_of_suite",
-            "sample_count": 8,
+            "replicas": 8,
         }))
         out = tmp_path / "report"
         assert run(["bench", suite, "--out", out, "--format", "csv"]) == 0
@@ -199,7 +205,7 @@ class TestBench:
                                      "p2": 0.2}},
             "solvers": [{"id": "sa", "params": {"sweeps": 100}}],
             "reference": "planted",
-            "sample_count": 8,
+            "replicas": 8,
         }))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run(["bench", suite, "--out", out1, "--format", "json"])

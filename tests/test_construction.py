@@ -140,6 +140,14 @@ class TestCanonicalPairs:
         with pytest.raises(ValidationError, match=r"diagonal coupling \(2, 2\)"):
             IsingModel.from_arrays(3, [0, 2], [1, 2], [1.0, 1.0])
 
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValidationError, match=r"\(0.5, 1.7\) is not a pair of integers"):
+            IsingModel.from_arrays(3, [0.5], [1.7], [1.0])
+        with pytest.raises(ValidationError, match=r"\(1.5, 2.9\) is not a pair of integers"):
+            QuboModel.from_terms(3, [(0, 1, 1.0), (1.5, 2.9, 1.0), (5, 0, 1.0)])
+        with pytest.raises(ValidationError, match=r"\(nan, 1.0\) is not a pair of integers"):
+            IsingModel.from_arrays(3, [np.nan], [1.0], [1.0])
+
     def test_column_lengths_checked(self):
         with pytest.raises(ValidationError):
             QuboModel.from_arrays(3, [0, 1], [1], [1.0, 2.0])

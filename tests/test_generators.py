@@ -20,7 +20,7 @@ from qubokit.generators import (
     rng_stream,
 )
 from qubokit.solvers import solve_brute_force
-from qubokit.transforms import lift_solution, reduce_cubic
+from qubokit.transforms import reduce_cubic
 
 from oracles import all_spin_states, exhaustive_min_hubo, mw3s_loop
 
@@ -45,7 +45,7 @@ class TestChain3:
         S = all_spin_states(reduced.n)
         energies = reduced.energies(S)
         assert float(energies.min()) == pytest.approx(direct_min, abs=1e-9)
-        lifted = lift_solution(rmap, S[int(np.argmin(energies))])
+        lifted = rmap.lift(S[int(np.argmin(energies))])
         assert h.energy(lifted) == pytest.approx(direct_min, abs=1e-9)
 
     def test_too_small(self):

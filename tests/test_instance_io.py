@@ -13,9 +13,12 @@ from qubokit import (
     write_certificate,
     write_instance,
 )
-from qubokit.generators import gen_3r3x, gen_chain3, gen_random
+import qubokit.instance_io as instance_io
+from qubokit.cli import main
+from qubokit.generators import gen_3r3x, gen_chain3, gen_mw3s, gen_random, gen_tile, gen_wishart
+from qubokit.model import TERM_DTYPE
 
-from oracles import all_spin_states
+from oracles import all_spin_states, certificate_text
 
 
 def assert_same_ising(a: IsingModel, b: IsingModel):
@@ -77,6 +80,60 @@ class TestTextFormat:
         assert m.terms() == [((1,), 0.5), ((0, 1, 2), -1.0)]
 
 
+class TestSettings:
+    def test_bad_offset(self, tmp_path, capsys):
+        p = tmp_path / "o.txt"
+        p.write_text("# offset: abc\n2 1 spin\n1 2 1.0\n")
+        with pytest.raises(ValidationError, match="offset 'abc' is not a number"):
+            read_instance(p)
+        assert main(["solve", str(p)]) == 3
+        assert "offset 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["cubic", "", "Quadratic"])
+    def test_unknown_format(self, tmp_path, fmt):
+        p = tmp_path / "f.txt"
+        p.write_text(f"# format: {fmt}\n2 1 spin\n1 2 1.0\n")
+        with pytest.raises(ValidationError, match="unknown instance format"):
+            read_instance(p)
+
+    @pytest.mark.parametrize("name, text", [
+        ("h.txt", "# format: hubo\n# offset: 5\n2 1 spin\n2 1 2 1.0\n"),
+        ("h.txt", "2 1 spin\n2 1 2 1.0\n# offset: 5\n"),
+        ("h.json", '{"format": "hubo", "n": 2, "domain": "spin", "offset": 5, '
+                   '"terms": [[[1, 2], 1.0]]}'),
+    ], ids=["declared", "guessed", "json"])
+    def test_hubo_offset_rejected(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValidationError, match="order-0 term"):
+            read_instance(p)
+        p.write_text(text.replace("5", "0"))
+        assert read_instance(p).terms() == [((0, 1), 1.0)]
+
+    def test_last_setting_counts_in_body_too(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("# format: hubo\n# offset: 1\n2 1 binary\n# format: quadratic\n"
+                     "1 2 1.0\n  # offset: 2.5\n")
+        q = read_instance(p)
+        assert isinstance(q, QuboModel) and q.offset == 2.5
+
+    def test_guessed_hubo_is_bitwise_the_declared_one(self, tmp_path, monkeypatch):
+        p = write_instance(tmp_path / "h.txt", gen_mw3s(60, 2))
+        declared = read_instance(p)
+        p.write_text(p.read_text().replace("# format: hubo\n", "", 1))
+        assert not p.read_text().startswith("#")
+        dtypes = []
+        loadtxt = instance_io._loadtxt
+        monkeypatch.setattr(instance_io, "_loadtxt", lambda lines, dtype, usecols=None:
+                            dtypes.append(dtype) or loadtxt(lines, dtype, usecols))
+        guessed = read_instance(p)
+        assert dtypes and TERM_DTYPE not in dtypes  # no quadratic parse is tried
+        assert (guessed.n, guessed.domain, guessed.max_order) == \
+            (declared.n, declared.domain, declared.max_order)
+        assert [(i.tobytes(), c.tobytes()) for i, c in guessed.blocks] == \
+            [(i.tobytes(), c.tobytes()) for i, c in declared.blocks]
+
+
 class TestJsonFormat:
     def test_ising_round_trip(self, tmp_path):
         m = gen_random("complete", "uniform", 8, n=5)
@@ -92,13 +149,23 @@ class TestJsonFormat:
 class TestCertificates:
     def test_round_trip(self, tmp_path):
         pi = gen_3r3x(8, seed=5)
-        p = write_certificate(tmp_path / "c.json", pi.planted_energy, pi.planted_state,
-                              pi.family, pi.hardness, 5)
+        p = write_certificate(tmp_path / "c.json", pi)
         cert = read_certificate(p)
         assert cert["planted_energy"] == pi.planted_energy
         assert np.array_equal(cert["planted_state"], pi.planted_state)
         assert cert["family"] == "r3x3"
         assert cert["seed"] == 5
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_tile(4, (0.0, 0.3, 0.0, 0.7), seed=3),
+        lambda: gen_wishart(12, 6, seed=4),
+        lambda: gen_3r3x(8, seed=5),
+    ], ids=["tile", "wishart", "3r3x"])
+    def test_bytes_match_field_by_field_write(self, tmp_path, make):
+        pi = make()
+        p = write_certificate(tmp_path / "c.json", pi)
+        assert p.read_text() == certificate_text(pi.planted_energy, pi.planted_state,
+                                                 pi.family, pi.hardness, pi.seed)
 
     def test_missing_fields_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -104,7 +104,7 @@ class TestSimulatedAnnealing:
         r = solve_sa(m, SaParams(sweeps=100, replicas=8, seed=1))
         energies = r.energies()
         assert np.all(np.diff(energies) >= 0)
-        assert r.replica_count == 8
+        assert r.replica_count == len(r.samples) == 8
         for s in r.samples:
             assert m.energy(s.state) == pytest.approx(s.energy, abs=1e-9)
 

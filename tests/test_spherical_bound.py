@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from qubokit import BBParams, bound_base, bound_spd, solve_bb, solve_brute_force
+from qubokit.solvers.branch_bound import EPSILON as EPS
 from qubokit.generators import gen_random
 
 from oracles import completion_min
-
-EPS = BBParams().epsilon
 
 
 def int_model(seed, n):

@@ -13,7 +13,6 @@ from qubokit import (
     ValidationError,
     hubo_to_spin_domain,
     ising_to_qubo,
-    lift_solution,
     qubo_to_ising,
     reduce_cubic,
 )
@@ -153,7 +152,7 @@ class TestReduceCubic:
             rmap.energy_scale * original_min + rmap.energy_shift, abs=1e-9)
 
         argmin = S[int(np.argmin(reduced_energies))]
-        lifted = lift_solution(rmap, argmin)
+        lifted = rmap.lift(argmin)
         assert h.energy(lifted) == pytest.approx(original_min, abs=1e-9)
 
     def test_order_four_rejected(self):
@@ -171,18 +170,18 @@ class TestLiftSolution:
     def test_identity_map(self):
         rmap = ReductionMap(original_n=4)
         s = np.array([1, -1, 1, -1], dtype=np.int8)
-        assert np.array_equal(lift_solution(rmap, s), s)
+        assert np.array_equal(rmap.lift(s), s)
 
     def test_truncation(self):
         rmap = ReductionMap(original_n=5,
                             aux_bindings=((5, (0, 1, 2)), (6, (1, 2, 3))))
         s = np.array([1, -1, 1, -1, 1, -1, 1], dtype=np.int8)
-        assert np.array_equal(lift_solution(rmap, s), s[:5])
+        assert np.array_equal(rmap.lift(s), s[:5])
 
     def test_length_mismatch(self):
         rmap = ReductionMap(original_n=3)
         with pytest.raises(ValidationError):
-            lift_solution(rmap, np.array([1, -1], dtype=np.int8))
+            rmap.lift(np.array([1, -1], dtype=np.int8))
 
 
 class TestHuboToSpinDomain:
