@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import re
 import warnings
 from pathlib import Path
@@ -79,11 +80,23 @@ def _quadratic_columns(model: IsingModel | QuboModel) -> tuple[str, list, list, 
 
 
 def model_from_dict(data: dict) -> Model:
+    if not isinstance(data, dict):
+        raise ValidationError("instance needs a JSON object")
     fmt = data.get("format")
-    n = int(data["n"])
-    domain = data["domain"]
+    if fmt not in (FORMAT_QUADRATIC, FORMAT_HUBO):
+        raise ValidationError(f"unknown instance format {fmt!r}")
+    for key in ("n", "domain", "terms"):
+        if key not in data:
+            raise ValidationError(f"instance missing field {key!r}")
+    n, domain = data["n"], data["domain"]
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValidationError(f"instance 'n' needs an integer, got {n!r}")
+    n = int(n)
     if fmt == FORMAT_QUADRATIC:
-        offset = float(data.get("offset", 0.0))
+        try:
+            offset = float(data.get("offset", 0.0))
+        except (TypeError, ValueError):
+            raise ValidationError(f"offset {data['offset']!r} is not a number") from None
         try:
             t = np.fromiter(map(tuple, data["terms"]), dtype=np.dtype((np.float64, 3)))
         except (TypeError, ValueError) as exc:
@@ -93,15 +106,13 @@ def model_from_dict(data: dict) -> Model:
             raise ValidationError(f"term index pair {tuple(t[non_integer.argmax(), :2].tolist())} "
                                   "is not a pair of integers")
         return _quadratic_model(n, domain, pairs[:, 0] - 1, pairs[:, 1] - 1, t[:, 2], offset)
-    if fmt == FORMAT_HUBO:
-        if data.get("offset", 0.0) != 0.0:
-            raise ValidationError(_HUBO_OFFSET)
-        try:
-            blocks = [(idx - 1, c) for idx, c in _term_blocks(data["terms"])]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"HUBO terms need [[i1, ..., ik], v]: {exc}") from None
-        return HuboModel.from_arrays(n, domain, blocks, max_order=data.get("max_order"))
-    raise ValidationError(f"unknown instance format {fmt!r}")
+    if data.get("offset", 0.0) != 0.0:
+        raise ValidationError(_HUBO_OFFSET)
+    try:
+        blocks = [(idx - 1, c) for idx, c in _term_blocks(data["terms"])]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"HUBO terms need [[i1, ..., ik], v]: {exc}") from None
+    return HuboModel.from_arrays(n, domain, blocks, max_order=data.get("max_order"))
 
 
 def _quadratic_model(n: int, domain: str, rows, cols, values, offset: float) -> Model:

@@ -139,8 +139,8 @@ def _canonical_pairs(n: int, rows, cols, values,
     if not rows.shape == cols.shape == values.shape:
         raise ValidationError(
             f"term arrays differ in length: {rows.size}, {cols.size}, {values.size}")
-    # an (m, 2) view of the (2, m) stack: the per-term reductions run fast
-    # down its contiguous columns
+    # an (m, 2) view of the (2, m) stack: the int64 copy keeps its layout,
+    # so lo and hi below read contiguous columns
     pairs, non_integer = _as_indices(np.stack([rows, cols]).T)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -416,10 +416,12 @@ class QuboModel:
 
 def _as_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 copy of an (m, k) index matrix, and per row whether it holds a
-    value that is not an integer (NaN and inf included)."""
+    value that is not an integer (NaN and inf included).  The comparison is
+    laid out column-major, so the per-row reduction runs down contiguous
+    columns rather than row by row."""
     with np.errstate(invalid="ignore"):
         rows = idx.astype(np.int64)
-    return rows, (rows != idx).any(axis=1)
+    return rows, np.not_equal(rows, idx, order="F").any(axis=1)
 
 
 def _term_blocks(terms: Iterable[tuple[Sequence[int], float]]):
@@ -475,7 +477,11 @@ class HuboModel:
         order = max(by_order, default=1)
         if max_order is None:
             max_order = max(order, 1)
-        if max_order != int(max_order) or max_order < 1:
+        try:
+            integral = max_order == int(max_order)
+        except (TypeError, ValueError):  # a string or a list from an instance file
+            integral = False
+        if not integral or max_order < 1:
             raise ValidationError(f"max_order must be an integer >= 1, got {max_order!r}")
         if order > max_order:
             raise ValidationError(f"term of order {order} exceeds declared max_order {max_order}")

@@ -12,6 +12,14 @@ Commun. 192, 2015).  Accepted flips update the fields of the replicas that
 flipped with one operator product per class, F += dS[:, C] @ A[C].  On a
 complete graph every class is a single spin and the order is the index order.
 
+A one-spin class {i} of a dense operator takes a shorter step: it reads the
+column views S[:, i], F[:, i] and U[:, t, i], and updates only the replicas
+that flip, S[hit, i] += dS, E[hit] += dE[hit] and F[hit] += dS ⊗ A[i].  The
+general step's (k, 1) @ (1, n) product and its one-term row sums compute the
+same single products and additions, so states, energies and replica order
+are bitwise those of the general step; only the sign of a zero in F or E,
+which no decision reads differently, can differ.
+
 Spin i at sweep t uses the uniform draw U[r, t, i] of replica r's stream,
 whatever its class.  Temperature decays geometrically from T_init to
 T_final.  Each replica reports the best state seen along its trajectory.
@@ -47,8 +55,11 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
     A = model.coupling_operator()
     F = S @ A + model.h
-    classes = model.colour_classes()
     sparse = sp.issparse(A)
+    # a one-spin class of a dense operator is held as its spin index i, so
+    # S[:, i], F[:, i] and its row A[i] are views
+    classes = [int(C[0]) if C.size == 1 and not sparse else C
+               for C in model.colour_classes()]
     # a CSR operator keeps each class's rows transposed, so the field update
     # (A[C]^T dS^T)^T runs scipy's native CSR product, not the transpose copy
     # of dS @ csr; both add each entry's terms in ascending column order
@@ -70,6 +81,14 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
                 s = S[:, C]
                 dE = -2.0 * s * F[:, C]
                 flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
+                if isinstance(C, int):  # one spin: touch only the replicas that flip
+                    hit = np.flatnonzero(flip)
+                    if hit.size:
+                        dS = -2.0 * s[hit]
+                        S[hit, C] += dS
+                        E[hit] += dE[hit]
+                        F[hit] += np.multiply.outer(dS, A_C)
+                    continue
                 hit = np.flatnonzero(flip.any(axis=1))
                 if hit.size == 0:
                     continue

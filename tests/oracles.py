@@ -248,6 +248,15 @@ def chimera_edges_loop(rows: int, cols: int) -> list[tuple[int, int]]:
     return edges
 
 
+def rng_stream_jumped(seed, index: int = 0) -> np.random.Generator:
+    """``rng_stream`` as it was built: the base Philox stream keyed by seed,
+    jumped ``index`` times."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    if index:
+        bits = bits.jumped(index)
+    return np.random.Generator(bits)
+
+
 def mw3s_loop(n: int, seed) -> list[tuple[tuple[int, ...], float]]:
     """Terms of ``gen_mw3s``, (key, coefficient) sorted by (order, key), from
     the per-clause dict expansion of (w_i / 8) * prod (1 + a_v s_v)."""

@@ -22,7 +22,7 @@ from qubokit.generators import (
 from qubokit.solvers import solve_brute_force
 from qubokit.transforms import reduce_cubic
 
-from oracles import all_spin_states, exhaustive_min_hubo, mw3s_loop
+from oracles import all_spin_states, exhaustive_min_hubo, mw3s_loop, rng_stream_jumped
 
 
 class TestChain3:
@@ -310,3 +310,12 @@ def test_streams_are_independent():
     b = rng_stream(42, 1).random(5)
     assert not np.allclose(a, b)
     assert np.allclose(rng_stream(42, 1).random(5), b)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 100, 2**40])
+@pytest.mark.parametrize("index", [0, 1, 5, 255, 1023])
+def test_stream_equals_jumped_base_stream(seed, index):
+    got, want = rng_stream(seed, index), rng_stream_jumped(seed, index)
+    assert got.random(64).tobytes() == want.random(64).tobytes()
+    assert got.integers(0, 2, size=256).tobytes() == want.integers(0, 2, size=256).tobytes()
+    assert got.random((3, 5)).tobytes() == want.random((3, 5)).tobytes()

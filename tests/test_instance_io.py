@@ -1,5 +1,7 @@
 """Round-trip tests for the instance text/JSON formats and certificates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,43 @@ class TestJsonFormat:
         h = gen_chain3(5, seed=3)
         back = read_instance(write_instance(tmp_path / "h.json", h))
         assert back.terms() == h.terms()
+
+    @staticmethod
+    def write_json(tmp_path, **changes):
+        data = {"format": "quadratic", "n": 2, "domain": "spin", "offset": 1.5,
+                "terms": [[1, 2, 1.0]], **changes}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        return p
+
+    @pytest.mark.parametrize("key", ["n", "domain", "terms"])
+    def test_missing_field(self, tmp_path, key):
+        with pytest.raises(ValidationError, match=f"instance missing field '{key}'"):
+            read_instance(self.write_json(tmp_path, **{key: None}))
+
+    @pytest.mark.parametrize("n", [2.5, "2", True])
+    def test_non_integer_n(self, tmp_path, n):
+        with pytest.raises(ValidationError, match="instance 'n' needs an integer"):
+            read_instance(self.write_json(tmp_path, n=n))
+
+    @pytest.mark.parametrize("offset", ["abc", [1.0]])
+    def test_non_numeric_offset(self, tmp_path, offset):
+        with pytest.raises(ValidationError, match=r"offset .* is not a number"):
+            read_instance(self.write_json(tmp_path, offset=offset))
+
+    @pytest.mark.parametrize("max_order", ["abc", [3]])
+    def test_non_integer_max_order(self, tmp_path, max_order):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"format": "hubo", "n": 3, "domain": "spin",
+                                 "max_order": max_order, "terms": [[[1, 2], 1.0]]}))
+        with pytest.raises(ValidationError, match="max_order must be an integer"):
+            read_instance(p)
+
+    def test_bad_instance_exits_with_validation_code(self, tmp_path, capsys):
+        assert main(["solve", str(self.write_json(tmp_path, offset="abc"))]) == 3
+        assert "offset 'abc' is not a number" in capsys.readouterr().err
+        assert main(["solve", str(self.write_json(tmp_path, n=None))]) == 3
+        assert "instance missing field 'n'" in capsys.readouterr().err
 
 
 class TestCertificates:

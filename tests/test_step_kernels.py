@@ -3,9 +3,10 @@
 ``solve_pa`` and ``integrate`` hold the replica block in the coupling
 operator's memory order and step in place; the loops in ``oracles`` are the
 allocating C-ordered versions they replaced.  ``solve_sa`` updates a class's
-fields through the CSR product of its transposed rows; ``sa_loop`` is the
-``dS @ A[C]`` loop.  States, energies, replica order and the final positions
-must be the same bits.
+fields through the CSR product of its transposed rows, and steps a one-spin
+class of a dense operator on the flipping replicas only; ``sa_loop`` is the
+``dS @ A[C]`` loop over every class.  States, energies, replica order and the
+final positions must be the same bits.
 """
 
 import numpy as np
@@ -33,6 +34,15 @@ def tile_gaussian():
     return IsingModel.from_arrays(m.n, m.rows, m.cols, values)
 
 
+def gaussian_g80():
+    # a dense operator with 22 colour classes, two of them one spin: every SA
+    # sweep runs both the one-spin and the multi-spin class step
+    i, j = np.triu_indices(80, k=1)
+    keep = np.random.default_rng(80).random(i.size) < 0.6
+    return gen_random("edge_list", "gaussian", 8, n=80,
+                      edges=np.stack([i[keep], j[keep]], axis=1))
+
+
 MODELS = {
     "tile-L32": lambda: gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model,
     "wishart-n96": lambda: gen_wishart(96, 96, 3).model,
@@ -42,6 +52,7 @@ MODELS = {
     "3r3x-reduced-400": lambda: reduce_cubic(gen_3r3x(200, 7).model)[0],
     "tile-L16-fields": tile_with_fields,
     "tile-L32-gaussian": tile_gaussian,
+    "gaussian-G80": gaussian_g80,
 }
 
 
@@ -76,6 +87,13 @@ def test_sa_equals_class_update_loop(model, seed):
     params = SaParams(sweeps=30, replicas=64, seed=seed)
     want = make_sampleset(model, sa_loop(model, params).astype(np.int8), seed)
     assert_same_samples(solve_sa(model, params), want)
+
+
+def test_gaussian_g80_mixes_one_spin_and_multi_spin_classes():
+    m = gaussian_g80()
+    sizes = [C.size for C in m.colour_classes()]
+    assert isinstance(m.coupling_operator(), np.ndarray)
+    assert sizes.count(1) == 2 and len(sizes) == 22
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
