@@ -21,7 +21,8 @@ differs from the header is a ValidationError.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
-indices.
+indices.  A JSON instance or certificate that does not decode is a
+ValidationError naming the file.
 """
 
 from __future__ import annotations
@@ -158,11 +159,18 @@ def write_instance(path, model: Model) -> Path:
     return path
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
 def read_instance(path) -> Model:
     """Read a model written by :func:`write_instance` (text or JSON)."""
     path = Path(path)
     if path.suffix == ".json":
-        return model_from_dict(json.loads(path.read_text()))
+        return model_from_dict(_read_json(path))
 
     text = path.read_text()
     head = _TERM_LINE.search(text)
@@ -260,7 +268,7 @@ def write_certificate(path, planted: PlantedInstance) -> Path:
 
 
 def read_certificate(path) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = _read_json(Path(path))
     for key in ("planted_energy", "planted_state", "family"):
         if key not in data:
             raise ValidationError(f"{path}: certificate missing field {key!r}")

@@ -15,19 +15,38 @@ is odd.  With a fixed high part v, every low state s has energy
     w(v) = h_low + A_cross v,   c(v) = h_high . v + 1/2 v . A_high v,
 
 a (k+2)-term dot product between the row [s | quad_low(s) | 1] of an
-augmented table T, built once per call, and the column [w(v); 1; c(v)].  The
-columns of BATCH_BLOCKS consecutive blocks, built together from the Gray
-codes of their block indices, make one matrix W, and one product W^T T^T
-fills a reused (BATCH_BLOCKS, 2^k) buffer with the energies of all their
-states, each row in natural low-index order.
+augmented table T, built once per call, and the column [w(v); 1; c(v)].
+
+Most blocks cannot hold the minimum, and a first pass finds them without
+scoring their states.  Since min over s of s . w = -|w|_1, every state of
+block v has energy at least
+
+    lb(v) = c(v) - |w(v)|_1 + min quad_low,
+
+and the greedy low state s = -sign(w(v)) has the exact energy
+c(v) - |w(v)|_1 + quad_low(s), read from the table.  The pass computes both
+for every block, in chunks of _BOUND_CHUNK blocks built from the Gray codes
+of their indices, keeps lb (8 bytes a block) and takes the least greedy
+energy as the incumbent U.  Only the blocks with lb <= U + margin are
+scored, where the margin, _MARGIN times the sum of |A| and |h|, lies far
+above the rounding error of any of these sums.  A skipped block therefore
+holds no state within the margin of the minimum.  With one block
+(n <= LOW_BITS) there is nothing to skip and the pass is not run.
+
+The columns of BATCH_BLOCKS consecutive kept blocks, in ascending block
+order, make one matrix W, and one product W^T T^T fills a reused
+(BATCH_BLOCKS, 2^k) buffer with the energies of all their states, each row
+in natural low-index order.
 
 The first-found tie-break survives the batching without reordering the
 rows: the batch minimum replaces the incumbent only when strictly lower
 (batches come in sequence order), the first block of the batch that reaches
 it precedes the others, and inside that block the row entries equal to it
 are ranked by their position in the block's visiting order, the inverse
-Gray code of the low index (reflected in odd blocks).  The result is the
-state a one-flip-at-a-time scan would keep.
+Gray code of the low index (reflected in odd blocks).  It survives the
+skipping too: the state a one-flip-at-a-time scan would keep lies in a
+kept block, so it is still the first of the kept states to reach the
+minimum, and it is the state returned.
 """
 
 from __future__ import annotations
@@ -40,6 +59,8 @@ from ..model import IsingModel
 DEFAULT_CAP = 30
 LOW_BITS = 12  # the (2^12, 14) table is 458 KB
 BATCH_BLOCKS = 64  # the (64, 2^12) energy buffer is 2 MB
+_BOUND_CHUNK = 1024  # blocks per chunk of the bound pass: (16, 1024) columns are 128 KB
+_MARGIN = 1e-9  # relative to sum |A| + sum |h|
 
 
 def _spin_table(k: int) -> np.ndarray:
@@ -47,6 +68,44 @@ def _spin_table(k: int) -> np.ndarray:
     raw = np.arange(2 ** k, dtype="<u4").view(np.uint8).reshape(-1, 4)
     bits = np.unpackbits(raw, axis=1, bitorder="little", count=k)
     return 2.0 * bits - 1.0
+
+
+def _low_table(A: np.ndarray, k: int) -> np.ndarray:
+    """Augmented (2^k, k+2) table [S_low | quad_low | 1] over the k low spins."""
+    table = np.empty((2 ** k, k + 2))
+    S_low = table[:, :k]
+    S_low[:] = _spin_table(k)
+    table[:, k] = 0.5 * np.einsum("bi,ij,bj->b", S_low, A[:k, :k], S_low)
+    table[:, k + 1] = 1.0
+    return table
+
+
+def _columns(blocks: np.ndarray, A: np.ndarray, h: np.ndarray, k: int):
+    """High spins V of ``blocks`` (from the Gray codes of their indices) and
+    their columns w(V) = h_low + A_cross V and c(V) = h_high . V + 1/2 V . A_high V."""
+    high_bits = np.arange(A.shape[0] - k, dtype=np.int64)[:, None]
+    V = 2.0 * (((blocks ^ (blocks >> 1)) >> high_bits) & 1) - 1.0
+    w = A[:k, k:] @ V
+    w += h[:k, None]
+    return V, w, h[k:] @ V + 0.5 * np.einsum("ib,ib->b", V, A[k:, k:] @ V)
+
+
+def _block_bounds(A: np.ndarray, h: np.ndarray, k: int,
+                  quad_low: np.ndarray) -> tuple[np.ndarray, float]:
+    """The bound lb of every block, in block order, and the threshold
+    U + margin above which a block cannot hold the minimum."""
+    n_blocks = 2 ** (A.shape[0] - k)
+    lower = np.empty(n_blocks)
+    incumbent = np.inf
+    bit_weights = 1 << np.arange(k, dtype=np.int64)
+    for first in range(0, n_blocks, _BOUND_CHUNK):
+        blocks = np.arange(first, min(first + _BOUND_CHUNK, n_blocks), dtype=np.int64)
+        _, w, c = _columns(blocks, A, h, k)
+        base = c - np.abs(w).sum(axis=0)
+        greedy = bit_weights @ (w < 0)  # table row of s = -sign(w)
+        incumbent = min(incumbent, float((base + quad_low[greedy]).min()))
+        np.add(base, quad_low.min(), out=lower[first:first + blocks.size])
+    return lower, incumbent + _MARGIN * (np.abs(A).sum() + np.abs(h).sum())
 
 
 def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, float]:
@@ -60,38 +119,31 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
     A = model.coupling_matrix()
     h = model.h
     k = min(LOW_BITS, n)
-    n_high = n - k
-    n_blocks = 2 ** n_high
-    batch = min(BATCH_BLOCKS, n_blocks)
-
-    table = np.empty((2 ** k, k + 2))
-    S_low = table[:, :k]
-    S_low[:] = _spin_table(k)
-    table[:, k] = 0.5 * np.einsum("bi,ij,bj->b", S_low, A[:k, :k], S_low)
-    table[:, k + 1] = 1.0
+    table = _low_table(A, k)
     low = np.arange(2 ** k, dtype=np.int64)
     gray_rank = np.empty_like(low)  # inverse Gray permutation
     gray_rank[low ^ (low >> 1)] = low
+    if n > k:
+        lower, threshold = _block_bounds(A, h, k, table[:, k])
+        kept = np.flatnonzero(lower <= threshold)
+        del lower  # freed before the energy buffer is allocated
+    else:
+        kept = np.zeros(1, dtype=np.int64)
 
-    A_cross = A[:k, k:]
-    A_high = A[k:, k:]
-    h_high = h[k:]
-    high_bits = np.arange(n_high, dtype=np.int64)[:, None]
-
+    batch = min(BATCH_BLOCKS, kept.size)
     W = np.empty((k + 2, batch))
     W[k] = 1.0
-    E = np.empty((batch, 2 ** k))
+    E_buf = np.empty((batch, 2 ** k))
     best_energy = np.inf
     best_low = 0
-    best_high = np.empty(n_high)
+    best_high = np.empty(n - k)
 
-    for first in range(0, n_blocks, batch):
-        blocks = np.arange(first, first + batch, dtype=np.int64)
-        V = 2.0 * (((blocks ^ (blocks >> 1)) >> high_bits) & 1) - 1.0
-        np.matmul(A_cross, V, out=W[:k])
-        W[:k] += h[:k, None]
-        W[k + 1] = h_high @ V + 0.5 * np.einsum("ib,ib->b", V, A_high @ V)
-        np.matmul(W.T, table.T, out=E)
+    for first in range(0, kept.size, batch):
+        blocks = kept[first:first + batch]
+        m = blocks.size
+        V, W[:k, :m], W[k + 1, :m] = _columns(blocks, A, h, k)
+        E = E_buf[:m]
+        np.matmul(W[:, :m].T, table.T, out=E)
         row_min = E.min(axis=1)
         b = int(np.argmin(row_min))
         if row_min[b] < best_energy:
@@ -104,6 +156,6 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
             best_high = V[:, b].copy()
 
     state = np.empty(n, dtype=np.int8)
-    state[:k] = S_low[best_low]
+    state[:k] = table[best_low, :k]
     state[k:] = best_high
     return state, model.energy(state)

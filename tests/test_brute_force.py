@@ -9,6 +9,8 @@ from qubokit import IsingModel, SizeCapError, solve_brute_force
 from qubokit.generators import gen_random
 
 from oracles import exhaustive_min_ising, exhaustive_min_ising_fast, gray_scan_min_ising
+from oracles import all_spin_states
+from qubokit.solvers.brute_force import LOW_BITS, _block_bounds, _low_table
 
 
 class TestBruteForce:
@@ -100,3 +102,69 @@ class TestGrayTieBreak:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def _bounds(m):
+    A = m.coupling_matrix()
+    return _block_bounds(A, m.h, LOW_BITS, _low_table(A, LOW_BITS)[:, LOW_BITS])
+
+
+def _ferromagnet(n):
+    rows, cols = np.triu_indices(n, 1)
+    return IsingModel.from_arrays(n, rows, cols, -np.ones(rows.size))
+
+
+class TestBlockBound:
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    @pytest.mark.parametrize("dist,a,b", [("int_uniform", -31, 31), ("int_uniform", -1, 1),
+                                          ("gaussian", -1, 1)], ids=["int31", "int1", "gaussian"])
+    def test_bound_below_every_block_minimum(self, dist, a, b, n):
+        m = gen_random("complete", dist, 800 + n, n=n, a=a, b=b)
+        lower, threshold = _bounds(m)
+        n_high = n - LOW_BITS
+        low = all_spin_states(LOW_BITS)
+        block_min = np.empty(2 ** n_high)
+        for block in range(2 ** n_high):
+            g = block ^ (block >> 1)
+            high = np.array([2 * ((g >> t) & 1) - 1 for t in range(n_high)], dtype=np.int8)
+            states = np.hstack([low, np.tile(high, (low.shape[0], 1))])
+            block_min[block] = m.energies(states).min() - m.offset
+        tol = 1e-9 if dist == "gaussian" else 0.0
+        assert np.all(lower <= block_min + tol)
+        # the threshold sits above an energy some state reaches
+        assert threshold >= block_min.min()
+
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_complete_ferromagnet_matches_scan(self, n):
+        m = _ferromagnet(n)
+        state, energy = solve_brute_force(m)
+        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        assert np.array_equal(state, oracle_state)
+        assert energy == oracle_energy == -n * (n - 1) / 2
+
+    @pytest.mark.parametrize("with_biases", [True, False], ids=["fields", "no-fields"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_int1_ties_match_scan(self, n, with_biases):
+        m = gen_random("complete", "int_uniform", 850 + n, n=n, a=-1, b=1,
+                       with_biases=with_biases)
+        state, energy = solve_brute_force(m)
+        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        assert np.array_equal(state, oracle_state)
+        assert energy == oracle_energy
+
+    def test_zero_couplings_prune_nothing(self):
+        m = IsingModel.from_terms(18, offset=2.5)
+        lower, threshold = _bounds(m)
+        assert np.all(lower <= threshold)
+        state, energy = solve_brute_force(m)
+        assert energy == 2.5
+        assert np.array_equal(state, -np.ones(18))
+
+    def test_gaussian_optimum_in_a_late_block(self):
+        # The optimum lies in block 245 of 256, in the last batch; the golden
+        # is the state the scan over every block returns.
+        m = gen_random("complete", "gaussian", 927, n=20)
+        state, energy = solve_brute_force(m)
+        assert state.tolist() == [-1, 1, -1, -1, -1, -1, 1, -1, -1, -1,
+                                  1, -1, 1, 1, 1, 1, -1, -1, -1, 1]
+        assert energy == pytest.approx(exhaustive_min_ising_fast(m), rel=1e-12)

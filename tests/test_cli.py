@@ -132,6 +132,12 @@ class TestSolve:
         assert run(["solve", inst, "--solver", "bf"]) == 3
         assert "brute force" in capsys.readouterr().err
 
+    def test_truncated_json_instance_exits_3(self, tmp_path, capsys):
+        inst = tmp_path / "bad.json"
+        inst.write_text('{"format": "quadratic", "n": 2,')
+        assert run(["solve", inst]) == 3
+        assert "bad.json: not valid JSON" in capsys.readouterr().err
+
     def test_order_above_three_clear_error(self, tmp_path, capsys):
         h = HuboModel.from_terms(5, "spin", [((0, 1, 2, 3), 1.0)])
         src = write_instance(tmp_path / "h4.txt", h)

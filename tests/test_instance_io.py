@@ -178,6 +178,14 @@ class TestJsonFormat:
         with pytest.raises(ValidationError, match="max_order must be an integer"):
             read_instance(p)
 
+    def test_truncated_json_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"format": "quadratic", "n": 2,')
+        with pytest.raises(ValidationError, match=r"bad\.json: not valid JSON"):
+            read_instance(p)
+        with pytest.raises(ValidationError, match=r"bad\.json: not valid JSON"):
+            read_certificate(p)
+
     def test_bad_instance_exits_with_validation_code(self, tmp_path, capsys):
         assert main(["solve", str(self.write_json(tmp_path, offset="abc"))]) == 3
         assert "offset 'abc' is not a number" in capsys.readouterr().err
