@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ReferenceUndefinedError, ValidationError
 from .generators import GENERATORS, generate
-from .instance_io import read_certificate, read_instance
+from .instance_io import _read_json, read_certificate, read_instance
 from .model import IsingModel
 from .solvers import DEFAULT_CAP, run_solver, solve_brute_force
 from .transforms import to_ising
@@ -93,7 +93,7 @@ class SuiteSpec:
 
     @classmethod
     def from_json(cls, path) -> "SuiteSpec":
-        data = json.loads(Path(path).read_text())
+        data = _read_json(path)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -158,7 +158,7 @@ def run_suite(spec: SuiteSpec) -> list[GapRecord]:
     file_refs: dict[str, float] = {}
     if spec.reference == "file":
         file_refs = {k: float(v) for k, v in
-                     json.loads(Path(spec.reference_file).read_text()).items()}
+                     _read_json(spec.reference_file).items()}
 
     tasks = [(entry, solver) for entry in entries for solver in spec.solvers]
 
@@ -273,7 +273,7 @@ def load_records(path) -> list[GapRecord]:
                     seed=None if row["seed"] in ("", "None") else int(row["seed"]),
                     error=row.get("error", "")))
     else:
-        payload = json.loads(path.read_text())
+        payload = _read_json(path)
         for row in payload["records"]:
             records.append(GapRecord(**row))
     return records

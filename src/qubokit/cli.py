@@ -17,7 +17,8 @@ import numpy as np
 from . import bench as bench_mod
 from .errors import QubokitError, SizeCapError, UnsupportedOrderError, ValidationError
 from .generators import GENERATORS, generate
-from .instance_io import read_certificate, read_instance, write_certificate, write_instance
+from .instance_io import (_read_json, read_certificate, read_instance, write_certificate,
+                          write_instance)
 from .solvers import DEFAULT_CAP, SOLVERS, default_config, run_solver, solve_brute_force
 from .transforms import ising_to_qubo, to_ising
 
@@ -142,7 +143,7 @@ def _cmd_solve(args) -> int:
         print(f"reduction: {rmap.original_n} variables + {len(rmap.aux_bindings)} "
               f"auxiliaries (scale {rmap.energy_scale}, shift {rmap.energy_shift})")
 
-    data = json.loads(args.params.read_text()) if args.params is not None else {}
+    data = _read_json(args.params) if args.params is not None else {}
     result = run_solver(args.solver, ising, data, replicas=args.replicas, seed=args.seed,
                         cap=args.bf_cap)
     lifted = lift(result.state)
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     except (ValidationError, UnsupportedOrderError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (QubokitError, OSError, json.JSONDecodeError) as exc:
+    except (QubokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

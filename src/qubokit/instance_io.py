@@ -21,8 +21,9 @@ differs from the header is a ValidationError.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
-indices.  A JSON instance or certificate that does not decode is a
-ValidationError naming the file.
+indices.  An instance file that is not UTF-8 text, and a JSON file (instance,
+certificate, suite, reference, records or solver parameters) that does not
+decode, is a ValidationError naming the file.
 """
 
 from __future__ import annotations
@@ -159,9 +160,19 @@ def write_instance(path, model: Model) -> Path:
     return path
 
 
-def _read_json(path: Path):
+def _read_text(path: Path) -> str:
     try:
-        return json.loads(path.read_text())
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_json(path):
+    """The decoded JSON file at ``path``; a file that is not UTF-8 JSON is a
+    ValidationError naming it."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
 
@@ -172,7 +183,7 @@ def read_instance(path) -> Model:
     if path.suffix == ".json":
         return model_from_dict(_read_json(path))
 
-    text = path.read_text()
+    text = _read_text(path)
     head = _TERM_LINE.search(text)
     header = head.group().split() if head is not None else []
     if len(header) != 3:

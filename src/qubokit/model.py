@@ -37,6 +37,9 @@ in the CLI report.  Two rules keep a row's bits independent of the batch:
   pairwise on its own (on other layouts it may sum column by column, and
   the bits then depend on the number of rows).
 
+scipy.sparse is imported only where a CSR operator is built, and
+``is_sparse`` answers without it, so a run on dense models never loads scipy.
+
 Models are immutable after construction (arrays are frozen) and therefore
 safe to share across concurrent workers; all evaluation is stateless.
 """
@@ -45,12 +48,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 
@@ -177,6 +180,13 @@ def _dense_operator(n: int, nnz: int) -> bool:
     return n <= DENSE_OPERATOR_MAX_N and nnz >= DENSE_OPERATOR_MIN_FILL * n ** 2
 
 
+def is_sparse(op) -> bool:
+    """Whether ``op`` is a scipy sparse array.  Until something imports
+    scipy.sparse nothing can be one, so a dense run never loads scipy."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(op)
+
+
 def block_order(op) -> str:
     """Memory order of the (replicas, n) blocks that multiply ``op``:
     "F" (spin-major) when ``op`` is CSR, "C" when it is dense.
@@ -188,7 +198,7 @@ def block_order(op) -> str:
     because GEMM's bits depend on the output's memory order, and
     ``np.matmul(X, op, out=F)`` into a C-ordered F gives those of ``X @ op``.
     """
-    return "F" if sp.issparse(op) else "C"
+    return "F" if is_sparse(op) else "C"
 
 
 def block_product(X: np.ndarray, op, out: np.ndarray) -> np.ndarray:
@@ -198,7 +208,7 @@ def block_product(X: np.ndarray, op, out: np.ndarray) -> np.ndarray:
     computed as ``(op @ X.T).T`` and comes back as a new spin-major array.
     A dense product is written into ``out`` (C-ordered, shaped like X).
     """
-    if sp.issparse(op):
+    if is_sparse(op):
         return (op @ X.T).T
     return np.matmul(X, op, out=out)
 
@@ -210,7 +220,7 @@ def _row_product(X: np.ndarray, op) -> np.ndarray:
     A CSR ``op`` must hold the transpose of the matrix meant (coupling
     operators are symmetric; the QUBO term matrix is stored transposed).
     """
-    if sp.issparse(op):
+    if is_sparse(op):
         return np.ascontiguousarray((op @ X.T).T)
     return np.matmul(X[:, None, :], op)[:, 0, :]
 
@@ -298,11 +308,27 @@ class IsingModel:
         return self._matrix
 
     @cached_property
-    def _csr(self) -> sp.csr_array:
-        both_r = np.concatenate([self.rows, self.cols])
-        both_c = np.concatenate([self.cols, self.rows])
-        both_v = np.concatenate([self.values, self.values])
-        return sp.csr_array((both_v, (both_r, both_c)), shape=(self.n, self.n))
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, data) of the symmetric coupling matrix in CSR
+        layout: each pair stored both ways, rows in order, each row's
+        columns ascending.  The pairs are unique, so this is scipy's
+        canonical form of the same matrix."""
+        n = self.n
+        keys = np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows])
+        order = np.argsort(keys, kind="stable")
+        indices = np.concatenate([self.cols, self.rows])[order]
+        data = np.concatenate([self.values, self.values])[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        degree = np.bincount(self.rows, minlength=n) + np.bincount(self.cols, minlength=n)
+        np.cumsum(degree, out=indptr[1:])
+        return _freeze(indptr), _freeze(indices), _freeze(data)
+
+    @cached_property
+    def _csr(self):
+        import scipy.sparse as sp
+
+        indptr, indices, data = self._adjacency
+        return sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
 
     def coupling_operator(self):
         """Symmetric coupling matrix: dense when the model is small and filled
@@ -311,7 +337,7 @@ class IsingModel:
 
     @cached_property
     def _colour_classes(self) -> tuple[np.ndarray, ...]:
-        indptr, indices = self._csr.indptr, self._csr.indices
+        indptr, indices, _ = self._adjacency
         colour = np.full(self.n, -1, dtype=np.int64)
         for i in range(self.n):
             used = colour[indices[indptr[i]:indptr[i + 1]]]
@@ -407,6 +433,8 @@ class QuboModel:
         """Upper-triangular term matrix U, dense or CSR by the coupling_operator
         rule; the CSR form holds U^T, so that ``_row_product`` gives X U."""
         if not _dense_operator(self.n, self.num_terms):
+            import scipy.sparse as sp
+
             return sp.csr_array((self.values, (self.cols, self.rows)), shape=(self.n, self.n))
         U = np.zeros((self.n, self.n), dtype=np.float64)
         U[self.rows, self.cols] = self.values

@@ -28,9 +28,8 @@ T_final.  Each replica reports the best state seen along its trajectory.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..model import IsingModel
+from ..model import IsingModel, is_sparse
 from .common import SampleSet, SaParams, make_sampleset, replica_streams
 
 # Uniform draws are pre-generated in chunks of this many sweeps per replica
@@ -55,7 +54,7 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
     A = model.coupling_operator()
     F = S @ A + model.h
-    sparse = sp.issparse(A)
+    sparse = is_sparse(A)
     # a one-spin class of a dense operator is held as its spin index i, so
     # S[:, i], F[:, i] and its row A[i] are views
     classes = [int(C[0]) if C.size == 1 and not sparse else C

@@ -70,7 +70,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..model import IsingModel, as_spins
-from .brute_force import _spin_table
+from .brute_force import _quad_table, _spin_table
 from .common import BBParams
 
 # Newton steps per spherical bound, and the relative excess of ||r||^2 over
@@ -257,16 +257,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     leaf = min(params.leaf_size, n)
     kc = n - leaf
     S_leaf = _spin_table(leaf)
-    A_leaf = Ap[kc:, kc:]
-    # 1/2 s^T A s of every leaf state, one spin at a time as the tree builds
-    # pe: the first 2^(t+1) table rows are the first 2^t rows with s_t = -1,
-    # then the same rows with s_t = +1
-    quad_leaf = np.zeros(2 ** leaf)
-    for t in range(leaf):
-        m = 2 ** t
-        cross = S_leaf[:m, :t] @ A_leaf[t, :t]
-        quad_leaf[m:2 * m] = quad_leaf[:m] + cross
-        quad_leaf[:m] -= cross
+    quad_leaf = _quad_table(S_leaf, Ap[kc:, kc:])  # 1/2 s^T A s of every leaf state
     leaf_chunk = max(1, LEAF_CHUNK_BYTES // (8 * 2 ** leaf))
 
     # Deterministic greedy completion seeds the incumbent so even truncated

@@ -70,12 +70,26 @@ def _spin_table(k: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
+def _quad_table(S: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """1/2 s^T A s of every row s of the (2^k, k) spin table S, for a
+    symmetric k x k block A with zero diagonal, built one spin at a time:
+    the first 2^(t+1) rows are the first 2^t rows with s_t = -1, then the
+    same rows with s_t = +1, so spin t adds -/+ its coupling to spins < t."""
+    quad = np.zeros(S.shape[0])
+    for t in range(S.shape[1]):
+        m = 2 ** t
+        cross = S[:m, :t] @ A[t, :t]
+        quad[m:2 * m] = quad[:m] + cross
+        quad[:m] -= cross
+    return quad
+
+
 def _low_table(A: np.ndarray, k: int) -> np.ndarray:
     """Augmented (2^k, k+2) table [S_low | quad_low | 1] over the k low spins."""
     table = np.empty((2 ** k, k + 2))
     S_low = table[:, :k]
     S_low[:] = _spin_table(k)
-    table[:, k] = 0.5 * np.einsum("bi,ij,bj->b", S_low, A[:k, :k], S_low)
+    table[:, k] = _quad_table(S_low, A[:k, :k])
     table[:, k + 1] = 1.0
     return table
 

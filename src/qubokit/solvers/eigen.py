@@ -13,8 +13,8 @@ back to the Gershgorin disc bound rather than raising.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+from ..model import is_sparse
 
 DENSE_LIMIT = 512
 LANCZOS_TOL = 1e-8
@@ -35,9 +35,11 @@ def eig_extreme(mat, which: str = "min") -> float:
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
     n = mat.shape[0]
     if n <= DENSE_LIMIT:
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=np.float64)
+        dense = mat.toarray() if is_sparse(mat) else np.asarray(mat, dtype=np.float64)
         vals = np.linalg.eigvalsh(dense)
         return float(vals[0] if which == "min" else vals[-1])
+
+    import scipy.sparse.linalg as spla
 
     v0 = np.random.default_rng(0).standard_normal(n)
     try:

@@ -277,6 +277,35 @@ def mw3s_loop(n: int, seed) -> list[tuple[tuple[int, ...], float]]:
     return [(k, float(acc[k])) for k in sorted(acc, key=lambda k: (len(k), k))]
 
 
+# Adjacency oracle: the CSR coupling matrix as scipy built it from COO
+# triplets, and the greedy colouring loop over its rows, as they were before
+# the model built its CSR layout with numpy.
+
+def coo_csr(model):
+    """The symmetric coupling matrix through scipy's COO -> CSR conversion."""
+    import scipy.sparse as sp
+
+    both_r = np.concatenate([model.rows, model.cols])
+    both_c = np.concatenate([model.cols, model.rows])
+    both_v = np.concatenate([model.values, model.values])
+    return sp.csr_array((both_v, (both_r, both_c)), shape=(model.n, model.n))
+
+
+def colour_classes_loop(model) -> list[np.ndarray]:
+    """Greedy colouring in index order over ``coo_csr``'s rows, as classes."""
+    csr = coo_csr(model)
+    indptr, indices = csr.indptr, csr.indices
+    colour = np.full(model.n, -1, dtype=np.int64)
+    for i in range(model.n):
+        used = colour[indices[indptr[i]:indptr[i + 1]]]
+        used = used[used >= 0]
+        free = np.ones(used.size + 1, dtype=bool)
+        free[used[used <= used.size]] = False
+        colour[i] = free.argmax()
+    order = np.argsort(colour, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(colour))[:-1])
+
+
 # HUBO oracles: the dict loops that built, converted, reduced and read HUBO
 # models while ``HuboModel`` held one index tuple per term.  Copied as they
 # were, returning plain terms, arrays and text.

@@ -138,6 +138,13 @@ class TestSolve:
         assert run(["solve", inst]) == 3
         assert "bad.json: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["utf16.txt", "utf16.json"])
+    def test_undecodable_instance_exits_3(self, tmp_path, capsys, name):
+        inst = tmp_path / name
+        inst.write_bytes(b"\xff\xfe\x00" + "2 1 spin\n1 2 1.0\n".encode("utf-16-le"))
+        assert run(["solve", inst]) == 3
+        assert f"{name}: not UTF-8 text" in capsys.readouterr().err
+
     def test_order_above_three_clear_error(self, tmp_path, capsys):
         h = HuboModel.from_terms(5, "spin", [((0, 1, 2, 3), 1.0)])
         src = write_instance(tmp_path / "h4.txt", h)
@@ -221,6 +228,50 @@ class TestBench:
         for ra, rb in zip(a, b):
             assert ra["energy"] == rb["energy"]
             assert ra["gap"] == rb["gap"]
+
+
+class TestTruncatedJson:
+    """Every JSON file the CLI reads is a validation error naming the file."""
+
+    BAD = '{"a": 1,'
+
+    def _suite(self, tmp_path, **fields):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "source": {"generator": {"family": "random", "sizes": [6], "seeds": [1]}},
+            "solvers": [{"id": "bf"}], **fields}))
+        return suite
+
+    def test_solver_params(self, tmp_path, capsys):
+        inst = tmp_path / "r.txt"
+        run(["generate", "random", "--n", 6, "--seed", 1, "--out", inst])
+        params = tmp_path / "params.json"
+        params.write_text(self.BAD)
+        assert run(["solve", inst, "--params", params]) == 3
+        assert "params.json: not valid JSON" in capsys.readouterr().err
+
+    def test_suite_file(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(self.BAD)
+        assert run(["bench", suite, "--out", tmp_path / "r"]) == 3
+        assert "suite.json: not valid JSON" in capsys.readouterr().err
+
+    def test_reference_file(self, tmp_path, capsys):
+        ref = tmp_path / "refs.json"
+        ref.write_text(self.BAD)
+        suite = self._suite(tmp_path, reference="file", reference_file=str(ref))
+        assert run(["bench", suite, "--out", tmp_path / "r"]) == 3
+        assert "refs.json: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_records_file(self, tmp_path):
+        from qubokit.bench import load_records
+        from qubokit.errors import ValidationError
+
+        path = tmp_path / "records.json"
+        path.write_text(self.BAD)
+        with pytest.raises(ValidationError, match=r"records\.json: not valid JSON"):
+            load_records(path)
 
 
 class TestSolveReports:

@@ -1,0 +1,66 @@
+"""scipy loads only on the sparse path: dense models never import it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DENSE_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy as np
+from qubokit import (BBParams, PaParams, SaParams, SbmParams, eig_extreme, ising_to_qubo,
+                     read_instance, solve_bb, solve_brute_force, solve_pa, solve_sa,
+                     solve_sbm, write_instance)
+from qubokit.generators import gen_random, gen_wishart
+
+for m in (gen_random("complete", "int_uniform", 1, n=16, a=-31, b=31),
+          gen_wishart(20, 20, 2).model):
+    solve_sa(m, SaParams(sweeps=20, replicas=4))
+    solve_pa(m, PaParams(steps=20, replicas=4))
+    solve_sbm(m, SbmParams(steps=20, replicas=4))
+    solve_bb(m, BBParams(leaf_size=8))
+    solve_brute_force(m)
+    eig_extreme(m.coupling_operator(), "min")
+    q = ising_to_qubo(m)
+    S = np.ones((3, m.n), dtype=np.int8)
+    m.energies(S), q.energies((S + 1) // 2)
+    with tempfile.TemporaryDirectory() as d:
+        for model in (m, q):
+            for name in ("m.txt", "m.json"):
+                read_instance(write_instance(Path(d) / name, model))
+print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+"""
+
+CSR_RUN = """
+import json, sys
+import numpy as np
+from qubokit import IsingModel, SaParams, solve_sa
+
+# a ring of 256 spins: 2 of every 256 operator entries are non-zero, so CSR
+i = np.arange(256)
+m = IsingModel.from_arrays(256, i, (i + 1) % 256, np.where(i % 3, 1.0, -1.0))
+before = "scipy.sparse" in sys.modules
+solve_sa(m, SaParams(sweeps=5, replicas=4))
+print(json.dumps([before, "scipy.sparse" in sys.modules]))
+"""
+
+
+def _fresh(code: str):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300, env=env)
+    assert res.returncode == 0, res.stderr[-2000:]
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def test_dense_models_never_import_scipy():
+    assert _fresh(DENSE_RUN) == []
+
+
+def test_csr_model_imports_scipy_sparse_when_solved():
+    assert _fresh(CSR_RUN) == [False, True]

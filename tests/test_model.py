@@ -21,6 +21,8 @@ from qubokit.transforms import ising_to_qubo, reduce_cubic
 from oracles import (
     all_bit_states,
     all_spin_states,
+    colour_classes_loop,
+    coo_csr,
     hubo_energy_naive,
     ising_energy_naive,
     qubo_energy_naive,
@@ -135,6 +137,31 @@ class TestColourClasses:
         for i in range(m.n):
             lower = np.flatnonzero(A[i, :i])
             assert set(range(colour[i])) <= set(colour[lower])
+
+    @pytest.mark.parametrize("build", [
+        lambda: _tile(32),
+        lambda: _tile(256),
+        lambda: gen_random("chimera", "gaussian", 4, rows=4, cols=4),
+        lambda: _reduced_3r3x(48),
+        lambda: gen_random("complete", "gaussian", 5, n=300),
+        lambda: IsingModel.from_terms(7),
+    ], ids=["tile-32", "tile-256", "chimera", "3r3x-reduced", "complete-300", "no-couplings"])
+    def test_numpy_adjacency_matches_coo_csr(self, build):
+        # the classes and the CSR operator read one adjacency built with
+        # numpy; both must be bitwise what scipy's COO -> CSR gave
+        m = build()
+        oracle = coo_csr(m)
+        csr = m._csr
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(csr, name), getattr(oracle, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert csr.has_canonical_format
+        classes = m.colour_classes()
+        expected = colour_classes_loop(m)
+        assert len(classes) == len(expected)
+        for C, want in zip(classes, expected):
+            assert C.dtype == want.dtype and np.array_equal(C, want)
 
     def test_tile_lattice_is_two_coloured(self):
         assert len(_tile(8).colour_classes()) == 2
