@@ -13,7 +13,7 @@ report on itself afterwards.  For each case it reports the median wall time
 of the child process as seen from here (interpreter start included), the
 median ``ru_maxrss`` of the child in MB, and whether ``scipy`` was in
 ``sys.modules`` when the child finished.  The children import nothing from
-this directory (``timing.py`` imports scipy).  It prints one JSON object:
+this directory.  It prints one JSON object:
 the machine, the versions and one row per case.
 """
 

@@ -9,7 +9,6 @@ import platform
 import time
 
 import numpy as np
-import scipy
 
 
 def best_of(repeats: int, fn):
@@ -23,7 +22,12 @@ def best_of(repeats: int, fn):
 
 
 def environment() -> dict:
-    """The machine, its CPU count and the python, numpy and scipy versions."""
+    """The machine, its CPU count and the python, numpy and scipy versions.
+    scipy is imported here, not at the top, so that a script's child process
+    that imports this module for ``best_of`` does not count scipy in its
+    peak memory."""
+    import scipy
+
     return {"machine": platform.machine(), "cpus": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}

@@ -23,7 +23,6 @@ import csv
 import dataclasses
 import glob as globmod
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .generators import GENERATORS, generate
 from .instance_io import _read_json, read_certificate, read_instance
 from .model import IsingModel
 from .solvers import DEFAULT_CAP, run_solver, solve_brute_force
+from .solvers.common import positive_count
 from .transforms import to_ising
 
 REPORT_SCHEMA_VERSION = 1
@@ -83,9 +83,7 @@ class SuiteSpec:
         if not self.solvers:
             raise ValidationError("suite needs at least one solver")
         for name in ("replicas", "brute_force_cap", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            positive_count(name, getattr(self, name))
         if self.reference not in ("planted", "brute_force", "best_of_suite", "file"):
             raise ValidationError(f"unknown reference policy {self.reference!r}")
         if self.reference == "file" and not self.reference_file:

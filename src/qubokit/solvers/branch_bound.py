@@ -1,8 +1,9 @@
 """Branch & bound over spin prefixes with prefix-energy and spectral bounds.
 
 Nodes fix spins for a prefix U = {0, ..., k-1} of a fixed variable order
-(descending |h_i| + sum_j |J_ij|).  The search is best-first on the node
-bound; children fix the next variable to +-1.
+(descending |h_i| + sum_j |J_ij|).  The search runs level by level: depth k
+is one (G, k) block of prefixes, with their prefix energies and bounds, and
+its nodes' children, which fix the next variable to +-1, form depth k + 1.
 
 With m free spins, the folded linear term c (the free spins' fields plus
 their couplings to the fixed prefix) and the free block
@@ -33,36 +34,36 @@ eigenvalues pushed down by a backward-error margin so the shifted blocks
 stay positive definite despite rounding.  A node's bound then costs O(m^2).
 
 In ``spd_admissible`` mode nodes whose bound reaches the incumbent are
-pruned exactly (counted in ``BBResult.prunes``); the heuristic modes treat
-their score as a selection order only and discard nodes solely through pool
-eviction (an unsound premise that can lose the optimum, which is the point
-of comparing them).  In the SPD modes each expansion also rounds the
-relaxed minimizer of both children into full assignments as incumbent
-candidates; one child per expansion, alternating, and every candidate below
-the incumbent are polished by 1-opt descent.
+pruned exactly (counted in ``BBResult.prunes``): children as they are made,
+and the whole level again before it is expanded.  The heuristic modes treat
+their score as a selection order only and discard nodes solely through the
+level cap, so they search a beam of width ``pool_limit`` (an unsound premise
+that can lose the optimum, which is the point of comparing them).  In the
+SPD modes each expansion also rounds the relaxed minimizer of both children
+into full assignments as incumbent candidates; one child per expansion,
+alternating, and every candidate below the incumbent are polished by 1-opt
+descent.
 
-The frontier is expanded in batches: up to ``EXPAND_BATCH`` nodes are popped
-in heap order and grouped by depth.  The nodes of one depth share (lam, Q),
-so a group of G nodes costs a few products with its (G, k) prefix block and
-one ``_relax`` call on the (m, 2G) folded fields of all its children
-(``_child_bounds``, whose one-node case is ``bound_spd``); the
-candidates of the whole batch are scored together and polished together,
-tested against the incumbent as it stood when the batch was popped.  Once
-``leaf_size`` free variables remain, nodes are closed by exact enumeration
-of the remaining block, a chunk of leaves per product.  The deadline is
-checked and the frontier pool capped at ``pool_limit`` states, with
-worst-bound eviction, once per batch; any eviction (or timeout) clears the
-``optimal`` flag.  A popped node is always finished and its children pushed,
-so in ``spd_admissible`` mode the result's ``lower_bound``, the minimum of
-the returned energy, the bounds left on the frontier and every evicted
-bound, certifies the ``gap`` of a truncated search too; it equals the
-energy when the search proves optimality.
+Each level is sorted by bound (stable, so ties keep their order) and capped
+at its ``pool_limit`` lowest bounds; any eviction clears the ``optimal``
+flag.  It is then expanded in chunks whose largest temporary stays near
+``CHUNK_BYTES``.  The nodes of one depth share (lam, Q), so a chunk of G
+nodes costs a few products with its (G, k) prefix block and one ``_relax``
+call on the (m, 2G) folded fields of all its children (``_child_bounds``,
+whose one-node case is ``bound_spd``); its candidates are scored and
+polished together.  At depth ``n - leaf_size`` nodes are closed instead by
+exact enumeration of the remaining block.  The deadline is checked once per
+chunk, and a started chunk is always finished, so in ``spd_admissible``
+mode the result's ``lower_bound``, the minimum of the returned energy,
+every evicted bound and, after a timeout, the bounds of the level's
+unexpanded rest and of the children already made, certifies the ``gap`` of
+a truncated search too; it equals the energy when the search proves
+optimality.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -81,13 +82,13 @@ _NEWTON_RTOL = 1e-9
 # shifted free blocks positive definite
 EPSILON = 1e-6
 
-# Nodes popped and expanded together: one group per depth shares (lam, Q),
-# so a group costs one _relax call and one polish over all its candidates
-EXPAND_BATCH = 64
-# Leaf nodes are enumerated in chunks whose (chunk, 2^leaf) energy table
-# stays near 512 KB (4 leaves at leaf size 14): 1 MB chunks raised the
-# exact-proof benchmark's peak RSS by about 1 MB and were no faster
-LEAF_CHUNK_BYTES = 2 ** 19
+# Nodes of one level are expanded in chunks whose largest temporary, the
+# (n, 2G) candidate assignments of the children or the (G, 2^leaf) table of
+# leaf energies, stays near 512 KB (4 leaves at leaf size 14): 1 MB leaf
+# chunks raised the exact-proof benchmark's peak RSS by about 1 MB and were no
+# faster, and sizing inner chunks by the (m, 2G) folded fields instead raised
+# criterion 9's peak RSS by about 5 MB and was no faster
+CHUNK_BYTES = 2 ** 19
 
 
 def bound_base(model: IsingModel, prefix) -> float:
@@ -205,14 +206,21 @@ class BBResult:
         return self.energy - self.lower_bound
 
 
-def _unpack_prefixes(bits: list[int], k: int) -> np.ndarray:
-    """(G, k) spins of G prefixes packed as integers (bit t set: spin t = +1)."""
-    if k == 0:
-        return np.zeros((len(bits), 0))
-    width = (k + 7) // 8
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
-    arr = np.unpackbits(raw.reshape(len(bits), width), axis=1, bitorder="little", count=k)
-    return 2.0 * arr - 1.0
+def _select(bounds: np.ndarray, incumbent: float, pool_limit: int,
+            admissible: bool) -> tuple[np.ndarray, int, int, float]:
+    """The nodes of a level to expand, as indices into ``bounds`` in bound
+    order (stable, so ties keep their order), with the counts pruned and
+    evicted and the least evicted bound (inf when none is).
+
+    Only a true lower bound may prune, every node at or above the
+    incumbent; the heuristic scores order the level and lose nodes to the
+    ``pool_limit`` cap alone.
+    """
+    order = np.argsort(bounds, kind="stable")
+    live = int(np.searchsorted(bounds[order], incumbent)) if admissible else order.size
+    kept = min(live, pool_limit)
+    least = bounds[order[kept]] if live > kept else np.inf
+    return order[:kept], order.size - live, live - kept, float(least)
 
 
 def _descend(Ap: np.ndarray, hp: np.ndarray, X: np.ndarray, energy: np.ndarray) -> None:
@@ -236,7 +244,7 @@ def _descend(Ap: np.ndarray, hp: np.ndarray, X: np.ndarray, energy: np.ndarray) 
 
 
 def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
-    """Best-first branch & bound; see module docstring for semantics."""
+    """Level-by-level branch & bound; see module docstring for semantics."""
     params.validate()
     t0 = time.perf_counter()
     n = model.n
@@ -258,7 +266,6 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     kc = n - leaf
     S_leaf = _spin_table(leaf)
     quad_leaf = _quad_table(S_leaf, Ap[kc:, kc:])  # 1/2 s^T A s of every leaf state
-    leaf_chunk = max(1, LEAF_CHUNK_BYTES // (8 * 2 ** leaf))
 
     # Deterministic greedy completion seeds the incumbent so even truncated
     # runs return a full assignment.
@@ -270,128 +277,100 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
     _descend(Ap, hp, greedy[:, None], greedy_e)
     incumbent_state, incumbent_energy = greedy, float(greedy_e[0])
 
-    counter = 0
-    heap: list[tuple[float, int, int, int, float]] = [(-np.inf, counter, 0, 0, model.offset)]
-    expansions = 0
-    evictions = 0
-    prunes = 0
-    evicted_min = np.inf
+    # the current level: prefixes of depth k, their prefix energies and bounds
+    U = np.zeros((1, 0), dtype=np.int8)
+    pe = np.array([model.offset])
+    bounds = np.array([-np.inf])
+    expansions = evictions = prunes = 0
+    evicted_min = open_min = np.inf
     timed_out = False
     deadline = None if params.time_limit is None else t0 + params.time_limit
 
-    while heap:
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-        batch = []
-        while heap and len(batch) < EXPAND_BATCH:
-            entry = heapq.heappop(heap)
-            # only a true lower bound may prune against the incumbent; the
-            # heuristic scores order the pool and prune through eviction
-            # alone.  Every bound left on the heap is at least this one.
-            if admissible and entry[0] >= incumbent_energy:
-                prunes += 1 + len(heap)
-                heap.clear()
-                break
-            batch.append(entry)
-        groups: dict[int, list[int]] = {}
-        for i, entry in enumerate(batch):
-            groups.setdefault(entry[2], []).append(i)
+    for k in range(kc + 1):
+        keep, pruned, evicted, least = _select(bounds, incumbent_energy, params.pool_limit,
+                                               admissible)
+        prunes += pruned
+        evictions += evicted
+        evicted_min = min(evicted_min, least)
+        U, pe, bounds = U[keep], pe[keep], bounds[keep]
 
-        # candidate full assignments of the whole batch: blocks of columns,
-        # their energies and whether each is polished regardless of energy
-        cand_X, cand_E, cand_polish = [], [], []
+        width = 2 ** leaf if k == kc else 2 * n
+        chunk = max(1, CHUNK_BYTES // (8 * width))
         children = []
-        for k, members in groups.items():
-            G = len(members)
-            bits = [batch[i][3] for i in members]
-            pe = np.array([batch[i][4] for i in members])
-            U = _unpack_prefixes(bits, k)
-
+        for a in range(0, bounds.size, chunk):
+            if deadline is not None and time.perf_counter() > deadline:
+                timed_out = True
+                open_min = np.concatenate([bounds[a:]] + [c[2] for c in children]).min()
+                break
+            b = min(a + chunk, bounds.size)
+            G = b - a
+            Uc = U[a:b].astype(np.float64)
+            X = None
             if k == kc:
-                H = hp[kc:, None] + Ap[kc:, :kc] @ U.T
+                H = hp[kc:, None] + Ap[kc:, :kc] @ Uc.T
+                # row g: the energies of leaf a + g's completions
+                T = H.T @ S_leaf.T
+                T += quad_leaf
+                T += pe[a:b, None]
+                pos = np.argmin(T, axis=1)
+                E = T[np.arange(G), pos]
                 X = np.empty((n, G))
-                X[:kc] = U.T
-                E = np.empty(G)
-                for a in range(0, G, leaf_chunk):
-                    b = min(a + leaf_chunk, G)
-                    # row g: the energies of leaf a + g's completions
-                    T = H[:, a:b].T @ S_leaf.T
-                    T += quad_leaf
-                    T += pe[a:b, None]
-                    pos = np.argmin(T, axis=1)
-                    E[a:b] = T[np.arange(b - a), pos]
-                    X[kc:, a:b] = S_leaf[pos].T
-                cand_X.append(X)
-                cand_E.append(E)
-                cand_polish.append(np.zeros(G, dtype=bool))
-                continue
-
-            step = hp[k] + U @ Ap[k, :k]
-            pe_children = np.concatenate([pe + step, pe - step])
-            if spd:
-                # columns g and G + g hold node g's children s_k = +1 and -1
-                h_pair, relaxed, R = _child_bounds(Ap, hp, U, spectrum, EPSILON,
-                                                   admissible, None if admissible else d_root)
-                child_bounds = pe_children + relaxed
-                # relaxation rounding: a full assignment candidate for free;
-                # quench one child per expansion so the tree doubles as a
-                # multi-start local search
-                V = np.where(R >= 0, 1.0, -1.0)
-                A_rem = Ap[k + 1:, k + 1:]
-                E = (pe_children + 0.5 * np.einsum("ij,ij->j", V, A_rem @ V)
-                     + np.einsum("ij,ij->j", V, h_pair))
-                X = np.empty((n, 2 * G))
-                X[:k] = np.tile(U.T, 2)
-                X[k, :G] = 1.0
-                X[k, G:] = -1.0
-                X[k + 1:] = V
-                even = (expansions + 1 + np.array(members)) % 2 == 0
-                cand_X.append(X)
-                cand_E.append(E)
-                cand_polish.append(np.concatenate([even, ~even]))
+                X[:kc] = Uc.T
+                X[kc:] = S_leaf[pos].T
+                polish = np.zeros(G, dtype=bool)
             else:
+                step = hp[k] + Uc @ Ap[k, :k]
+                pe_children = np.concatenate([pe[a:b] + step, pe[a:b] - step])
                 child_bounds = pe_children
-            children.append((k, bits, child_bounds.tolist(), pe_children.tolist()))
-        expansions += len(batch)
+                if spd:
+                    # columns g and G + g hold node g's children s_k = +1 and -1
+                    h_pair, relaxed, R = _child_bounds(Ap, hp, Uc, spectrum, EPSILON,
+                                                       admissible, None if admissible else d_root)
+                    child_bounds = pe_children + relaxed
+                    # relaxation rounding: a full assignment candidate for
+                    # free; quench one child per expansion so the tree
+                    # doubles as a multi-start local search
+                    V = np.where(R >= 0, 1.0, -1.0)
+                    A_rem = Ap[k + 1:, k + 1:]
+                    E = (pe_children + 0.5 * np.einsum("ij,ij->j", V, A_rem @ V)
+                         + np.einsum("ij,ij->j", V, h_pair))
+                    X = np.empty((n, 2 * G))
+                    X[:k] = np.tile(Uc.T, 2)
+                    X[k, :G] = 1.0
+                    X[k, G:] = -1.0
+                    X[k + 1:] = V
+                    even = (expansions + 1 + np.arange(G)) % 2 == 0
+                    polish = np.concatenate([even, ~even])
+            expansions += G
 
-        if cand_X:
-            X = np.concatenate(cand_X, axis=1)
-            E = np.concatenate(cand_E)
-            sel = np.flatnonzero(np.concatenate(cand_polish) | (E < incumbent_energy))
-            if sel.size:
-                X, E = X[:, sel], E[sel]
-                _descend(Ap, hp, X, E)
-                best = int(np.argmin(E))
-                if E[best] < incumbent_energy:
-                    incumbent_energy = float(E[best])
-                    incumbent_state = X[:, best].copy()
+            if X is not None:
+                sel = np.flatnonzero(polish | (E < incumbent_energy))
+                if sel.size:
+                    X, E = X[:, sel], E[sel]
+                    _descend(Ap, hp, X, E)
+                    best = int(np.argmin(E))
+                    if E[best] < incumbent_energy:
+                        incumbent_energy = float(E[best])
+                        incumbent_state = X[:, best].copy()
 
-        for k, bits, bounds, pes in children:
-            G = len(bits)
-            child_bits = [b | (1 << k) for b in bits] + bits
-            for c in range(2 * G):
-                if admissible and bounds[c] >= incumbent_energy:
-                    prunes += 1
-                    continue
-                counter += 1
-                heapq.heappush(heap, (bounds[c], counter, k + 1, child_bits[c], pes[c]))
-
-        if len(heap) > params.pool_limit:
-            # keep the pool_limit best entries; the next one is the least
-            # evicted bound.  A sorted list is a heap.
-            kept = heapq.nsmallest(params.pool_limit + 1, heap)
-            evictions += len(heap) - params.pool_limit
-            evicted_min = min(evicted_min, kept[-1][0])
-            heap = kept[:-1]
+            if k < kc:
+                sign = np.repeat(np.array([1, -1], dtype=np.int8), G)[:, None]
+                kids = np.hstack([np.tile(U[a:b], (2, 1)), sign])
+                if admissible:
+                    below = child_bounds < incumbent_energy
+                    prunes += 2 * G - int(below.sum())
+                    kids, pe_children, child_bounds = (kids[below], pe_children[below],
+                                                       child_bounds[below])
+                children.append((kids, pe_children, child_bounds))
+        if timed_out or not children:
+            break
+        U, pe, bounds = (np.concatenate(part) for part in zip(*children))
 
     state = np.empty(n, dtype=np.int8)
     state[perm] = incumbent_state.astype(np.int8)
     energy = model.energy(state)
     optimal = admissible and evictions == 0 and not timed_out
-    lower_bound = -np.inf
-    if admissible:
-        lower_bound = min([energy, evicted_min] + [entry[0] for entry in heap])
+    lower_bound = min(energy, evicted_min, open_min) if admissible else -np.inf
     return BBResult(state=state, energy=energy, optimal=optimal, expansions=expansions,
                     evictions=evictions, prunes=prunes, timed_out=timed_out,
-                    lower_bound=lower_bound)
+                    lower_bound=float(lower_bound))

@@ -8,6 +8,7 @@ are scheduled and bitwise reproducible for a fixed (model, params, seed).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +71,17 @@ def _positive(name: str, value: float):
         raise ValidationError(f"{name} must be positive, got {value}")
 
 
+def positive_count(name: str, value):
+    """Reject a count that is not an integer >= 1 (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+# The largest B&B leaf: its table of every leaf state holds 2^leaf_size rows
+# of leaf_size float64 (168 MB at 20)
+MAX_LEAF_SIZE = 20
+
+
 @dataclass
 class SaParams:
     """Simulated annealing: Metropolis sweeps with geometric cooling."""
@@ -81,8 +93,8 @@ class SaParams:
     seed: int = 0
 
     def validate(self):
-        _positive("sweeps", self.sweeps)
-        _positive("replicas", self.replicas)
+        positive_count("sweeps", self.sweeps)
+        positive_count("replicas", self.replicas)
         if self.T_init is not None and self.T_final is not None:
             if not (self.T_init >= self.T_final > 0):
                 raise ValidationError("need T_init >= T_final > 0")
@@ -104,13 +116,13 @@ class PaParams:
     seed: int = 0
 
     def validate(self):
-        _positive("steps", self.steps)
+        positive_count("steps", self.steps)
         _positive("learning_rate", self.learning_rate)
         if not (0 <= self.momentum < 1):
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
             _positive("lambda0", self.lambda0)
-        _positive("replicas", self.replicas)
+        positive_count("replicas", self.replicas)
 
 
 @dataclass
@@ -133,14 +145,14 @@ class SbmParams:
     seed: int = 0
 
     def validate(self):
-        _positive("steps", self.steps)
+        positive_count("steps", self.steps)
         _positive("dt", self.dt)
         _positive("a0", self.a0)
         if self.c0 is not None:
             _positive("c0", self.c0)
         _positive("q_cap", self.q_cap)
         _positive("init_noise", self.init_noise)
-        _positive("replicas", self.replicas)
+        positive_count("replicas", self.replicas)
 
 
 @dataclass
@@ -152,10 +164,11 @@ class BBParams:
     spherical bound: the relaxation maximised over the shift, a true lower
     bound that prunes exactly and certifies ``BBResult.lower_bound``).  The
     SPD kinds read one eigendecomposition of the free block per depth.
-    ``leaf_size`` closes nodes by exact enumeration once that many free
-    variables remain.  ``pool_limit`` caps the frontier after each batch of
-    up to ``branch_bound.EXPAND_BATCH`` expansions: the cap holds after
-    every batch, and within one the frontier grows by at most the batch size.
+    ``leaf_size`` (at most ``MAX_LEAF_SIZE``) closes nodes by exact
+    enumeration once that many free variables remain.  ``pool_limit`` caps
+    each level of the search: before a depth is expanded, only its
+    ``pool_limit`` lowest bounds are kept, so a level never holds more than
+    that many nodes and its children at most twice that.
     """
 
     bound_kind: str = "spd_admissible"
@@ -166,12 +179,12 @@ class BBParams:
     def validate(self):
         if self.bound_kind not in ("base", "spd", "spd_admissible"):
             raise ValidationError(f"unknown bound_kind {self.bound_kind!r}")
-        if self.pool_limit < 1:
-            raise ValidationError("pool_limit must be >= 1")
+        positive_count("pool_limit", self.pool_limit)
         if self.time_limit is not None:
             _positive("time_limit", self.time_limit)
-        if self.leaf_size < 1:
-            raise ValidationError("leaf_size must be >= 1")
+        positive_count("leaf_size", self.leaf_size)
+        if self.leaf_size > MAX_LEAF_SIZE:
+            raise ValidationError(f"leaf_size must be <= {MAX_LEAF_SIZE}, got {self.leaf_size}")
 
 
 def params_from_dict(solver_id: str, data: dict, **defaults):

@@ -245,6 +245,7 @@ def test_criterion_09_gka_scale_sanity():
         best_heur = min(best_heur, r.best.energy)
         res = qk.solve_bb(m, qk.BBParams(bound_kind="spd_admissible", leaf_size=14,
                                          time_limit=25.0))
+        assert res.optimal, f"seed {seed}: no proof within 25 s, certified gap {res.gap}"
         gap = qk.optimality_gap(res.energy, best_heur)
         assert gap == pytest.approx(0.0, abs=1e-12), f"seed {seed}: gap {gap}"
     elapsed = time.time() - t0

@@ -13,7 +13,8 @@ from qubokit import (
     solve_brute_force,
 )
 from qubokit.generators import gen_random
-from qubokit.solvers.branch_bound import EXPAND_BATCH, _descend
+from qubokit.solvers import branch_bound
+from qubokit.solvers.branch_bound import _descend, _select
 
 from oracles import completion_min, descend_loop, ising_energy_naive
 
@@ -121,11 +122,40 @@ class TestSolveBB:
         assert not res.optimal
 
     def test_time_limit_returns_incumbent(self):
-        m = gen_random("complete", "uniform", 22, n=40)
+        # n=80 is far from a proof after 3 s, so 0.3 s cuts it on any host
+        m = gen_random("complete", "uniform", 22, n=80)
         res = solve_bb(m, BBParams(bound_kind="spd_admissible", time_limit=0.3))
         assert res.timed_out
         assert not res.optimal
         assert np.isfinite(res.energy)
+        assert res.lower_bound <= res.energy
+
+    def test_timeout_at_every_chunk_certifies_lower_bound(self, monkeypatch):
+        # one node per chunk, and a clock that passes the deadline after
+        # ``ticks`` reads: the search stops before each chunk in turn, also
+        # mid-level with some children already made
+        class Clock:
+            def __init__(self, ticks):
+                self.reads, self.ticks = 0, ticks
+
+            def perf_counter(self):
+                self.reads += 1
+                return 0.0 if self.reads <= self.ticks else 1e9
+
+        # a model where some cut leaves the optimum below a child already
+        # made and the incumbent, and another below the next node to expand
+        m = with_fields(gen_random("complete", "gaussian", 29, n=18), 3.0, 29)
+        _, gs = solve_brute_force(m)
+        monkeypatch.setattr(branch_bound, "CHUNK_BYTES", 1)
+        full = solve_bb(m, BBParams(leaf_size=3))
+        assert full.optimal and full.energy == pytest.approx(gs, abs=1e-9)
+        for ticks in range(1, full.expansions + 1):
+            monkeypatch.setattr(branch_bound, "time", Clock(ticks))
+            res = solve_bb(m, BBParams(leaf_size=3, time_limit=1.0))
+            assert res.timed_out and not res.optimal
+            assert res.expansions == ticks - 1
+            assert res.lower_bound <= gs + 1e-9
+            assert res.energy >= gs - 1e-9
 
     def test_deterministic(self):
         m = gen_random("complete", "uniform", 23, n=16)
@@ -154,7 +184,9 @@ class TestSolveBB:
 
     def test_pool_smaller_than_batch_certifies_lower_bound(self):
         pool = 4
-        assert pool < EXPAND_BATCH
+        # smaller than one chunk at every depth of n=18, where a node's
+        # children hold 2n candidate spins
+        assert pool < branch_bound.CHUNK_BYTES // (8 * 2 * 18)
         for seed in range(4):
             m = with_fields(gen_random("complete", "uniform", 80 + seed, n=18), 1.0, seed)
             _, gs = solve_brute_force(m)
@@ -163,6 +195,17 @@ class TestSolveBB:
             assert not res.optimal
             assert res.lower_bound <= gs + 1e-9
             assert res.energy >= gs - 1e-9
+
+    # the exact-proof benchmark's instances: the proof's size is pinned
+    @pytest.mark.parametrize("n, seed, expansions, prunes", [(24, 100, 190, 141),
+                                                             (24, 101, 117, 94),
+                                                             (26, 102, 347, 272)])
+    def test_exact_proof_counts(self, n, seed, expansions, prunes):
+        m = gen_random("complete", "int_uniform", seed, n=n, a=-31, b=31)
+        res = solve_bb(m, BBParams(leaf_size=14))
+        assert res.optimal
+        assert (res.expansions, res.prunes) == (expansions, prunes)
+        assert res.energy == solve_brute_force(m)[1]
 
     def test_prunes_counted_only_by_the_admissible_bound(self):
         m = gen_random("complete", "int_uniform", 25, n=20, a=-31, b=31)
@@ -175,6 +218,25 @@ class TestSolveBB:
         _, gs = solve_brute_force(m)
         res = solve_bb(m, BBParams(bound_kind="spd", pool_limit=256))
         assert res.energy <= gs + abs(gs) * 0.1
+
+
+class TestSelect:
+    @pytest.mark.parametrize("admissible", [False, True])
+    @pytest.mark.parametrize("pool_limit", [1, 3, 7, 40])
+    def test_matches_sorted_list(self, admissible, pool_limit):
+        rng = np.random.default_rng(pool_limit)
+        for _ in range(20):
+            # few distinct values, so ties are common
+            bounds = rng.integers(-5, 5, size=int(rng.integers(1, 30))).astype(float)
+            bounds[rng.random(bounds.size) < 0.1] = -np.inf
+            incumbent = float(rng.integers(-5, 6))
+            order = sorted(range(bounds.size), key=lambda i: bounds[i])  # stable
+            live = [i for i in order if not admissible or bounds[i] < incumbent]
+            keep, pruned, evicted, least = _select(bounds, incumbent, pool_limit, admissible)
+            assert keep.tolist() == live[:pool_limit]
+            assert pruned == bounds.size - len(live)
+            assert evicted == max(0, len(live) - pool_limit)
+            assert least == min((bounds[i] for i in live[pool_limit:]), default=np.inf)
 
 
 class TestPolish:

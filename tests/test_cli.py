@@ -132,6 +132,18 @@ class TestSolve:
         assert run(["solve", inst, "--solver", "bf"]) == 3
         assert "brute force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver, params", [("bb", {"leaf_size": 2.5}),
+                                                ("bb", {"leaf_size": 21}),
+                                                ("sa", {"sweeps": 2.5}),
+                                                ("sbm", {"replicas": True})])
+    def test_non_integer_count_exits_3(self, tmp_path, capsys, solver, params):
+        inst = tmp_path / "r10.txt"
+        run(["generate", "random", "--n", 10, "--seed", 1, "--out", inst])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        assert run(["solve", inst, "--solver", solver, "--params", path]) == 3
+        assert f"{next(iter(params))} must be" in capsys.readouterr().err
+
     def test_truncated_json_instance_exits_3(self, tmp_path, capsys):
         inst = tmp_path / "bad.json"
         inst.write_text('{"format": "quadratic", "n": 2,')

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qubokit import (
+    BBParams,
     IsingModel,
     PaParams,
     SaParams,
@@ -20,7 +21,12 @@ from qubokit import (
 from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
-from qubokit.solvers.common import make_sampleset, params_from_dict, replica_streams
+from qubokit.solvers.common import (
+    MAX_LEAF_SIZE,
+    make_sampleset,
+    params_from_dict,
+    replica_streams,
+)
 from qubokit.transforms import reduce_cubic
 
 
@@ -303,6 +309,19 @@ class TestParams:
             PaParams(momentum=1.0).validate()
         with pytest.raises(ValidationError):
             SbmParams(dt=-0.1).validate()
+
+    @pytest.mark.parametrize("params", [
+        SaParams(sweeps=2.5), SaParams(replicas=True), PaParams(steps=2.5),
+        PaParams(replicas=np.float64(4.0)), SbmParams(steps="10"), SbmParams(replicas=True),
+        BBParams(pool_limit=2.5), BBParams(leaf_size=2.5), BBParams(leaf_size=False),
+        BBParams(leaf_size=MAX_LEAF_SIZE + 1)])
+    def test_counts_must_be_integers(self, params):
+        with pytest.raises(ValidationError, match="must be an integer|must be <="):
+            params.validate()
+
+    def test_integer_counts_accepted(self):
+        SaParams(sweeps=np.int64(3), replicas=1).validate()
+        BBParams(leaf_size=MAX_LEAF_SIZE, pool_limit=np.int32(1)).validate()
 
     def test_json_round_trip(self):
         p = PaParams(steps=123, learning_rate=0.07, seed=5)
