@@ -13,10 +13,14 @@ timing, so the eigenvalue solve is not counted.  Each figure is the
 minimum over three calls of the whole call divided by its step count
 (for SA, by sweeps * n * replicas spin updates), which includes the
 per-call start (replica streams, final energies).  It prints one JSON
-object: the machine, the versions, ms per PA and SBM step and ns per SA
-spin update.
+object: the machine, the versions, and per model ms per PA and SBM step,
+ns per SA spin update, the dtype of the replica block that PA and SBM
+multiply by the coupling operator (read from one untimed one-step call) and
+each solver's best energy, so that a change of precision shows its effect
+on quality next to its effect on speed.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qubokit import PaParams, SaParams, SbmParams, solve_pa, solve_sa, solve_sbm  # noqa: E402
 from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
-from qubokit.solvers import resolve_c0  # noqa: E402
+from qubokit.solvers import bifurcation, parallel_annealing, resolve_c0  # noqa: E402
 from timing import best_of, environment  # noqa: E402
 
 SEED = 7
@@ -43,19 +47,42 @@ MODELS = (
 )
 
 
+def block_dtype(module, solve, model, params) -> str:
+    """dtype of the replica block that ``solve`` (from ``module``) hands to
+    ``block_product`` in a one-step call."""
+    seen = []
+    product = module.block_product
+
+    def record(X, op, out):
+        seen.append(X.dtype)
+        return product(X, op, out)
+
+    module.block_product = record
+    try:
+        solve(model, dataclasses.replace(params, steps=1))
+    finally:
+        module.block_product = product
+    return str(seen[0])
+
+
 def measure(name: str, model, replicas: int) -> dict:
     pa = PaParams(steps=PA_STEPS, replicas=replicas, seed=SEED)
     sbm = SbmParams(steps=SBM_STEPS, dt=SBM_DT, replicas=replicas, seed=SEED,
                     c0=resolve_c0(model))
-    pa_s, _ = best_of(REPEATS, lambda: solve_pa(model, pa))
-    sbm_s, _ = best_of(REPEATS, lambda: solve_sbm(model, sbm))
+    pa_s, pa_out = best_of(REPEATS, lambda: solve_pa(model, pa))
+    sbm_s, sbm_out = best_of(REPEATS, lambda: solve_sbm(model, sbm))
     sa = SaParams(sweeps=SA_SWEEPS, replicas=replicas, seed=SEED)
-    sa_s, _ = best_of(REPEATS, lambda: solve_sa(model, sa))
+    sa_s, sa_out = best_of(REPEATS, lambda: solve_sa(model, sa))
     return {"model": name, "n": model.n, "replicas": replicas,
             "operator": type(model.coupling_operator()).__name__,
+            "pa_block_dtype": block_dtype(parallel_annealing, solve_pa, model, pa),
+            "sbm_block_dtype": block_dtype(bifurcation, solve_sbm, model, sbm),
             "pa_ms_per_step": round(1e3 * pa_s / PA_STEPS, 4),
             "sbm_ms_per_step": round(1e3 * sbm_s / SBM_STEPS, 4),
-            "sa_ns_per_update": round(1e9 * sa_s / (SA_SWEEPS * model.n * replicas), 2)}
+            "sa_ns_per_update": round(1e9 * sa_s / (SA_SWEEPS * model.n * replicas), 2),
+            "pa_best_energy": pa_out.best.energy,
+            "sbm_best_energy": sbm_out.best.energy,
+            "sa_best_energy": sa_out.best.energy}
 
 
 def main() -> int:

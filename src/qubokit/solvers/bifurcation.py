@@ -10,6 +10,17 @@ its coupling term, so the solver feeds (B, g) = (-A, -h): all engines then
 minimize the same Ising objective.  Positions breaching the cap are clipped
 with momenta zeroed (inelastic walls); final spins are sign(q), sign(0)=+1.
 
+``integrate`` computes in its operator's dtype (float32 or wider): it casts
+Q, P, g and the a(t) schedule to that dtype and takes every scalar as a
+Python float, so each ufunc runs one loop of that dtype, and a float64
+caller gets float64 blocks and the float64 bits.  ``solve_sbm`` hands it
+the coupling operator and h cast to float32 once per solve
+(``single_precision``, which refuses a model whose ``field_scale`` float32
+cannot hold), with the replica streams and the schedule drawn in float64
+as before, so SBM integrates in single precision.  c0 is resolved in
+float64, and the reported energies are the model's float64 energies of
+sign(q).
+
 The (replicas, n) positions and momenta are held in the memory order the
 coupling operator's product wants (``block_order``): spin-major (Fortran)
 when the operator is CSR, C order when it is dense.  Every step runs in
@@ -23,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import IsingModel, block_order, block_product, sign_pm
-from .common import SampleSet, SbmParams, make_sampleset, replica_streams
+from .common import SampleSet, SbmParams, make_sampleset, replica_streams, single_precision
 from .eigen import eig_extreme
 
 
@@ -43,18 +54,22 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
               q_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Core symplectic loop; exposed for integrator-invariant checks.
 
-    Q and P are (replicas, n) blocks.  They are updated in place when they
-    are float64 in ``block_order(B)``, else copied into that order first;
-    the final (Q, P) are returned either way.
+    Every array, g and the schedule included, is taken in the operator's
+    dtype (float32 or wider): Q and P are (replicas, n) blocks updated in
+    place when they are of that dtype in ``block_order(B)``, else copied
+    first; the final (Q, P) are returned either way.  The scalars enter as
+    Python floats, so the loops run in that dtype too.
     """
-    order = block_order(B)
-    Q = np.asarray(Q, dtype=np.float64, order=order)
-    P = np.asarray(P, dtype=np.float64, order=order)
+    dtype, order = np.result_type(B.dtype, np.float32), block_order(B)
+    Q = np.asarray(Q, dtype=dtype, order=order)
+    P = np.asarray(P, dtype=dtype, order=order)
+    g = np.asarray(g, dtype=dtype)
+    dt, a0, c0, q_cap = float(dt), float(a0), float(c0), float(q_cap)
     W = np.empty_like(Q)                  # work block
     F = np.empty_like(Q)                  # dense product buffer
     over = np.empty(Q.shape, dtype=bool, order=order)
     step = dt * a0
-    for a_t in a_schedule:
+    for a_t in np.asarray(a_schedule, dtype=dtype):
         # P += dt * (-(Q * Q + a0 - a_t) * Q + c0 * (Q @ B + g))
         np.multiply(Q, Q, out=W)
         W += a0
@@ -81,10 +96,9 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
 def solve_sbm(model: IsingModel, params: SbmParams) -> SampleSet:
     params.validate()
     n, R, T = model.n, params.replicas, params.steps
+    A, h = single_precision(model)
     c0 = params.c0 if params.c0 is not None else resolve_c0(model)
-
-    B = -model.coupling_operator()
-    g = -model.h
+    B, g = -A, -h
     amp = params.init_noise
     streams = replica_streams(params.seed, R)
     Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams])

@@ -66,6 +66,21 @@ def replica_streams(seed, count: int) -> list[np.random.Generator]:
     return [rng_stream(seed, r) for r in range(count)]
 
 
+def fits_float32(name: str, value: float):
+    """Refuse a scale that float32, the precision PA and SBM step in, cannot
+    hold: cast, it would be inf and the dynamics NaN."""
+    if value > float(np.finfo(np.float32).max):
+        raise ValidationError(f"{name} {value:.6g} overflows float32, "
+                              "the precision of the PA and SBM dynamics")
+
+
+def single_precision(model: IsingModel):
+    """The coupling operator and fields of ``model`` cast to float32, for
+    PA and SBM; a model whose ``field_scale`` float32 cannot hold is refused."""
+    fits_float32("field scale", model.field_scale)
+    return model.coupling_operator().astype(np.float32), model.h.astype(np.float32)
+
+
 def _positive(name: str, value: float):
     if not value > 0:
         raise ValidationError(f"{name} must be positive, got {value}")
@@ -122,6 +137,7 @@ class PaParams:
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
             _positive("lambda0", self.lambda0)
+            fits_float32("lambda0", self.lambda0)
         positive_count("replicas", self.replicas)
 
 
@@ -150,6 +166,7 @@ class SbmParams:
         _positive("a0", self.a0)
         if self.c0 is not None:
             _positive("c0", self.c0)
+            fits_float32("c0", self.c0)
         _positive("q_cap", self.q_cap)
         _positive("init_noise", self.init_noise)
         positive_count("replicas", self.replicas)

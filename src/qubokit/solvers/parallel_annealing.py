@@ -9,6 +9,14 @@ using momentum m <- alpha m - eta grad, then x <- clip(x + m, -1, 1).
 lambda(t) = lambda0 (1 - t / T) decreases linearly to zero; the final state
 of each replica is sign(x).
 
+The dynamics run in single precision: the coupling operator and h are cast
+to float32 once per solve (``single_precision``, which refuses a model whose
+``field_scale`` float32 cannot hold), the replica streams are drawn as
+float64 and cast, and every scalar operand enters as a Python float, so each
+product and elementwise pass runs a float32 loop.  Only sign(x) leaves the
+loop: lambda0 is resolved in float64 and the reported energies are the
+model's float64 energies of the final spins.
+
 The (replicas, n) state is held in the memory order the coupling operator's
 product wants (``block_order``): spin-major (Fortran) when the operator is
 CSR, C order when it is dense.  Every step runs in place on buffers
@@ -21,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import IsingModel, block_order, block_product, sign_pm
-from .common import PaParams, SampleSet, make_sampleset, replica_streams
+from .common import PaParams, SampleSet, make_sampleset, replica_streams, single_precision
 
 
 def resolve_lambda0(model: IsingModel) -> float:
@@ -32,14 +40,13 @@ def resolve_lambda0(model: IsingModel) -> float:
 def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
     params.validate()
     n, R, T = model.n, params.replicas, params.steps
-    lam0 = params.lambda0 if params.lambda0 is not None else resolve_lambda0(model)
-    eta, alpha = params.learning_rate, params.momentum
-    A = model.coupling_operator()
-    h = model.h
+    lam0 = float(params.lambda0 if params.lambda0 is not None else resolve_lambda0(model))
+    eta, alpha = float(params.learning_rate), float(params.momentum)
+    A, h = single_precision(model)
 
     streams = replica_streams(params.seed, R)
     X = np.asarray(np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams]),
-                   order=block_order(A))
+                   dtype=np.float32, order=block_order(A))
     M = np.zeros_like(X)
     S = np.empty_like(X)      # sign(x) as +-1.0
     G = np.empty_like(X)      # gradient

@@ -415,8 +415,10 @@ def read_hubo_loop(text: str):
 
 # Step-kernel oracles: the allocating PA loop and SBM integrator that ran
 # before the replica state was held in the operator's memory order and
-# stepped in place.  Copied as they were, so the in-place kernels must
-# reproduce them bit for bit.
+# stepped in place.  Copied as they were, except that they step in float32
+# as the solvers now do (the operator, h, the initial blocks and the
+# schedule cast once, scalars as Python floats), so the in-place kernels
+# must reproduce them bit for bit.
 
 def pa_loop(model, params) -> np.ndarray:
     """Final analog spins X of ``solve_pa`` (C-ordered, allocating steps)."""
@@ -428,14 +430,14 @@ def pa_loop(model, params) -> np.ndarray:
     eta, alpha = params.learning_rate, params.momentum
 
     streams = replica_streams(params.seed, R)
-    X = np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams])
+    X = np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams]).astype(np.float32)
     M = np.zeros_like(X)
-    A = model.coupling_operator()
-    h = model.h
+    A = model.coupling_operator().astype(np.float32)
+    h = model.h.astype(np.float32)
 
     for t in range(T):
         lam = lam0 * (1.0 - t / T)
-        grad = lam * X + sign_pm(X).astype(np.float64) @ A + h
+        grad = lam * X + sign_pm(X).astype(np.float32) @ A + h
         M = alpha * M - eta * grad
         X = np.clip(X + M, -1.0, 1.0)
     return X
@@ -461,14 +463,14 @@ def sbm_loop(model, params) -> np.ndarray:
     n, R, T = model.n, params.replicas, params.steps
     c0 = params.c0 if params.c0 is not None else resolve_c0(model)
 
-    B = -model.coupling_operator()
-    g = -model.h
+    B = -model.coupling_operator().astype(np.float32)
+    g = -model.h.astype(np.float32)
     amp = params.init_noise
     streams = replica_streams(params.seed, R)
-    Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
-    P = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
+    Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams]).astype(np.float32)
+    P = np.stack([s.uniform(-amp, amp, size=n) for s in streams]).astype(np.float32)
 
-    a_schedule = np.linspace(0.0, params.a0, T)
+    a_schedule = np.linspace(0.0, params.a0, T).astype(np.float32)
     Q, P = integrate_loop(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
     return Q
 

@@ -263,3 +263,13 @@ class TestPolish:
             s = X[:, j]
             assert E[j] == pytest.approx(m.energy(s.astype(np.int8)), abs=1e-9)
             assert np.all(-2.0 * s * (A @ s + m.h) >= -1e-9)
+
+    def test_expansion_polishes_alternate_children(self):
+        # Expansions polish the rounded +1 child of every other parent and the
+        # -1 child of the rest, with the parity running on over expansions
+        # ((expansions + 1 + i) % 2).  Which child is polished decides the
+        # incumbents a level is pruned against: the other parity gives
+        # 286/132 here.
+        m = gen_random("complete", "gaussian", 701, n=30)
+        res = solve_bb(m, BBParams(leaf_size=10, pool_limit=16))
+        assert (res.expansions, res.prunes) == (285, 131)

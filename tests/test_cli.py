@@ -8,7 +8,7 @@ import pytest
 from qubokit.cli import main
 from qubokit.instance_io import read_instance, write_instance
 from qubokit.generators import gen_chain3, gen_random
-from qubokit.model import HuboModel
+from qubokit.model import HuboModel, IsingModel
 
 
 def run(args):
@@ -143,6 +143,13 @@ class TestSolve:
         path.write_text(json.dumps(params))
         assert run(["solve", inst, "--solver", solver, "--params", path]) == 3
         assert f"{next(iter(params))} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["pa", "sbm"])
+    def test_field_scale_beyond_float32_exits_3(self, tmp_path, capsys, solver):
+        m = IsingModel.from_terms(3, couplings=[(0, 1, 1e39), (1, 2, -1.0)])
+        inst = write_instance(tmp_path / "big.txt", m)
+        assert run(["solve", inst, "--solver", solver]) == 3
+        assert "overflows float32" in capsys.readouterr().err
 
     def test_truncated_json_instance_exits_3(self, tmp_path, capsys):
         inst = tmp_path / "bad.json"

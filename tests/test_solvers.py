@@ -323,6 +323,19 @@ class TestParams:
         SaParams(sweeps=np.int64(3), replicas=1).validate()
         BBParams(leaf_size=MAX_LEAF_SIZE, pool_limit=np.int32(1)).validate()
 
+    @pytest.mark.parametrize("solve, params", [(solve_pa, PaParams(steps=5, replicas=2)),
+                                               (solve_sbm, SbmParams(steps=5, replicas=2))])
+    def test_field_scale_beyond_float32_refused(self, solve, params):
+        # PA and SBM step in float32, where this coupling would be inf
+        m = IsingModel.from_terms(3, couplings=[(0, 1, 1e39), (1, 2, -1.0)])
+        with pytest.raises(ValidationError, match="overflows float32"):
+            solve(m, params)
+
+    @pytest.mark.parametrize("params", [PaParams(lambda0=1e39), SbmParams(c0=1e39)])
+    def test_scale_beyond_float32_refused(self, params):
+        with pytest.raises(ValidationError, match="(lambda0|c0) 1e.39 overflows float32"):
+            params.validate()
+
     def test_json_round_trip(self):
         p = PaParams(steps=123, learning_rate=0.07, seed=5)
         back = params_from_dict("pa", dataclasses.asdict(p))

@@ -2,7 +2,8 @@
 
 ``solve_pa`` and ``integrate`` hold the replica block in the coupling
 operator's memory order and step in place; the loops in ``oracles`` are the
-allocating C-ordered versions they replaced.  ``solve_sa`` updates a class's
+allocating C-ordered versions they replaced, in the same float32 precision
+as the solvers.  ``solve_sa`` updates a class's
 fields through the CSR product of its transposed rows, and steps a one-spin
 class of a dense operator on the flipping replicas only; ``sa_loop`` is the
 ``dS @ A[C]`` loop over every class.  States, energies, replica order and the
@@ -96,17 +97,20 @@ def test_gaussian_g80_mixes_one_spin_and_multi_spin_classes():
     assert sizes.count(1) == 2 and len(sizes) == 22
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_integrate_equals_allocating_loop_in_either_order(model, order):
+@pytest.mark.parametrize("order, dtype", [("C", np.float64), ("F", np.float64),
+                                          ("C", np.float32), ("F", np.float32)],
+                         ids=["C", "F", "C-float32", "F-float32"])
+def test_integrate_equals_allocating_loop_in_either_order(model, order, dtype):
     # 64 replicas: at 32 the dense GEMM's output orders happen to agree
     streams = replica_streams(3, 64)
-    Q = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams])
-    P = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams])
-    B, g, c0 = -model.coupling_operator(), -model.h, resolve_c0(model)
-    schedule = np.linspace(0.0, 1.0, 80)
+    Q = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams]).astype(dtype)
+    P = np.stack([s.uniform(-1.0, 1.0, size=model.n) for s in streams]).astype(dtype)
+    B, g, c0 = -model.coupling_operator().astype(dtype), -model.h.astype(dtype), resolve_c0(model)
+    schedule = np.linspace(0.0, 1.0, 80).astype(dtype)
     want_Q, want_P = integrate_loop(B, g, Q.copy(), P.copy(), 0.1, schedule, 1.0, c0, 1.0)
     got_Q, got_P = integrate(B, g, np.array(Q, order=order), np.array(P, order=order),
                              0.1, schedule, 1.0, c0, 1.0)
+    assert got_Q.dtype == got_P.dtype == dtype
     assert got_Q.tobytes() == want_Q.tobytes()
     assert got_P.tobytes() == want_P.tobytes()
 
