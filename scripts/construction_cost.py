@@ -11,9 +11,12 @@ generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
 ``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` (of the
 file as written, and of a copy without its ``# format:`` line, which the
 reader must then recognise as HUBO) and ``energies`` on 64 random replicas,
-whose tracemalloc peak it also records.  Each time is the minimum over three calls.  It prints one JSON
-object: the machine, the versions, the file sizes, the timings in seconds
-and the peak in MB.
+whose tracemalloc peak it also records.  It times ``gen_tile`` on the
+L x L tile lattice for L = 256 and L = 1024, and records the tracemalloc peak
+of one L = 256 call in bytes per spin, after a small warm-up call so that the
+one-time scipy import of the planted check is not counted.  Each time is the
+minimum over three calls.  It prints one JSON object: the machine, the
+versions, the file sizes, the timings in seconds and the peaks.
 """
 
 import json
@@ -28,13 +31,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from qubokit import ising_to_qubo, qubo_to_ising, read_instance, write_instance  # noqa: E402
-from qubokit.generators import gen_mw3s, gen_random  # noqa: E402
+from qubokit.generators import gen_mw3s, gen_random, gen_tile  # noqa: E402
 from qubokit.transforms import to_ising  # noqa: E402
 from timing import best_of, environment  # noqa: E402
 
 SEED = 1000
 N_VALUES = (500, 1000)
 HUBO_N_VALUES = (10_000, 100_000)
+TILE_L_VALUES = (256, 1024)
+TILE_P = (0.2, 0.3, 0.3, 0.2)
 REPLICAS = 64
 REPEATS = 3
 
@@ -79,12 +84,30 @@ def measure_hubo(n: int, workdir: Path) -> dict:
             "energies_s": round(energies_s, 4), "energies_peak_mb": round(peak / 1e6, 2)}
 
 
+def measure_tile() -> dict:
+    gen_tile(16, TILE_P, SEED)  # warm-up: the planted check's CSR operator imports scipy
+    out = {"p": list(TILE_P)}
+    for L in TILE_L_VALUES:
+        gen_s, _ = best_of(REPEATS, lambda: gen_tile(L, TILE_P, SEED + L))
+        out[f"gen_tile_L{L}_s"] = round(gen_s, 4)
+    L = TILE_L_VALUES[0]
+    tracemalloc.start()
+    try:
+        gen_tile(L, TILE_P, SEED + L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out[f"gen_tile_L{L}_peak_bytes_per_spin"] = round(peak / L ** 2)
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [measure(n, Path(tmp)) for n in N_VALUES]
         hubo = [measure_hubo(n, Path(tmp)) for n in HUBO_N_VALUES]
+    tile = measure_tile()
     print(json.dumps({**environment(), "repeats": REPEATS, "replicas": REPLICAS,
-                      "results": rows, "hubo": hubo}, indent=2))
+                      "results": rows, "hubo": hubo, "tile": tile}, indent=2))
     return 0
 
 

@@ -13,7 +13,6 @@ one keyword-checked entry point that the CLI and the bench harness share.
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -167,30 +166,6 @@ TILE_COUPLING_SETS: dict[int, tuple[float, float, float, float]] = {
 }
 
 
-def _tile_cell_check(couplings) -> tuple[float, int]:
-    """Minimum and minimizer count of the 16-state cell Hamiltonian."""
-    states = np.array(list(itertools.product((-1, 1), repeat=4)), dtype=np.float64)
-    cyc = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    energies = -sum(j * states[:, a] * states[:, b] for (a, b), j in zip(cyc, couplings))
-    emin = float(energies.min())
-    count = int(np.sum(np.isclose(energies, emin)))
-    ferro = -float(sum(couplings))
-    if not np.isclose(ferro, emin):
-        raise GenerationError("tile coupling set does not minimize at the ferromagnetic state")
-    return emin, count
-
-
-def _checked_tile_sets() -> dict[int, tuple[tuple[float, ...], float]]:
-    out = {}
-    for t, cset in TILE_COUPLING_SETS.items():
-        emin, count = _tile_cell_check(cset)
-        if count != 2 * t:
-            raise GenerationError(
-                f"tile type C{t} has {count} minimizers, expected {2 * t}")
-        out[t] = (cset, emin)
-    return out
-
-
 def gen_tile(L: int, p, seed) -> PlantedInstance:
     """Tile-planted Ising instance on the periodic L x L square lattice.
 
@@ -199,8 +174,8 @@ def gen_tile(L: int, p, seed) -> PlantedInstance:
     the probability 4-vector ``p``; the drawn coupling set is applied in a
     random rotation/reflection around the cell cycle.  The ferromagnetic
     state minimizes every tile simultaneously, so the planted energy is the
-    sum of per-tile minima (verified per type by 16-state enumeration); the
-    planted state is then concealed by gauge randomization.
+    sum of per-tile minima, -(sum of each drawn set); the planted state is
+    then concealed by gauge randomization.
     """
     if L < 4 or L % 2 != 0:
         raise ValidationError("tile planting needs even L >= 4")
@@ -208,36 +183,38 @@ def gen_tile(L: int, p, seed) -> PlantedInstance:
     if p.shape != (4,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValidationError("p must be a length-4 probability vector")
     p = p / p.sum()
-    checked = _checked_tile_sets()
     rng = rng_stream(seed)
-
     n = L * L
 
-    def vid(r, c):
-        return (r % L) * L + (c % L)
+    # the even-parity cells in row-major order, each with its cell cycle
+    # (r,c) -> (r,c+1) -> (r+1,c+1) -> (r+1,c) -> back
+    r, c = np.nonzero(np.add.outer(np.arange(L), np.arange(L)) % 2 == 0)
+    r1, c1 = (r + 1) % L, (c + 1) % L
+    verts = np.stack([r * L + c, r * L + c1, r1 * L + c1, r1 * L + c], axis=1)
 
-    couplings: list[tuple[int, int, float]] = []
-    planted_energy = 0.0
-    for r in range(L):
-        for c in range(L):
-            if (r + c) % 2 != 0:
-                continue
-            # cell cycle: (r,c) -> (r,c+1) -> (r+1,c+1) -> (r+1,c) -> back
-            verts = [vid(r, c), vid(r, c + 1), vid(r + 1, c + 1), vid(r + 1, c)]
-            tile_type = int(rng.choice(4, p=p)) + 1
-            cset, emin = checked[tile_type]
-            rot = int(rng.integers(0, 4))
-            flip = bool(rng.integers(0, 2))
-            js = list(cset[rot:] + cset[:rot])
-            if flip:
-                js = js[::-1]
-            planted_energy += emin
-            cyc = [(0, 1), (1, 2), (2, 3), (3, 0)]
-            for (a, b), j in zip(cyc, js):
-                # tile Hamiltonian is -J s s; model convention is +J s s
-                couplings.append((verts[a], verts[b], -j))
+    # Tile t's type, rotation and flip are the draws rng.choice(4, p=p),
+    # rng.integers(0, 4) and rng.integers(0, 2), decoded from the raw words
+    # as numpy decodes them: the choice is the double (word 2t >> 11) * 2^-53
+    # searched in the normalised cdf; the two integers take the low and then
+    # the high 32-bit half of word 2t + 1 by Lemire's method,
+    # (half * range) >> 32, which never rejects for ranges 4 and 2 (2^32 mod
+    # range is 0).  So the gauge draw below starts from the generator state
+    # that those per-tile calls would leave.
+    words = rng.bit_generator.random_raw(2 * len(r)).reshape(-1, 2)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    types = cdf.searchsorted((words[:, 0] >> 11) * 2.0 ** -53, "right")
+    rot = (((words[:, 1] & 0xFFFFFFFF) * 4) >> 32).astype(np.int64)
+    flip = (words[:, 1] >> 63).astype(bool)
 
-    model = IsingModel.from_terms(n, couplings=couplings)
+    # edge e of the cycle gets set[(rot + e) % 4], or set[(rot + 3 - e) % 4]
+    # when flipped; the tile Hamiltonian is -J s s, the model's +J s s
+    sets = np.array(list(TILE_COUPLING_SETS.values()))
+    e = np.arange(4)
+    js = sets[types[:, None], (rot[:, None] + np.where(flip[:, None], 3 - e, e)) % 4]
+    model = IsingModel.from_arrays(n, verts.ravel(), np.roll(verts, -1, axis=1).ravel(),
+                                   -js.ravel())
+    planted_energy = -float(sets.sum(axis=1)[types].sum())
     state = np.ones(n, dtype=np.int8)
     g = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     model, state, _ = apply_gauge(model, state, g)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ValidationError
 from ..model import IsingModel, is_sparse
 from .common import SampleSet, SaParams, make_sampleset, replica_streams
 
@@ -43,6 +44,9 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
 
     T_init = params.T_init if params.T_init is not None else 2.0 * max(model.field_scale, 1e-12)
     T_final = params.T_final if params.T_final is not None else 1e-3 * T_init
+    if not T_init >= T_final:
+        raise ValidationError(f"need T_init >= T_final, got T_init {T_init:g} "
+                              f"and T_final {T_final:g}")
     sweeps = params.sweeps
     if sweeps > 1:
         ratio = (T_final / T_init) ** (1.0 / (sweeps - 1))

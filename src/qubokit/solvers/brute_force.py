@@ -30,8 +30,7 @@ of their indices, keeps lb (8 bytes a block) and takes the least greedy
 energy as the incumbent U.  Only the blocks with lb <= U + margin are
 scored, where the margin, _MARGIN times the sum of |A| and |h|, lies far
 above the rounding error of any of these sums.  A skipped block therefore
-holds no state within the margin of the minimum.  With one block
-(n <= LOW_BITS) there is nothing to skip and the pass is not run.
+holds no state within the margin of the minimum.
 
 The columns of BATCH_BLOCKS consecutive kept blocks, in ascending block
 order, make one matrix W, and one product W^T T^T fills a reused
@@ -137,12 +136,9 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
     low = np.arange(2 ** k, dtype=np.int64)
     gray_rank = np.empty_like(low)  # inverse Gray permutation
     gray_rank[low ^ (low >> 1)] = low
-    if n > k:
-        lower, threshold = _block_bounds(A, h, k, table[:, k])
-        kept = np.flatnonzero(lower <= threshold)
-        del lower  # freed before the energy buffer is allocated
-    else:
-        kept = np.zeros(1, dtype=np.int64)
+    lower, threshold = _block_bounds(A, h, k, table[:, k])
+    kept = np.flatnonzero(lower <= threshold)
+    del lower  # freed before the energy buffer is allocated
 
     batch = min(BATCH_BLOCKS, kept.size)
     W = np.empty((k + 2, batch))

@@ -110,9 +110,9 @@ class SaParams:
     def validate(self):
         positive_count("sweeps", self.sweeps)
         positive_count("replicas", self.replicas)
-        if self.T_init is not None and self.T_final is not None:
-            if not (self.T_init >= self.T_final > 0):
-                raise ValidationError("need T_init >= T_final > 0")
+        for name in ("T_init", "T_final"):
+            if getattr(self, name) is not None:
+                _positive(name, getattr(self, name))
 
 
 @dataclass

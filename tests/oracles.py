@@ -277,6 +277,59 @@ def mw3s_loop(n: int, seed) -> list[tuple[tuple[int, ...], float]]:
     return [(k, float(acc[k])) for k in sorted(acc, key=lambda k: (len(k), k))]
 
 
+
+def tile_loop(L: int, p, seed):
+    """``gen_tile`` as it was built: one ``choice`` and two ``integers``
+    draws per tile in a Python loop, couplings as term tuples, and each
+    tile's minimum from enumerating its 16 cell states.  Returns the gauged
+    model's (rows, cols, values, h, offset), the planted state and energy."""
+    from qubokit.generators import TILE_COUPLING_SETS, apply_gauge, rng_stream
+    from qubokit.model import IsingModel
+
+    states = np.array(list(itertools.product((-1, 1), repeat=4)), dtype=np.float64)
+    cyc = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    checked = {}
+    for t, cset in TILE_COUPLING_SETS.items():
+        energies = -sum(j * states[:, a] * states[:, b] for (a, b), j in zip(cyc, cset))
+        checked[t] = (cset, float(energies.min()))
+
+    p = np.asarray(p, dtype=np.float64)
+    p = p / p.sum()
+    rng = rng_stream(seed)
+
+    n = L * L
+
+    def vid(r, c):
+        return (r % L) * L + (c % L)
+
+    couplings: list[tuple[int, int, float]] = []
+    planted_energy = 0.0
+    for r in range(L):
+        for c in range(L):
+            if (r + c) % 2 != 0:
+                continue
+            # cell cycle: (r,c) -> (r,c+1) -> (r+1,c+1) -> (r+1,c) -> back
+            verts = [vid(r, c), vid(r, c + 1), vid(r + 1, c + 1), vid(r + 1, c)]
+            tile_type = int(rng.choice(4, p=p)) + 1
+            cset, emin = checked[tile_type]
+            rot = int(rng.integers(0, 4))
+            flip = bool(rng.integers(0, 2))
+            js = list(cset[rot:] + cset[:rot])
+            if flip:
+                js = js[::-1]
+            planted_energy += emin
+            cyc = [(0, 1), (1, 2), (2, 3), (3, 0)]
+            for (a, b), j in zip(cyc, js):
+                # tile Hamiltonian is -J s s; model convention is +J s s
+                couplings.append((verts[a], verts[b], -j))
+
+    model = IsingModel.from_terms(n, couplings=couplings)
+    state = np.ones(n, dtype=np.int8)
+    g = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    model, state, _ = apply_gauge(model, state, g)
+    return (np.array(model.rows), np.array(model.cols), np.array(model.values),
+            np.array(model.h), model.offset, state, planted_energy)
+
 # Adjacency oracle: the CSR coupling matrix as scipy built it from COO
 # triplets, and the greedy colouring loop over its rows, as they were before
 # the model built its CSR layout with numpy.

@@ -144,6 +144,18 @@ class TestSolve:
         assert run(["solve", inst, "--solver", solver, "--params", path]) == 3
         assert f"{next(iter(params))} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, message", [({"T_final": -1}, "T_final must be positive"),
+                                                 ({"T_init": -2, "T_final": -1},
+                                                  "T_init must be positive"),
+                                                 ({"T_final": 1e6}, "need T_init >= T_final")])
+    def test_bad_sa_temperature_exits_3(self, tmp_path, capsys, params, message):
+        inst = tmp_path / "r10.txt"
+        run(["generate", "random", "--n", 10, "--seed", 1, "--out", inst])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        assert run(["solve", inst, "--solver", "sa", "--params", path]) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("solver", ["pa", "sbm"])
     def test_field_scale_beyond_float32_exits_3(self, tmp_path, capsys, solver):
         m = IsingModel.from_terms(3, couplings=[(0, 1, 1e39), (1, 2, -1.0)])

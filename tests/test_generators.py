@@ -22,7 +22,8 @@ from qubokit.generators import (
 from qubokit.solvers import solve_brute_force
 from qubokit.transforms import reduce_cubic
 
-from oracles import all_spin_states, exhaustive_min_hubo, mw3s_loop, rng_stream_jumped
+from oracles import (all_spin_states, exhaustive_min_hubo, mw3s_loop, rng_stream_jumped,
+                     tile_loop)
 
 
 class TestChain3:
@@ -166,6 +167,21 @@ class TestTile:
             emin = energies.min()
             assert int(np.sum(np.isclose(energies, emin))) == 2 * t
             assert np.isclose(energies[-1], emin)  # all-ones state is last
+            assert emin == -sum(cset)  # gen_tile's planted energy per tile
+
+    @pytest.mark.parametrize("L", [4, 6, 16, 32])
+    def test_matches_tile_loop(self, L):
+        # the array draws decode the per-tile choice/integers stream bit for bit
+        for p in [(0.2, 0.3, 0.3, 0.2), (0, 0.8, 0, 0.2), (1, 0, 0, 0), (0, 0, 0, 1)]:
+            for seed in range(8):
+                pi = gen_tile(L, p, seed)
+                m = pi.model
+                got = (m.rows, m.cols, m.values, m.h, m.offset,
+                       pi.planted_state, pi.planted_energy)
+                for a, b in zip(got, tile_loop(L, p, seed)):
+                    a, b = np.asarray(a), np.asarray(b)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (L, p, seed)
 
     def test_edge_partition(self):
         L = 6

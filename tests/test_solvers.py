@@ -319,6 +319,26 @@ class TestParams:
         with pytest.raises(ValidationError, match="must be an integer|must be <="):
             params.validate()
 
+    @pytest.mark.parametrize("params", [
+        SaParams(T_init=-2.0, T_final=-1.0), SaParams(T_final=-1.0), SaParams(T_init=0.0),
+        SaParams(T_init=float("nan"))])
+    def test_temperatures_must_be_positive(self, params):
+        with pytest.raises(ValidationError, match="T_(init|final) must be positive"):
+            params.validate()
+
+    @pytest.mark.parametrize("params", [SaParams(sweeps=5, T_init=1.0, T_final=2.0),
+                                        SaParams(sweeps=5, T_final=1e6)])
+    def test_sa_refuses_rising_temperature(self, params):
+        # checked after the defaults resolve: T_final 1e6 is above the
+        # automatic T_init of 2 * field scale
+        m = gen_random("complete", "uniform", 0, n=6)
+        with pytest.raises(ValidationError, match="need T_init >= T_final"):
+            solve_sa(m, params)
+
+    def test_sa_accepts_equal_temperatures(self):
+        m = gen_random("complete", "uniform", 0, n=6)
+        solve_sa(m, SaParams(sweeps=5, replicas=2, T_init=0.5, T_final=0.5))
+
     def test_integer_counts_accepted(self):
         SaParams(sweeps=np.int64(3), replicas=1).validate()
         BBParams(leaf_size=MAX_LEAF_SIZE, pool_limit=np.int32(1)).validate()
