@@ -10,15 +10,14 @@ integer couplings and fields in [-31, 31], n = 24, 24, 26, at fixed seeds),
 timing each as the minimum over three calls, and once on each of the five
 n = 50 instances of acceptance criterion 9 (seeds 9000-9004) under that
 test's 25 s time limit.  Each criterion 9 instance runs in a fresh
-subprocess, so its peak resident set (``ru_maxrss``) is its own.  For each
-instance it reports the wall time, the expansions, µs per expansion, the
-prunes and evictions, whether the optimum was proved, and the certified gap
-``energy - lower_bound``.  It prints one JSON object: the machine, the
+subprocess, so its peak resident set (``timing.peak_rss_mb``) is its own.
+For each instance it reports the wall time, the expansions, µs per
+expansion, the prunes and evictions, whether the optimum was proved, and the
+certified gap ``energy - lower_bound``.  It prints one JSON object: the machine, the
 versions and one row per instance.
 """
 
 import json
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qubokit import BBParams, solve_bb  # noqa: E402
 from qubokit.generators import gen_random  # noqa: E402
-from timing import best_of, environment  # noqa: E402
+from timing import best_of, environment, peak_rss_mb  # noqa: E402
 
 REPEATS = 3
 LEAF_SIZE = 14
@@ -62,7 +61,7 @@ def measure_in_child(seed: int) -> dict:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--limit-seed"]:
         row = measure(LIMIT_N, int(argv[1]), TIME_LIMIT, 1)
-        row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        row["peak_rss_mb"] = round(peak_rss_mb(), 1)
         print(json.dumps(row))
         return 0
     rows = [measure(n, seed, None, REPEATS) for n, seed in PROOF_INSTANCES]

@@ -6,13 +6,16 @@ Usage, from the root of a checkout:
 
 Each case runs RUNS times in a fresh interpreter: ``import qubokit``; the
 CLI ``solve`` of a small dense instance (complete, integer couplings in
-[-31, 31], n = 20) with the ``bb`` and with the ``sa`` solver; and the CLI
-``solve`` of a tile L = 16 instance (n = 256, a CSR operator) with ``sa``.
+[-31, 31], n = 20) with the ``bb`` and with the ``sa`` solver; the CLI
+``solve`` of a tile L = 16 instance (n = 256, a CSR operator) with ``sa``;
+and the CLI ``generate`` of that tile instance, which builds no operator.
 The CLI runs in-process through ``qubokit.cli.main``, so the child can
 report on itself afterwards.  For each case it reports the median wall time
 of the child process as seen from here (interpreter start included), the
-median ``ru_maxrss`` of the child in MB, and whether ``scipy`` was in
-``sys.modules`` when the child finished.  The children import nothing from
+median peak resident set of the child in MB, and whether ``scipy`` was in
+``sys.modules`` when the child finished.  The peak is the child's own
+``VmHWM`` on Linux: a child's ``ru_maxrss`` includes the resident set this
+script had when it started the child, its own imports and instances.  The children import nothing from
 this directory.  It prints one JSON object:
 the machine, the versions and one row per case.
 """
@@ -38,13 +41,22 @@ RUNS = 10
 # the child's last stdout line: its peak RSS and whether it loaded scipy
 _REPORT = """
 import json, resource, sys
-print(json.dumps({"maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                  "scipy": "scipy" in sys.modules}))
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"maxrss_mb": peak_kb / 1024.0, "scipy": "scipy" in sys.modules}))
 """
 
 
 def _solve(path: Path, solver: str) -> str:
     argv = ["solve", str(path), "--solver", solver, "--seed", "0"]
+    return f"from qubokit.cli import main\nif main({argv!r}):\n    raise SystemExit(1)\n"
+
+
+def _generate_tile(out: Path) -> str:
+    argv = ["generate", "tile", "--L", "16", "--p2", "0.8", "--seed", "1", "--out", str(out)]
     return f"from qubokit.cli import main\nif main({argv!r}):\n    raise SystemExit(1)\n"
 
 
@@ -74,7 +86,8 @@ def main() -> int:
         cases = {"import qubokit": "import qubokit\n",
                  "solve dense n=20 bb": _solve(dense, "bb"),
                  "solve dense n=20 sa": _solve(dense, "sa"),
-                 "solve tile L=16 sa": _solve(tile, "sa")}
+                 "solve tile L=16 sa": _solve(tile, "sa"),
+                 "generate tile L=16": _generate_tile(Path(tmp) / "generated.txt")}
         rows = [{"case": name, **measure(code)} for name, code in cases.items()]
     print(json.dumps({**environment(), "runs": RUNS, "results": rows}, indent=2))
     return 0

@@ -1,11 +1,13 @@
 """Timing helpers shared by the cost scripts in this directory.
 
-``best_of`` times a call repeatedly and keeps the fastest run; ``environment``
-is the machine and version header that every script prints first.
+``best_of`` times a call repeatedly and keeps the fastest run;
+``peak_rss_mb`` is a process's own peak resident set; ``environment`` is the
+machine and version header that every script prints first.
 """
 
 import os
 import platform
+import resource
 import time
 
 import numpy as np
@@ -19,6 +21,18 @@ def best_of(repeats: int, fn):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set of this process in MB: ``VmHWM`` on Linux, since a
+    child's ``ru_maxrss`` includes the resident set its parent had when it
+    started the child; ``ru_maxrss`` elsewhere."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:")) / 1024.0
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def environment() -> dict:

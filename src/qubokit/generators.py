@@ -13,6 +13,7 @@ one keyword-checked entry point that the CLI and the bench harness share.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -42,7 +43,11 @@ __all__ = [
 def rng_stream(seed, index: int = 0) -> np.random.Generator:
     """Counter-based stream ``index`` of the Philox generator keyed by seed:
     the counter starts at index * 2^128 (word 2), which is where ``index``
-    jumps of the base stream would leave it, without making the jumps."""
+    jumps of the base stream would leave it, without making the jumps.
+    ``seed`` is the 64-bit key: an integer in [0, 2^64), bools refused."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return np.random.Generator(
         np.random.Philox(counter=[0, 0, index, 0], key=np.uint64(seed)))
 
@@ -66,7 +71,12 @@ class PlantedInstance:
     def __post_init__(self):
         state = as_spins(self.planted_state, self.model.n)
         object.__setattr__(self, "planted_state", state)
-        e = self.model.energy(state)
+        m = self.model
+        if isinstance(m, IsingModel):  # from the arrays: no coupling operator built
+            s = state.astype(np.float64)
+            e = float(m.offset + m.h @ s + m.values @ (s[m.rows] * s[m.cols]))
+        else:
+            e = m.energy(state)
         tol = 1e-9 * max(1.0, abs(self.planted_energy))
         if abs(e - self.planted_energy) > tol:
             raise ValidationError(

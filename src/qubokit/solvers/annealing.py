@@ -12,13 +12,19 @@ Commun. 192, 2015).  Accepted flips update the fields of the replicas that
 flipped with one operator product per class, F += dS[:, C] @ A[C].  On a
 complete graph every class is a single spin and the order is the index order.
 
-A one-spin class {i} of a dense operator takes a shorter step: it reads the
-column views S[:, i], F[:, i] and U[:, t, i], and updates only the replicas
-that flip, S[hit, i] += dS, E[hit] += dE[hit] and F[hit] += dS ⊗ A[i].  The
-general step's (k, 1) @ (1, n) product and its one-term row sums compute the
-same single products and additions, so states, energies and replica order
-are bitwise those of the general step; only the sign of a zero in F or E,
-which no decision reads differently, can differ.
+Consecutive one-spin classes of a dense operator (every class of a complete
+graph, the tail classes of a dense G(n, p)) are stepped in runs of at most
+``_RUN`` spins with delayed field updates (Alvarez et al., SC 2008).  A run C
+copies its fields, -2 S and draws spin-major, decides spin t with the same
+expressions as a class step, and adds its accepted flips D[t] only to the
+fields of the spins after it in the run, one product and one addition each,
+so every field the run reads is the sequential sum.  After the run,
+S[:, C] += D^T and F += D^T @ A[C]: one (R, k) @ (k, n) GEMM in place of k
+row updates.  The fields outside the run therefore get the run's updates as
+one BLAS sum, whose last bits can differ from the sequential sum's; on
+integer-valued models every sum is exact and nothing changes, and otherwise
+a decision can change only where a uniform draw lies within an ulp of its
+acceptance threshold.
 
 Spin i at sweep t uses the uniform draw U[r, t, i] of replica r's stream,
 whatever its class.  Temperature decays geometrically from T_init to
@@ -26,6 +32,8 @@ T_final.  Each replica reports the best state seen along its trajectory.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -36,6 +44,9 @@ from .common import SampleSet, SaParams, make_sampleset, replica_streams
 # Uniform draws are pre-generated in chunks of this many sweeps per replica
 # (stream order is unchanged; chunking only batches generator calls).
 _CHUNK_TARGET = 8192
+
+# Longest run of one-spin classes of a dense operator stepped as one block
+_RUN = 16
 
 
 def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
@@ -59,14 +70,23 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     A = model.coupling_operator()
     F = S @ A + model.h
     sparse = is_sparse(A)
-    # a one-spin class of a dense operator is held as its spin index i, so
-    # S[:, i], F[:, i] and its row A[i] are views
-    classes = [int(C[0]) if C.size == 1 and not sparse else C
-               for C in model.colour_classes()]
-    # a CSR operator keeps each class's rows transposed, so the field update
+    # (spins, their operator rows, their in-run coupling block or None): a
+    # class, or a run of consecutive one-spin classes of a dense operator.
+    # A CSR operator keeps each class's rows transposed, so the field update
     # (A[C]^T dS^T)^T runs scipy's native CSR product, not the transpose copy
     # of dS @ csr; both add each entry's terms in ascending column order
-    class_rows = [A[C].T.tocsr() if sparse else A[C] for C in classes]
+    steps = []
+    for single, group in groupby(model.colour_classes(),
+                                 key=lambda C: C.size == 1 and not sparse):
+        if not single:
+            steps += [(C, A[C].T.tocsr() if sparse else A[C], None) for C in group]
+            continue
+        spins = np.concatenate(list(group))
+        for a in range(0, spins.size, _RUN):
+            C = spins[a:a + _RUN]
+            # a contiguous run (every run of a complete graph) reads a view
+            rows = A[C[0]:C[-1] + 1] if np.all(np.diff(C) == 1) else A[C]
+            steps.append((C, rows, A[np.ix_(C, C)]))
 
     E = model.energies(S) - model.offset
     best_E = E.copy()
@@ -80,18 +100,13 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
         for b in range(block):
             T = temps[sweep + b]
             U_b = U[:, b]
-            for C, A_C in zip(classes, class_rows):
+            for C, A_C, A_CC in steps:
+                if A_CC is not None:
+                    _run_step(S, F, E, U_b, T, C, A_C, A_CC)
+                    continue
                 s = S[:, C]
                 dE = -2.0 * s * F[:, C]
                 flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
-                if isinstance(C, int):  # one spin: touch only the replicas that flip
-                    hit = np.flatnonzero(flip)
-                    if hit.size:
-                        dS = -2.0 * s[hit]
-                        S[hit, C] += dS
-                        E[hit] += dE[hit]
-                        F[hit] += np.multiply.outer(dS, A_C)
-                    continue
                 hit = np.flatnonzero(flip.any(axis=1))
                 if hit.size == 0:
                     continue
@@ -106,3 +121,21 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
         sweep += block
 
     return make_sampleset(model, best_S.astype(np.int8), params.seed)
+
+
+def _run_step(S, F, E, U_b, T, C, A_C, A_CC):
+    """Metropolis steps over the run C of one-spin classes, in order, with
+    the fields outside the run updated once at the end (module docstring)."""
+    Fb = F[:, C].T.copy()
+    M2S = S[:, C].T * -2.0
+    Ub = U_b[:, C].T.copy()
+    D = np.empty_like(M2S)
+    for t in range(C.size):
+        dE = M2S[t] * Fb[t]
+        # dE / -T is -dE / T bit for bit: IEEE division is sign-symmetric
+        flip = Ub[t] < np.exp(np.minimum(dE / -T, 0.0))
+        np.multiply(M2S[t], flip, out=D[t])
+        E += dE * flip
+        Fb[t + 1:] += np.multiply.outer(A_CC[t, t + 1:], D[t])
+    S[:, C] += D.T
+    F += D.T @ A_C

@@ -8,6 +8,7 @@ are scheduled and bitwise reproducible for a fixed (model, params, seed).
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,9 +82,14 @@ def single_precision(model: IsingModel):
     return model.coupling_operator().astype(np.float32), model.h.astype(np.float32)
 
 
-def _positive(name: str, value: float):
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (bools and strings are not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _positive(name: str, value):
+    if not (_real(value) and 0 < value < math.inf):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def positive_count(name: str, value):
@@ -133,7 +139,7 @@ class PaParams:
     def validate(self):
         positive_count("steps", self.steps)
         _positive("learning_rate", self.learning_rate)
-        if not (0 <= self.momentum < 1):
+        if not (_real(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
             _positive("lambda0", self.lambda0)

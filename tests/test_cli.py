@@ -37,6 +37,12 @@ class TestGenerate:
         run(["generate", "3r3x", "--n", 9, "--seed", 3, "--out", b])
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_3(self, tmp_path, capsys, seed):
+        assert run(["generate", "tile", "--L", 4, "--p2", 0.5, "--seed", seed,
+                    "--out", tmp_path / "t.txt"]) == 3
+        assert "seed must be an integer" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["generate", "tile", "--out", tmp_path / "x.txt"]) == 3
 
@@ -149,6 +155,18 @@ class TestSolve:
                                                   "T_init must be positive"),
                                                  ({"T_final": 1e6}, "need T_init >= T_final")])
     def test_bad_sa_temperature_exits_3(self, tmp_path, capsys, params, message):
+        inst = tmp_path / "r10.txt"
+        run(["generate", "random", "--n", 10, "--seed", 1, "--out", inst])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        assert run(["solve", inst, "--solver", "sa", "--params", path]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, message", [
+        ({"seed": -1}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
+        ({"T_init": "1"}, "T_init must be positive and finite"),
+        ({"T_init": float("inf")}, "T_init must be positive and finite")])
+    def test_bad_sa_seed_or_real_exits_3(self, tmp_path, capsys, params, message):
         inst = tmp_path / "r10.txt"
         run(["generate", "random", "--n", 10, "--seed", 1, "--out", inst])
         path = tmp_path / "p.json"

@@ -1,4 +1,5 @@
-"""scipy loads only on the sparse path: dense models never import it."""
+"""scipy loads only on the sparse path: dense models never import it, and a
+sparse model loads it on its first CSR solve, not when it is generated."""
 
 import json
 import os
@@ -48,6 +49,14 @@ solve_sa(m, SaParams(sweeps=5, replicas=4))
 print(json.dumps([before, "scipy.sparse" in sys.modules]))
 """
 
+TILE_GENERATE = """
+import json, sys
+from qubokit.generators import gen_tile
+
+gen_tile(16, [0.0, 0.8, 0.0, 0.2], 1)
+print(json.dumps("scipy.sparse" in sys.modules))
+"""
+
 
 def _fresh(code: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -64,3 +73,7 @@ def test_dense_models_never_import_scipy():
 
 def test_csr_model_imports_scipy_sparse_when_solved():
     assert _fresh(CSR_RUN) == [False, True]
+
+
+def test_tile_generation_leaves_scipy_sparse_unloaded():
+    assert _fresh(TILE_GENERATE) is False

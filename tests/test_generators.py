@@ -309,6 +309,15 @@ class TestPlantedInstanceValidation:
             PlantedInstance(model=m, planted_energy=m.energy(s) + 1.0,
                             planted_state=s, family="random")
 
+    def test_ising_check_reads_the_arrays(self):
+        # a sparse model's certificate is checked without its CSR operator
+        pi = gen_tile(16, (0, 0.8, 0, 0.2), seed=5)
+        assert "_csr" not in vars(pi.model)
+        assert pi.planted_energy == pi.model.energy(pi.planted_state)
+        with pytest.raises(ValidationError):
+            PlantedInstance(model=pi.model, planted_energy=pi.planted_energy + 1.0,
+                            planted_state=pi.planted_state, family="tile")
+
     def test_certificate_soundness_exhaustive(self):
         # every exact-certificate family: planted energy is the global min
         for pi, reduce_first in [(gen_3r3x(8, seed=2), True),
@@ -335,3 +344,15 @@ def test_stream_equals_jumped_base_stream(seed, index):
     assert got.random(64).tobytes() == want.random(64).tobytes()
     assert got.integers(0, 2, size=256).tobytes() == want.integers(0, 2, size=256).tobytes()
     assert got.random((3, 5)).tobytes() == want.random((3, 5)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, "1", None])
+def test_stream_seed_must_be_a_64_bit_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer in"):
+        rng_stream(seed)
+
+
+def test_stream_seed_accepts_every_64_bit_integer():
+    top = rng_stream(2**64 - 1).random(4)
+    assert rng_stream(np.uint64(2**64 - 1)).random(4).tobytes() == top.tobytes()
+    assert rng_stream(np.int64(3)).random(4).tobytes() == rng_stream(3).random(4).tobytes()

@@ -326,6 +326,27 @@ class TestParams:
         with pytest.raises(ValidationError, match="T_(init|final) must be positive"):
             params.validate()
 
+    @pytest.mark.parametrize("params", [
+        SaParams(T_init="1"), SaParams(T_init=float("inf")), SaParams(T_final=True),
+        PaParams(learning_rate=float("inf")), PaParams(lambda0="2"),
+        SbmParams(dt=float("inf")), SbmParams(a0=np.float64("nan")), SbmParams(c0=True),
+        SbmParams(q_cap="1"), SbmParams(init_noise=-float("inf")),
+        BBParams(time_limit=float("inf")), BBParams(time_limit="60")])
+    def test_real_parameters_must_be_positive_finite_numbers(self, params):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            params.validate()
+
+    @pytest.mark.parametrize("momentum", ["0.5", True, float("nan"), float("inf")])
+    def test_momentum_must_be_a_number_in_range(self, momentum):
+        with pytest.raises(ValidationError, match="momentum must lie in"):
+            PaParams(momentum=momentum).validate()
+
+    def test_finite_reals_and_no_time_limit_accepted(self):
+        SaParams(T_init=np.float64(2.0), T_final=1).validate()
+        SbmParams(dt=np.float32(0.1), c0=0.5).validate()
+        PaParams(momentum=0, lambda0=3).validate()
+        BBParams(time_limit=None).validate()
+
     @pytest.mark.parametrize("params", [SaParams(sweeps=5, T_init=1.0, T_final=2.0),
                                         SaParams(sweeps=5, T_final=1e6)])
     def test_sa_refuses_rising_temperature(self, params):

@@ -4,10 +4,10 @@
 operator's memory order and step in place; the loops in ``oracles`` are the
 allocating C-ordered versions they replaced, in the same float32 precision
 as the solvers.  ``solve_sa`` updates a class's
-fields through the CSR product of its transposed rows, and steps a one-spin
-class of a dense operator on the flipping replicas only; ``sa_loop`` is the
-``dS @ A[C]`` loop over every class.  States, energies, replica order and the
-final positions must be the same bits.
+fields through the CSR product of its transposed rows, and steps runs of
+one-spin classes of a dense operator with delayed field updates; ``sa_loop``
+is the ``dS @ A[C]`` loop over every class.  States, energies, replica order
+and the final positions must be the same bits.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ def tile_gaussian():
 
 def gaussian_g80():
     # a dense operator with 22 colour classes, two of them one spin: every SA
-    # sweep runs both the one-spin and the multi-spin class step
+    # sweep runs both the run step and the multi-spin class step
     i, j = np.triu_indices(80, k=1)
     keep = np.random.default_rng(80).random(i.size) < 0.6
     return gen_random("edge_list", "gaussian", 8, n=80,
@@ -54,6 +54,12 @@ MODELS = {
     "tile-L16-fields": tile_with_fields,
     "tile-L32-gaussian": tile_gaussian,
     "gaussian-G80": gaussian_g80,
+    # integer couplings and fields: every field sum is exact, and the SA runs
+    # of one-spin classes (16, 16, 5 spins) do not divide n
+    "int31-n37": lambda: gen_random("complete", "int_uniform", 37, n=37, a=-31, b=31),
+    # one SA run, shorter than the run length
+    "gaussian-n2": lambda: gen_random("complete", "gaussian", 2, n=2),
+    "gaussian-n3": lambda: gen_random("complete", "gaussian", 3, n=3),
 }
 
 
@@ -88,6 +94,20 @@ def test_sa_equals_class_update_loop(model, seed):
     params = SaParams(sweeps=30, replicas=64, seed=seed)
     want = make_sampleset(model, sa_loop(model, params).astype(np.int8), seed)
     assert_same_samples(solve_sa(model, params), want)
+
+
+def test_sa_one_replica_equals_class_update_loop(model):
+    params = SaParams(sweeps=30, replicas=1, seed=3)
+    want = make_sampleset(model, sa_loop(model, params).astype(np.int8), 3)
+    assert_same_samples(solve_sa(model, params), want)
+
+
+def test_int31_n37_is_dense_with_integer_fields():
+    m = MODELS["int31-n37"]()
+    assert isinstance(m.coupling_operator(), np.ndarray)
+    assert [C.size for C in m.colour_classes()] == [1] * 37
+    assert np.all(m.h == np.round(m.h)) and np.any(m.h != 0)
+    assert np.all(m.values == np.round(m.values))
 
 
 def test_gaussian_g80_mixes_one_spin_and_multi_spin_classes():
