@@ -226,6 +226,7 @@ def _resolve_reference(entry: _Entry, spec: SuiteSpec, best_by_instance, file_re
 
 def spectrum(sampleset, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram of sample energies; counts sum to sample count."""
+    positive_count("bins", bins)
     energies = sampleset.energies()
     if energies.size == 0:
         raise ValidationError("spectrum needs at least one sample")

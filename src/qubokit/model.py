@@ -68,12 +68,12 @@ from .errors import ValidationError
 # up to about 6% fill: PA 1.06 -> 0.42 and SBM 1.04 -> 0.54 at 1.5% (reduced
 # 3R3X, n=400), 0.34 -> 0.22 and 0.39 -> 0.25 at 3.1% (n=192), 0.17 -> 0.12
 # and 0.21 -> 0.15 at 6.2% (n=96); at 6.25% (tile, n=64) and 12.4% (reduced
-# 3R3X, n=48) the two are within 15%.  SA, whose class updates run the
-# native CSR product on transposed class rows, is still slower on CSR at
-# every fill measured (ms per sweep, 40 sweeps, medians of 7 interleaved
-# runs): 3.46 -> 4.27 at 1.5%, 1.33 -> 1.66 at 3.1%, 0.81 -> 1.00 at 4.3%
-# (Chimera, n=128), 0.90 -> 1.31 at 6.1% (reduced 3R3X, n=96).  Moving the
-# threshold either way slows one side, so it stays at 1/32.
+# 3R3X, n=48) the two are within 15%.  SA, on spin-major replicas with
+# class updates dS @ A[C], is faster on CSR at 1.5% and about even at 3.1%
+# (ms per sweep, 40 sweeps, medians of 7 interleaved runs, three runs):
+# 4.37-5.07 -> 3.43-3.77 at 1.5%, 1.84-2.26 -> 1.43-2.14 at 3.1%, 0.97-1.31
+# -> 0.83-1.44 at 4.3% (Chimera, n=128), 0.77-1.09 -> 0.99-1.49 at 6.1%
+# (reduced 3R3X, n=96).  1/32 sits near SA's break-even, below PA's and SBM's.
 DENSE_OPERATOR_MAX_N = 2048
 DENSE_OPERATOR_MIN_FILL = 1 / 32
 
@@ -192,9 +192,14 @@ def block_order(op) -> str:
     "F" (spin-major) when ``op`` is CSR, "C" when it is dense.
 
     A spin-major block's transpose is C-contiguous, so ``op @ X.T`` runs
-    scipy's native CSR multi-vector kernel; ``X @ op`` would copy that
-    transpose and take the CSC path, with the same bits (both add each
-    row's terms in ascending column order).  Dense blocks stay in C order
+    scipy's native CSR multi-vector kernel without a copy.  ``X @ op`` makes
+    no copy either: scipy transposes both sides and runs the CSC kernel on
+    ``op.T``, with the bits of ``(op @ X.T).T`` (both add each row's terms
+    in ascending column order).  ``block_product`` keeps the CSR form for a
+    whole operator because it is faster: 0.09-0.10 ms against 0.15 ms for
+    ``X @ op`` at tile L=32 with 64 float32 replicas (2 CPUs, scipy 1.17);
+    simulated annealing multiplies by a class's rows ``X @ op[C]``, whose
+    CSR form would need a transposed copy.  Dense blocks stay in C order
     because GEMM's bits depend on the output's memory order, and
     ``np.matmul(X, op, out=F)`` into a C-ordered F gives those of ``X @ op``.
     """

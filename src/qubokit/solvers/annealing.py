@@ -8,9 +8,19 @@ class are coupled, so no flip in a class changes the field of another spin
 in it: one vectorized Metropolis step over the whole class accepts exactly
 what single-spin steps over its spins in any order would accept, and a sweep
 equals a sequential sweep in class order (Isakov et al., Comput. Phys.
-Commun. 192, 2015).  Accepted flips update the fields of the replicas that
-flipped with one operator product per class, F += dS[:, C] @ A[C].  On a
-complete graph every class is a single spin and the order is the index order.
+Commun. 192, 2015).  Accepted flips update the fields with one operator
+product per class, F += dS @ A[C], for a dense or a CSR operator alike.  On
+a complete graph every class is a single spin and the order is the index
+order.
+
+The (replicas, n) states and fields are held in the memory order the
+coupling operator's product wants (``block_order``), as in parallel
+annealing and simulated bifurcation: C order for a dense operator,
+spin-major for CSR.  On a spin-major dS scipy runs dS @ A[C] as the CSC
+product of A[C]^T on the C-contiguous dS^T, without a copy, and adds each
+field's terms in ascending class order.  A class's energy increments are
+summed over C-contiguous rows in either layout: a strided row sum adds them
+in another order, and E picks each replica's best state.
 
 Consecutive one-spin classes of a dense operator (every class of a complete
 graph, the tail classes of a dense G(n, p)) are stepped in runs of at most
@@ -38,7 +48,7 @@ from itertools import groupby
 import numpy as np
 
 from ..errors import ValidationError
-from ..model import IsingModel, is_sparse
+from ..model import IsingModel, block_order, is_sparse
 from .common import SampleSet, SaParams, make_sampleset, replica_streams
 
 # Uniform draws are pre-generated in chunks of this many sweeps per replica
@@ -65,21 +75,18 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     else:
         temps = np.array([T_init])
 
-    streams = replica_streams(params.seed, R)
-    S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
     A = model.coupling_operator()
+    streams = replica_streams(params.seed, R)
+    S = np.asarray(np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]),
+                   dtype=np.float64, order=block_order(A))
     F = S @ A + model.h
-    sparse = is_sparse(A)
     # (spins, their operator rows, their in-run coupling block or None): a
-    # class, or a run of consecutive one-spin classes of a dense operator.
-    # A CSR operator keeps each class's rows transposed, so the field update
-    # (A[C]^T dS^T)^T runs scipy's native CSR product, not the transpose copy
-    # of dS @ csr; both add each entry's terms in ascending column order
+    # class, or a run of consecutive one-spin classes of a dense operator
     steps = []
     for single, group in groupby(model.colour_classes(),
-                                 key=lambda C: C.size == 1 and not sparse):
+                                 key=lambda C: C.size == 1 and not is_sparse(A)):
         if not single:
-            steps += [(C, A[C].T.tocsr() if sparse else A[C], None) for C in group]
+            steps += [(C, A[C], None) for C in group]
             continue
         spins = np.concatenate(list(group))
         for a in range(0, spins.size, _RUN):
@@ -107,13 +114,12 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
                 s = S[:, C]
                 dE = -2.0 * s * F[:, C]
                 flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
-                hit = np.flatnonzero(flip.any(axis=1))
-                if hit.size == 0:
+                if not flip.any():
                     continue
                 dS = np.where(flip, -2.0 * s, 0.0)
                 S[:, C] = s + dS
-                E += np.where(flip, dE, 0.0).sum(axis=1)
-                F[hit] += (A_C @ dS[hit].T).T if sparse else dS[hit] @ A_C
+                E += np.ascontiguousarray(np.where(flip, dE, 0.0)).sum(axis=1)
+                F += dS @ A_C
             improved = E < best_E
             if np.any(improved):
                 best_E[improved] = E[improved]

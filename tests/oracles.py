@@ -528,9 +528,10 @@ def sbm_loop(model, params) -> np.ndarray:
     return Q
 
 
-# SA oracle: the loop that updated the fields of a class with dS @ A[C]
-# whatever the operator, before CSR operators kept each class's rows
-# transposed.  Copied as it was, so ``solve_sa`` must reproduce it bit for bit.
+# SA oracle: the loop over C-ordered replica blocks that updated the fields
+# of the replicas with a flip in a class with dS @ A[C], one class at a time,
+# whatever the operator.  Copied as it was, so ``solve_sa`` must reproduce it
+# bit for bit.
 
 def sa_loop(model, params) -> np.ndarray:
     """Best states ``best_S`` (float spins) of ``solve_sa``'s replicas."""

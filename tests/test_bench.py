@@ -9,6 +9,7 @@ from qubokit import (
     GapRecord,
     ReferenceUndefinedError,
     SuiteSpec,
+    ValidationError,
     export_records,
     load_records,
     optimality_gap,
@@ -58,6 +59,13 @@ class TestSpectrum:
         best = sset.best.energy
         assert edges[0] <= best <= edges[1]
         assert counts[0] >= 1
+
+    @pytest.mark.parametrize("bins", [0, -1, 2.5, True])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        m = gen_random("complete", "uniform", 1, n=6)
+        sset = solve_sa(m, SaParams(sweeps=5, replicas=4, seed=0))
+        with pytest.raises(ValidationError, match="bins"):
+            spectrum(sset, bins=bins)
 
 
 def suite_for(tmp_path, reference="planted", solvers=None, workers=1):

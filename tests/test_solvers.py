@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ class TestSimulatedAnnealing:
         assert [s.energy for s in a.samples] == [s.energy for s in b.samples]
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
 
+    def test_memory_grows_with_replicas_times_n(self):
+        # n=4096, 8192 couplings; the solve holds a few (replicas, n) blocks
+        # (states, fields, best states, a chunk of uniform draws)
+        m = gen_tile(64, [0.0, 0.8, 0.0, 0.2], 64).model
+        m.coupling_operator()
+        m.colour_classes()
+        tracemalloc.start()
+        try:
+            solve_sa(m, SaParams(sweeps=10, replicas=64, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 64 * m.n
 
     def test_complete_graph_golden(self):
         # Recorded before colour-class sweeps: on a complete graph every class

@@ -3,10 +3,11 @@
 ``solve_pa`` and ``integrate`` hold the replica block in the coupling
 operator's memory order and step in place; the loops in ``oracles`` are the
 allocating C-ordered versions they replaced, in the same float32 precision
-as the solvers.  ``solve_sa`` updates a class's
-fields through the CSR product of its transposed rows, and steps runs of
-one-spin classes of a dense operator with delayed field updates; ``sa_loop``
-is the ``dS @ A[C]`` loop over every class.  States, energies, replica order
+as the solvers.  ``solve_sa`` also holds its replicas in the operator's
+memory order, updates every replica's fields of a class at once, and steps
+runs of one-spin classes of a dense operator with delayed field updates;
+``sa_loop`` is the C-ordered loop that updated only the replicas with a
+flip in the class, one class at a time.  States, energies, replica order
 and the final positions must be the same bits.
 """
 
@@ -54,6 +55,8 @@ MODELS = {
     "tile-L16-fields": tile_with_fields,
     "tile-L32-gaussian": tile_gaussian,
     "gaussian-G80": gaussian_g80,
+    # CSR with float couplings and three large classes (192, 192, 128 spins)
+    "chimera-8x8-gaussian": lambda: gen_random("chimera", "gaussian", 9, rows=8, cols=8),
     # integer couplings and fields: every field sum is exact, and the SA runs
     # of one-spin classes (16, 16, 5 spins) do not divide n
     "int31-n37": lambda: gen_random("complete", "int_uniform", 37, n=37, a=-31, b=31),
