@@ -17,12 +17,16 @@ object: the machine, the versions, and per model ms per PA and SBM step,
 ns per SA spin update, the dtype of the replica block that PA and SBM
 multiply by the coupling operator (read from one untimed one-step call) and
 each solver's best energy, so that a change of precision shows its effect
-on quality next to its effect on speed.
+on quality next to its effect on speed.  Per model it also prints each
+solver's tracemalloc peak in bytes per replica-spin, from one extra untimed
+call after the timed ones (the model's operator and colouring are built by
+then, so the peak is the solve's own).
 """
 
 import dataclasses
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +69,17 @@ def block_dtype(module, solve, model, params) -> str:
     return str(seen[0])
 
 
+def peak_per_replica_spin(solve, model, replicas: int) -> float:
+    """tracemalloc peak of one ``solve()`` call in bytes per replica-spin."""
+    tracemalloc.start()
+    try:
+        solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / (replicas * model.n), 1)
+
+
 def measure(name: str, model, replicas: int) -> dict:
     pa = PaParams(steps=PA_STEPS, replicas=replicas, seed=SEED)
     sbm = SbmParams(steps=SBM_STEPS, dt=SBM_DT, replicas=replicas, seed=SEED,
@@ -82,7 +97,13 @@ def measure(name: str, model, replicas: int) -> dict:
             "sa_ns_per_update": round(1e9 * sa_s / (SA_SWEEPS * model.n * replicas), 2),
             "pa_best_energy": pa_out.best.energy,
             "sbm_best_energy": sbm_out.best.energy,
-            "sa_best_energy": sa_out.best.energy}
+            "sa_best_energy": sa_out.best.energy,
+            "pa_peak_b_per_replica_spin":
+                peak_per_replica_spin(lambda: solve_pa(model, pa), model, replicas),
+            "sbm_peak_b_per_replica_spin":
+                peak_per_replica_spin(lambda: solve_sbm(model, sbm), model, replicas),
+            "sa_peak_b_per_replica_spin":
+                peak_per_replica_spin(lambda: solve_sa(model, sa), model, replicas)}
 
 
 def main() -> int:

@@ -51,6 +51,9 @@ FORMAT_HUBO = "hubo"
 _TERM_LINE = re.compile(r"^[ \t]*[^\s#].*$", re.MULTILINE)  # a line that is not blank or a comment
 # a "# format: ..." or "# offset: ..." comment line, as (key, value)
 _SETTING = re.compile(r"^[^\S\n]*#[^\S\n]*(format|offset):(.*)$", re.MULTILINE)
+# quadratic term lines formatted per write: the text of a whole model is
+# never held at once
+_WRITE_LINES = 2 ** 14
 _HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 
 
@@ -59,7 +62,8 @@ def model_to_dict(model: Model) -> dict:
     if isinstance(model, (IsingModel, QuboModel)):
         domain, *columns = _quadratic_columns(model)
         return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": domain,
-                "offset": model.offset, "terms": list(map(list, zip(*columns)))}
+                "offset": model.offset,
+                "terms": list(map(list, zip(*(c.tolist() for c in columns))))}
     if isinstance(model, HuboModel):
         terms = []
         for idx, c in model.blocks:
@@ -69,16 +73,16 @@ def model_to_dict(model: Model) -> dict:
     raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
-def _quadratic_columns(model: IsingModel | QuboModel) -> tuple[str, list, list, list]:
+def _quadratic_columns(model: IsingModel | QuboModel) -> tuple[str, np.ndarray, np.ndarray,
+                                                                np.ndarray]:
     """Domain tag and the 1-based (i, j, v) columns of the term lines; an
     Ising model's non-zero fields come first, as ``i i h_i`` lines."""
     rows, cols, values = model.rows + 1, model.cols + 1, model.values
     if isinstance(model, QuboModel):
-        return BINARY_DOMAIN, rows.tolist(), cols.tolist(), values.tolist()
+        return BINARY_DOMAIN, rows, cols, values
     fields = np.flatnonzero(model.h != 0.0)
-    return (SPIN_DOMAIN, np.concatenate([fields + 1, rows]).tolist(),
-            np.concatenate([fields + 1, cols]).tolist(),
-            np.concatenate([model.h[fields], values]).tolist())
+    return (SPIN_DOMAIN, np.concatenate([fields + 1, rows]),
+            np.concatenate([fields + 1, cols]), np.concatenate([model.h[fields], values]))
 
 
 def model_from_dict(data: dict) -> Model:
@@ -143,20 +147,23 @@ def write_instance(path, model: Model) -> Path:
         path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
         return path
 
-    if isinstance(model, (IsingModel, QuboModel)):
-        domain, rows, cols, values = _quadratic_columns(model)
-        lines = [f"# format: {FORMAT_QUADRATIC}"]
-        if model.offset != 0.0:
-            lines.append(f"# offset: {model.offset!r}")
-        lines.append(f"{model.n} {len(values)} {domain}")
-        lines += [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, values)]
-    else:
-        lines = [f"# format: {FORMAT_HUBO}", f"{model.n} {model.num_terms} {model.domain}"]
-        for idx, c in model.blocks:
-            k = idx.shape[1]
-            line = " ".join([str(k)] + ["{}"] * k + ["{!r}"])
-            lines += map(line.format, *(idx.T + 1).tolist(), c.tolist())
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        if isinstance(model, (IsingModel, QuboModel)):
+            domain, *columns = _quadratic_columns(model)
+            f.write(f"# format: {FORMAT_QUADRATIC}\n")
+            if model.offset != 0.0:
+                f.write(f"# offset: {model.offset!r}\n")
+            m = columns[0].size
+            f.write(f"{model.n} {m} {domain}\n")
+            for a in range(0, m, _WRITE_LINES):
+                rows, cols, values = (c[a:a + _WRITE_LINES].tolist() for c in columns)
+                f.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, values))
+        else:
+            f.write(f"# format: {FORMAT_HUBO}\n{model.n} {model.num_terms} {model.domain}\n")
+            for idx, c in model.blocks:
+                k = idx.shape[1]
+                line = " ".join([str(k)] + ["{}"] * k + ["{!r}"]) + "\n"
+                f.writelines(map(line.format, *(idx.T + 1).tolist(), c.tolist()))
     return path
 
 

@@ -135,7 +135,8 @@ def _canonical_pairs(n: int, rows, cols, values,
     Swapped index pairs are normalized to i <= j.  Duplicates are summed in
     input order into 0.0, as ``acc[(i, j)] = acc.get((i, j), 0.0) + v`` over
     the terms would (so -0.0 becomes 0.0): ``np.add.at`` applies repeated
-    indices one after another in array order.
+    indices one after another in array order.  Input whose keys
+    lo * n + hi already strictly increase skips the sort and the sum.
     """
     rows, cols = np.ravel(rows), np.ravel(cols)
     values = np.asarray(values, dtype=np.float64).ravel()
@@ -162,7 +163,12 @@ def _canonical_pairs(n: int, rows, cols, values,
         if diagonal[k]:
             raise ValidationError(f"diagonal coupling ({i}, {i}) not allowed; use the linear field")
         raise ValidationError(f"non-finite coefficient for pair ({i}, {j})")
-    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    keys = lo * n + hi
+    if np.all(keys[1:] > keys[:-1]):
+        # already sorted and unique (generator pairs, written files): each
+        # sum is 0.0 + v, which turns -0.0 into 0.0 as np.add.at does
+        return lo, hi, values + 0.0
+    keys, inverse = np.unique(keys, return_inverse=True)
     vals = np.zeros(keys.size, dtype=np.float64)
     np.add.at(vals, inverse, values)
     return keys // n, keys % n, vals

@@ -26,7 +26,17 @@ coupling operator's product wants (``block_order``): spin-major (Fortran)
 when the operator is CSR, C order when it is dense.  Every step runs in
 place on buffers allocated once (only a CSR product returns a new block), in
 the arithmetic order of the equations above, so the results do not depend on
-the layout.
+the layout.  g is added from a block in that order filled once, so no step
+broadcasts it, and -(Q^2 + a0 - a) is computed as a - (Q^2 + a0), which
+IEEE subtraction makes the same bits.
+
+The walls run on every step without a test or a boolean index: the mask
+keep = |Q| <= q_cap is taken before Q is clipped, and P *= keep zeroes the
+momenta at the wall.  Where P was negative that leaves -0.0, not 0.0.  No Q
+bit moves for it: such a Q sits at +-q_cap, (dt a0) P adds a signed zero to
+it until P turns non-zero, and P + w is w for any non-zero w whatever the
+sign of P's zero.  One P += 0.0 after the last step turns the remaining
+-0.0 into 0.0, so the final momenta are the bits of zeroing by index.
 """
 
 from __future__ import annotations
@@ -67,17 +77,18 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
     dt, a0, c0, q_cap = float(dt), float(a0), float(c0), float(q_cap)
     W = np.empty_like(Q)                  # work block
     F = np.empty_like(Q)                  # dense product buffer
-    over = np.empty(Q.shape, dtype=bool, order=order)
+    G = np.empty_like(Q)                  # g in every row
+    G[...] = g
+    keep = np.empty(Q.shape, dtype=bool, order=order)
     step = dt * a0
     for a_t in np.asarray(a_schedule, dtype=dtype):
         # P += dt * (-(Q * Q + a0 - a_t) * Q + c0 * (Q @ B + g))
         np.multiply(Q, Q, out=W)
         W += a0
-        W -= a_t
-        np.negative(W, out=W)
+        np.subtract(a_t, W, out=W)        # a - b is -(b - a) bit for bit
         W *= Q
         BQ = block_product(Q, B, F)
-        BQ += g
+        BQ += G
         BQ *= c0
         W += BQ
         W *= dt
@@ -86,10 +97,10 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
         np.multiply(P, step, out=W)
         Q += W
         np.abs(Q, out=W)
-        np.greater(W, q_cap, out=over)
-        if over.any():
-            np.clip(Q, -q_cap, q_cap, out=Q)
-            P[over] = 0.0
+        np.less_equal(W, q_cap, out=keep)
+        np.clip(Q, -q_cap, q_cap, out=Q)
+        np.multiply(P, keep, out=P)
+    P += 0.0                              # -0.0 from the walls to 0.0
     return Q, P
 
 

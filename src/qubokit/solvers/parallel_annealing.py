@@ -22,6 +22,7 @@ product wants (``block_order``): spin-major (Fortran) when the operator is
 CSR, C order when it is dense.  Every step runs in place on buffers
 allocated once (only a CSR product returns a new block), in the arithmetic
 order of the expressions above, so the results do not depend on the layout.
+h is added from a block in that order filled once, so no step broadcasts it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
     S = np.empty_like(X)      # sign(x) as +-1.0
     G = np.empty_like(X)      # gradient
     F = np.empty_like(X)      # dense product buffer
+    H = np.empty_like(X)      # h in every row
+    H[...] = h
 
     for t in range(T):
         lam = lam0 * (1.0 - t / T)
@@ -59,7 +62,7 @@ def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
         S -= 1.0
         np.multiply(X, lam, out=G)
         G += block_product(S, A, F)
-        G += h
+        G += H
         M *= alpha
         G *= eta
         M -= G

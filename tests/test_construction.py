@@ -32,6 +32,7 @@ from qubokit.generators import (
     gen_random,
     rng_stream,
 )
+from qubokit.model import _canonical_pairs
 from qubokit.transforms import hubo_to_spin_domain, ising_to_qubo, qubo_to_ising, reduce_cubic
 
 from oracles import (
@@ -97,8 +98,15 @@ def gen_random_loop(edges, nvars, draw):
     return (h, *canonical_pairs_loop(couplings, nvars, allow_diagonal=False))
 
 
+def complete_with_offset(n: int, seed: int):
+    m = gen_random("complete", "gaussian", seed, n=n)
+    return IsingModel.from_arrays(n, m.rows, m.cols, m.values, h=m.h, offset=-2.5)
+
+
 CONVERSION_MODELS = {
     "gaussian-complete-60": lambda: gen_random("complete", "gaussian", 60, n=60),
+    # 19,900 couplings and 200 fields: more term lines than one written block
+    "gaussian-complete-200-offset": lambda: complete_with_offset(200, 31),
     "chimera-2x2": lambda: gen_random("chimera", "uniform", 22, rows=2, cols=2),
     "awkward": lambda: IsingModel.from_terms(
         12, h=np.random.default_rng(3).standard_normal(12),
@@ -131,6 +139,26 @@ class TestCanonicalPairs:
     def test_negative_zero_becomes_zero(self):
         m = QuboModel.from_arrays(3, [0, 2], [0, 1], [-0.0, -0.0])
         assert not np.signbit(m.values).any()
+
+    @pytest.mark.parametrize("allow_diagonal", [False, True])
+    def test_canonical_input_equals_sort_path(self, allow_diagonal):
+        # sorted unique pairs skip the sort; the same terms swapped, shuffled
+        # or repeated with -0.0 go through it and must give the same bits
+        n, rng = 30, np.random.default_rng(11)
+        i, j = np.triu_indices(n, k=0 if allow_diagonal else 1)
+        keep = rng.random(i.size) < 0.5
+        i, j = i[keep], j[keep]
+        v = rng.standard_normal(i.size)
+        v[::7] = -0.0
+        want = _canonical_pairs(n, i, j, v, allow_diagonal)
+        assert not np.signbit(want[2][v == 0.0]).any()
+        for w, loop in zip(want, canonical_pairs_loop(zip(i, j, v), n, allow_diagonal)):
+            same_bytes(w, loop)
+        order = rng.permutation(i.size)
+        for rows, cols, values in ((j, i, v), (i[order], j[order], v[order]),
+                                   (np.r_[i, i], np.r_[j, j], np.r_[v, -0.0 * v])):
+            for got, w in zip(_canonical_pairs(n, rows, cols, values, allow_diagonal), want):
+                same_bytes(got, w)
 
     def test_first_bad_term_reported(self):
         with pytest.raises(ValidationError, match=r"pair \(0, 5\) out of range"):

@@ -136,6 +136,20 @@ class TestSimulatedAnnealing:
             tracemalloc.stop()
         assert peak < 128 * 64 * m.n
 
+    def test_draw_block_is_bounded(self):
+        # dense n=96 with 256 replicas: 40 sweeps of draws would be 7.9 MB,
+        # but the solve draws them in blocks of at most 2 MiB
+        m = gen_wishart(96, 96, 3).model
+        m.coupling_operator()
+        m.colour_classes()
+        tracemalloc.start()
+        try:
+            solve_sa(m, SaParams(sweeps=40, replicas=256, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * m.n
+
     def test_complete_graph_golden(self):
         # Recorded before colour-class sweeps: on a complete graph every class
         # is one spin, so the trajectory must not change.

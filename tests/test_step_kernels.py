@@ -19,6 +19,7 @@ from qubokit import IsingModel, PaParams, SaParams, SbmParams, solve_pa, solve_s
 from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
 from qubokit.model import sign_pm
 from qubokit.solvers import integrate, make_sampleset, resolve_c0
+from qubokit.solvers.annealing import _run_step
 from qubokit.solvers.common import replica_streams
 from qubokit.transforms import reduce_cubic
 
@@ -148,3 +149,49 @@ def test_sampleset_energies_independent_of_state_layout(build, replicas):
     c_order = make_sampleset(m, np.ascontiguousarray(states), seed=0)
     f_order = make_sampleset(m, np.asfortranarray(states), seed=0)
     assert_same_samples(f_order, c_order)
+
+
+def run_step_per_spin(S, F, E, U_b, T, C, A_C, A_CC):
+    """The run step that added each spin's energy change to E as it went."""
+    Fb = F[:, C].T.copy()
+    M2S = S[:, C].T * -2.0
+    Ub = U_b[:, C].T.copy()
+    D = np.empty_like(M2S)
+    for t in range(C.size):
+        dE = M2S[t] * Fb[t]
+        flip = Ub[t] < np.exp(np.minimum(-dE / T, 0.0))
+        np.multiply(M2S[t], flip, out=D[t])
+        E += dE * flip
+        Fb[t + 1:] += np.multiply.outer(A_CC[t, t + 1:], D[t])
+    S[:, C] += D.T
+    F += D.T @ A_C
+
+
+@pytest.mark.parametrize("replicas", [1, 64])
+@pytest.mark.parametrize("T", [3.0, 0.3, 1e-3], ids=["hot", "cold", "overflow"])
+@pytest.mark.parametrize("run", [[7], [2, 3, 4, 5, 6], list(range(4, 20)),
+                                 [0, 3, 8, 9, 14, 21, 22, 23, 25, 30, 31, 33, 34, 36, 38, 39]],
+                         ids=["1", "5", "16", "16-scattered"])
+def test_run_step_equals_per_spin_reference(run, T, replicas):
+    # float couplings, fields and energies, so the order of E's sum shows in
+    # its last bits; at T=1e-3 exp(dE / -T) overflows for every downhill flip
+    n, rng = 40, np.random.default_rng(len(run) + replicas)
+    A = np.triu(rng.normal(size=(n, n)), 1)
+    A += A.T
+    C = np.array(run)
+    S = np.where(rng.random((replicas, n)) < 0.5, -1.0, 1.0)
+    h = rng.normal(size=n)
+    # the run's first spin points along its field, so flipping it lowers the
+    # energy and is accepted at every T
+    S[:, C[0]] = np.where((S @ A + h)[:, C[0]] >= 0, 1.0, -1.0)
+    F = S @ A + h
+    E = rng.normal(size=replicas) * 100.0
+    U_b = rng.random((replicas, n))
+    want = [S.copy(), F.copy(), E.copy()]
+    run_step_per_spin(*want, U_b, T, C, A[C], A[np.ix_(C, C)])
+    got = [S.copy(), F.copy(), E.copy()]
+    with np.errstate(over="ignore"):
+        _run_step(*got, U_b, T, C, A[C], A[np.ix_(C, C)])
+    assert np.all(got[0][:, C[0]] == -S[:, C[0]])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
