@@ -10,13 +10,16 @@ times ``gen_random``, ``write_instance``, ``read_instance``,
 generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
 ``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` (of the
 file as written, and of a copy without its ``# format:`` line, which the
-reader must then recognise as HUBO) and ``energies`` on 64 random replicas,
-whose tracemalloc peak it also records.  It times ``gen_tile`` on the
-L x L tile lattice for L = 256 and L = 1024, and records the tracemalloc peak
-of one L = 256 call in bytes per spin, after a small warm-up call so that the
-one-time scipy import of the planted check is not counted.  Each time is the
-minimum over three calls.  It prints one JSON object: the machine, the
-versions, the file sizes, the timings in seconds and the peaks.
+reader must then recognise as HUBO) and ``energies`` on 64 random replicas.
+It times ``gen_tile`` on the L x L tile lattice for L = 256 and L = 1024.
+Each time is the minimum over three calls.  After the timed calls of a step
+it records the tracemalloc peak of one more call: in bytes per term line
+(couplings and non-zero fields) for the complete models' steps, in bytes per
+term for the HUBO write and read, in MB for ``energies`` and in bytes per
+spin for one L = 256 ``gen_tile``, after a small warm-up call so that the
+one-time scipy import of the planted check is not counted.  It prints one
+JSON object: the machine, the versions, the file sizes, the timings in
+seconds and the peaks.
 """
 
 import json
@@ -44,59 +47,68 @@ REPLICAS = 64
 REPEATS = 3
 
 
+def traced_peak(fn) -> int:
+    """tracemalloc peak in bytes of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def timed(out: dict, name: str, fn, per: int | None = None):
+    """Record the best time of ``fn`` as ``{name}_s`` and, when ``per`` is
+    given, the traced peak of one more call as ``{name}_peak_b_per_term``
+    (bytes over ``per``); return the last result."""
+    seconds, result = best_of(REPEATS, fn)
+    out[f"{name}_s"] = round(seconds, 4)
+    if per is not None:
+        out[f"{name}_peak_b_per_term"] = round(traced_peak(fn) / per, 1)
+    return result
+
+
 def measure(n: int, workdir: Path) -> dict:
     path = workdir / f"complete-{n}.txt"
-    gen_s, model = best_of(REPEATS, lambda: gen_random("complete", "uniform", SEED + n, n=n))
-    write_s, _ = best_of(REPEATS, lambda: write_instance(path, model))
-    read_s, back = best_of(REPEATS, lambda: read_instance(path))
-    to_qubo_s, qubo = best_of(REPEATS, lambda: ising_to_qubo(back))
-    to_ising_s, _ = best_of(REPEATS, lambda: qubo_to_ising(qubo))
-    return {"n": n, "couplings": model.num_couplings,
-            "file_mb": round(path.stat().st_size / 1e6, 3),
-            "gen_random_s": round(gen_s, 4), "write_instance_s": round(write_s, 4),
-            "read_instance_s": round(read_s, 4), "ising_to_qubo_s": round(to_qubo_s, 4),
-            "qubo_to_ising_s": round(to_ising_s, 4)}
+    out = {}
+    generate = lambda: gen_random("complete", "uniform", SEED + n, n=n)  # noqa: E731
+    model = generate()
+    terms = model.num_couplings + int(np.count_nonzero(model.h))
+    timed(out, "gen_random", generate, terms)
+    timed(out, "write_instance", lambda: write_instance(path, model), terms)
+    back = timed(out, "read_instance", lambda: read_instance(path), terms)
+    qubo = timed(out, "ising_to_qubo", lambda: ising_to_qubo(back), terms)
+    timed(out, "qubo_to_ising", lambda: qubo_to_ising(qubo), terms)
+    return {"n": n, "couplings": model.num_couplings, "terms": terms,
+            "file_mb": round(path.stat().st_size / 1e6, 3), **out}
 
 
 def measure_hubo(n: int, workdir: Path) -> dict:
     path = workdir / f"mw3s-{n}.txt"
-    gen_s, model = best_of(REPEATS, lambda: gen_mw3s(n, SEED + n))
-    to_ising_s, _ = best_of(REPEATS, lambda: to_ising(model))
-    write_s, _ = best_of(REPEATS, lambda: write_instance(path, model))
-    read_s, _ = best_of(REPEATS, lambda: read_instance(path))
+    out = {}
+    model = timed(out, "gen_mw3s", lambda: gen_mw3s(n, SEED + n))
+    timed(out, "to_ising", lambda: to_ising(model))
+    timed(out, "write_instance", lambda: write_instance(path, model), model.num_terms)
+    timed(out, "read_instance", lambda: read_instance(path), model.num_terms)
     bare = workdir / f"mw3s-{n}-no-format.txt"
     bare.write_text(path.read_text().replace("# format: hubo\n", "", 1))
-    read_bare_s, _ = best_of(REPEATS, lambda: read_instance(bare))
+    timed(out, "read_instance_no_format", lambda: read_instance(bare))
     rng = np.random.default_rng(SEED)
     states = np.where(rng.random((REPLICAS, n)) < 0.5, -1, 1).astype(np.int8)
-    energies_s, _ = best_of(REPEATS, lambda: model.energies(states))
-    tracemalloc.start()
-    try:
-        model.energies(states)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    timed(out, "energies", lambda: model.energies(states))
+    out["energies_peak_mb"] = round(traced_peak(lambda: model.energies(states)) / 1e6, 2)
     return {"n": n, "terms": model.num_terms,
-            "file_mb": round(path.stat().st_size / 1e6, 3),
-            "gen_mw3s_s": round(gen_s, 4), "to_ising_s": round(to_ising_s, 4),
-            "write_instance_s": round(write_s, 4), "read_instance_s": round(read_s, 4),
-            "read_instance_no_format_s": round(read_bare_s, 4),
-            "energies_s": round(energies_s, 4), "energies_peak_mb": round(peak / 1e6, 2)}
+            "file_mb": round(path.stat().st_size / 1e6, 3), **out}
 
 
 def measure_tile() -> dict:
     gen_tile(16, TILE_P, SEED)  # warm-up: the planted check's CSR operator imports scipy
     out = {"p": list(TILE_P)}
     for L in TILE_L_VALUES:
-        gen_s, _ = best_of(REPEATS, lambda: gen_tile(L, TILE_P, SEED + L))
-        out[f"gen_tile_L{L}_s"] = round(gen_s, 4)
+        timed(out, f"gen_tile_L{L}", lambda: gen_tile(L, TILE_P, SEED + L))
     L = TILE_L_VALUES[0]
-    tracemalloc.start()
-    try:
-        gen_tile(L, TILE_P, SEED + L)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gen_tile(L, TILE_P, SEED + L))
     out[f"gen_tile_L{L}_peak_bytes_per_spin"] = round(peak / L ** 2)
     return out
 

@@ -245,10 +245,10 @@ def export_records(records: list[GapRecord], path) -> Path:
         if path.suffix == ".json":
             payload = {"version": REPORT_SCHEMA_VERSION,
                        "records": [dataclasses.asdict(rec) for rec in records]}
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         else:
             fields = [f.name for f in dataclasses.fields(GapRecord)]
-            with path.open("w", newline="") as fh:
+            with path.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.DictWriter(fh, fieldnames=fields)
                 writer.writeheader()
                 for rec in records:
@@ -263,7 +263,7 @@ def load_records(path) -> list[GapRecord]:
     path = Path(path)
     records = []
     if path.suffix != ".json":
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 records.append(GapRecord(
                     instance_id=row["instance_id"], solver_id=row["solver_id"],

@@ -124,7 +124,8 @@ def _cmd_reduce(args) -> int:
     if rmap is None:
         raise ValidationError("reduce expects a HUBO instance file")
     write_instance(args.out, reduced)
-    args.map_out.write_text(json.dumps(dataclasses.asdict(rmap), indent=2) + "\n")
+    args.map_out.write_text(json.dumps(dataclasses.asdict(rmap), indent=2) + "\n",
+                            encoding="utf-8")
     print(f"reduced {args.instance}: {rmap.original_n} vars + "
           f"{len(rmap.aux_bindings)} auxiliaries -> {args.out}")
     return EXIT_OK
@@ -167,7 +168,7 @@ def _cmd_solve(args) -> int:
     report["lifted_state"] = [int(x) for x in lifted]
     report["lifted_energy"] = float(model.energy(lifted))
     if args.out is not None:
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
+        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"solved {args.instance}: best_energy={result.energy}{bound}")
     return EXIT_OK
 

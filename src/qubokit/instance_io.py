@@ -13,22 +13,28 @@ offset that is not a number, and a non-zero offset on a HUBO (its constant
 is an order-0 term; in JSON too) are ValidationErrors.  Without the format
 comment a file is HUBO when its first term line (trailing comment cut) has
 other than three fields, else quadratic when every term line has three
-fields, else HUBO.  Quadratic bodies are parsed in one ``np.loadtxt`` call,
-HUBO bodies in one per order; repeated lines are summed in line order
-(fields into ``h``, pairs and terms as in ``from_arrays``), and a malformed
-line, an index out of range (field lines included) or a term count that
-differs from the header is a ValidationError.
+fields, else HUBO.  The reader decodes the file once, as UTF-8, and finds
+the header, the settings and the first term line by position in that text,
+copying no part of it.  A quadratic body is parsed by one ``np.loadtxt``
+call that reads the file again line by line, skipping the lines up to and
+including the header, so no second copy of the text is held; HUBO bodies
+are parsed in one call per order.  Repeated lines are summed in
+line order (fields into ``h``, pairs and terms as in ``from_arrays``), and a
+malformed line, an index out of range (field lines included) or a term count
+that differs from the header is a ValidationError.  The writers format
+``_WRITE_LINES`` term lines at a time in one ``%`` call, so the text of a
+whole model is never held at once.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
-indices.  An instance file that is not UTF-8 text, and a JSON file (instance,
-certificate, suite, reference, records or solver parameters) that does not
-decode, is a ValidationError naming the file.
+indices.  Every instance and JSON file is read and written as UTF-8,
+whatever the locale.  An instance file that is not UTF-8 text, and a JSON
+file (instance, certificate, suite, reference, records or solver parameters)
+that does not decode, is a ValidationError naming the file.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import numbers
 import re
@@ -51,8 +57,7 @@ FORMAT_HUBO = "hubo"
 _TERM_LINE = re.compile(r"^[ \t]*[^\s#].*$", re.MULTILINE)  # a line that is not blank or a comment
 # a "# format: ..." or "# offset: ..." comment line, as (key, value)
 _SETTING = re.compile(r"^[^\S\n]*#[^\S\n]*(format|offset):(.*)$", re.MULTILINE)
-# quadratic term lines formatted per write: the text of a whole model is
-# never held at once
+# term lines formatted per write
 _WRITE_LINES = 2 ** 14
 _HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 
@@ -144,32 +149,43 @@ def write_instance(path, model: Model) -> Path:
     """Write a model to ``path``; ``.json`` suffix selects the JSON mirror."""
     path = Path(path)
     if path.suffix == ".json":
-        path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+        path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")
         return path
 
-    with path.open("w") as f:
+    with path.open("w", encoding="utf-8") as f:
         if isinstance(model, (IsingModel, QuboModel)):
             domain, *columns = _quadratic_columns(model)
             f.write(f"# format: {FORMAT_QUADRATIC}\n")
             if model.offset != 0.0:
                 f.write(f"# offset: {model.offset!r}\n")
-            m = columns[0].size
-            f.write(f"{model.n} {m} {domain}\n")
-            for a in range(0, m, _WRITE_LINES):
-                rows, cols, values = (c[a:a + _WRITE_LINES].tolist() for c in columns)
-                f.writelines(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, values))
+            f.write(f"{model.n} {columns[0].size} {domain}\n")
+            _write_lines(f, "%d %d %r\n", columns)
         else:
             f.write(f"# format: {FORMAT_HUBO}\n{model.n} {model.num_terms} {model.domain}\n")
             for idx, c in model.blocks:
                 k = idx.shape[1]
-                line = " ".join([str(k)] + ["{}"] * k + ["{!r}"]) + "\n"
-                f.writelines(map(line.format, *(idx.T + 1).tolist(), c.tolist()))
+                _write_lines(f, f"{k}{' %d' * k} %r\n", [*(idx.T + 1), c])
     return path
+
+
+def _write_lines(f, line: str, columns: list[np.ndarray]) -> None:
+    """Write one ``line % (row of columns)`` per row of the equal-length
+    ``columns``, ``_WRITE_LINES`` rows at a time: a block's cells are
+    interleaved, as Python ints and floats, into one object array and
+    formatted in one ``%`` call (``%d`` of an int is ``str``, ``%r`` of a
+    float is ``repr``)."""
+    width, m = len(columns), columns[0].size
+    cells = np.empty(width * min(m, _WRITE_LINES), dtype=object)
+    for a in range(0, m, _WRITE_LINES):
+        k = min(_WRITE_LINES, m - a)
+        for c, column in enumerate(columns):
+            cells[c:width * k:width] = column[a:a + k]
+        f.write((line * k) % tuple(cells[:width * k]))
 
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -200,10 +216,10 @@ def read_instance(path) -> Model:
     except ValueError:
         raise ValidationError(f"{path}: header 'n m d' needs integer n and m, "
                               f"got {' '.join(header)!r}") from None
-    body = text[head.end():]
-    settings = dict(_SETTING.findall(text[:head.start()]))
-    if "#" in body:  # settings comments count wherever they stand
-        settings.update(_SETTING.findall(body))
+    start = head.end()
+    settings = dict(_SETTING.findall(text, 0, head.start()))
+    if text.find("#", start) >= 0:  # settings comments count wherever they stand
+        settings.update(_SETTING.findall(text, start))
     fmt = settings["format"].strip() if "format" in settings else None
     if fmt not in (None, FORMAT_QUADRATIC, FORMAT_HUBO):
         raise ValidationError(f"{path}: unknown instance format {fmt!r}")
@@ -212,17 +228,21 @@ def read_instance(path) -> Model:
     except ValueError:
         raise ValidationError(f"{path}: offset {settings['offset'].strip()!r} "
                               "is not a number") from None
-    first = _TERM_LINE.search(body)
+    first = _TERM_LINE.search(text, start)
     if fmt is None and first and len(first.group().split("#", 1)[0].split()) != 3:
         fmt = FORMAT_HUBO
 
     if fmt in (None, FORMAT_QUADRATIC):
         try:  # loadtxt warns on a body without term lines
-            t = (_loadtxt(io.StringIO(body), TERM_DTYPE) if first
-                 else np.empty(0, dtype=TERM_DTYPE))
+            if first:
+                # the file read again line by line: no second copy of its text
+                with path.open(encoding="utf-8") as f:
+                    t = _loadtxt(f, TERM_DTYPE, skiprows=text.count("\n", 0, start) + 1)
+            else:
+                t = np.empty(0, dtype=TERM_DTYPE)
         except (ValueError, DeprecationWarning) as exc:
             if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
-                                      for line in _TERM_LINE.findall(body)):
+                                      for line in _TERM_LINE.findall(text, start)):
                 raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
         else:
             if t.size != m:
@@ -231,21 +251,23 @@ def read_instance(path) -> Model:
 
     if offset != 0.0:
         raise ValidationError(f"{path}: {_HUBO_OFFSET}")
-    lines = _TERM_LINE.findall(body)
+    lines = _TERM_LINE.findall(text, start)
     if len(lines) != m:
         raise ValidationError(f"{path}: header declares {m} terms, found {len(lines)}")
     return HuboModel.from_arrays(n, domain, _hubo_blocks(lines, path))
 
 
-def _loadtxt(lines, dtype, usecols=None) -> np.ndarray:
-    """``np.loadtxt`` of term lines (a text or a list of lines) with ``#``
-    comments; ValueError (or DeprecationWarning) on a field that does not
-    parse as ``dtype`` and on a line with the wrong number of fields."""
+def _loadtxt(lines, dtype, usecols=None, skiprows=0) -> np.ndarray:
+    """``np.loadtxt`` of term lines (an open text file or a list of lines)
+    with ``#`` comments, after the first ``skiprows`` lines; ValueError (or
+    DeprecationWarning) on a field that does not parse as ``dtype`` and on a
+    line with the wrong number of fields."""
     with warnings.catch_warnings():
         # numpy releases that only deprecate parsing "1.5" as an integer
         # truncate it; the warning as an error rejects it on all of them
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1, usecols=usecols)
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1, usecols=usecols,
+                          skiprows=skiprows, encoding="utf-8")
 
 
 def _hubo_blocks(lines: list[str], path) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -281,7 +303,7 @@ def write_certificate(path, planted: PlantedInstance) -> Path:
         "hardness": planted.hardness,
         "seed": planted.seed,
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return path
 
 

@@ -137,30 +137,40 @@ def _canonical_pairs(n: int, rows, cols, values,
     the terms would (so -0.0 becomes 0.0): ``np.add.at`` applies repeated
     indices one after another in array order.  Input whose keys
     lo * n + hi already strictly increase skips the sort and the sum.
+
+    int64 index columns (from the generators, ``np.loadtxt`` and the
+    transforms) are paired as they are; columns of any other dtype go
+    through an int64 copy that flags the terms whose indices are not
+    integers.
     """
     rows, cols = np.ravel(rows), np.ravel(cols)
     values = np.asarray(values, dtype=np.float64).ravel()
     if not rows.shape == cols.shape == values.shape:
         raise ValidationError(
             f"term arrays differ in length: {rows.size}, {cols.size}, {values.size}")
-    # an (m, 2) view of the (2, m) stack: the int64 copy keeps its layout,
-    # so lo and hi below read contiguous columns
-    pairs, non_integer = _as_indices(np.stack([rows, cols]).T)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    out_of_range = (lo < 0) | (hi >= n)
-    diagonal = (lo == hi) & (not allow_diagonal)
-    non_finite = ~np.isfinite(values)
-    bad = non_integer | out_of_range | diagonal | non_finite
+    if rows.dtype == cols.dtype == np.int64:
+        non_integer = None
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    else:
+        # an (m, 2) view of the (2, m) stack: the int64 copy keeps its
+        # layout, so lo and hi below read contiguous columns
+        pairs, non_integer = _as_indices(np.stack([rows, cols]).T)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (lo < 0) | (hi >= n) | ~np.isfinite(values)
+    if not allow_diagonal:
+        bad |= lo == hi
+    if non_integer is not None:
+        bad |= non_integer
     if bad.any():
         k = int(bad.argmax())  # the first bad term, checked as the term loop would
         i, j = int(lo[k]), int(hi[k])
-        if non_integer[k]:
+        if non_integer is not None and non_integer[k]:
             raise ValidationError(f"term index pair ({rows[k]}, {cols[k]}) "
                                   "is not a pair of integers")
-        if out_of_range[k]:
+        if not 0 <= i <= j < n:
             raise ValidationError(f"term index pair ({i}, {j}) out of range for n={n}")
-        if diagonal[k]:
+        if i == j and not allow_diagonal:
             raise ValidationError(f"diagonal coupling ({i}, {i}) not allowed; use the linear field")
         raise ValidationError(f"non-finite coefficient for pair ({i}, {j})")
     keys = lo * n + hi

@@ -32,6 +32,7 @@ from qubokit.generators import (
     gen_random,
     rng_stream,
 )
+from qubokit.instance_io import _WRITE_LINES
 from qubokit.model import _canonical_pairs
 from qubokit.transforms import hubo_to_spin_domain, ising_to_qubo, qubo_to_ising, reduce_cubic
 
@@ -168,6 +169,30 @@ class TestCanonicalPairs:
         with pytest.raises(ValidationError, match=r"diagonal coupling \(2, 2\)"):
             IsingModel.from_arrays(3, [0, 2], [1, 2], [1.0, 1.0])
 
+    @pytest.mark.parametrize("cls", [IsingModel, QuboModel])
+    def test_int64_and_float64_columns_agree(self, cls):
+        # int64 columns skip the integer check; float columns of the same
+        # terms must give the same bits and the same first-bad-term error
+        diagonal = cls is QuboModel
+        rows, cols, values = columns(awkward_terms(12, 4, diagonal=diagonal))
+        assert rows.dtype == cols.dtype == np.int64
+        want = cls.from_arrays(12, rows, cols, values)
+        got = cls.from_arrays(12, rows.astype(np.float64), cols.astype(np.float64), values)
+        assert_model_is(got, None, want.rows, want.cols, want.values, want.offset)
+        bad_terms = [([1, 5, 0], [2, 0, 1], [1.0, 1.0, np.nan]),
+                     ([1, 0, 5], [0, 1, 0], [np.inf, 1.0, 1.0]),
+                     ([1, 4, 2], [2, 1, 9], [1.0, np.nan, 1.0]),
+                     ([-1, 0], [1, 1], [1.0, 1.0])]
+        if not diagonal:
+            bad_terms.append(([0, 2, 7], [1, 2, 0], [1.0, 1.0, 1.0]))
+        for r, c, v in bad_terms:
+            messages = []
+            for dtype in (np.int64, np.float64):
+                with pytest.raises(ValidationError) as info:
+                    cls.from_arrays(5, np.array(r, dtype=dtype), np.array(c, dtype=dtype), v)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
     def test_non_integer_indices_rejected(self):
         with pytest.raises(ValidationError, match=r"\(0.5, 1.7\) is not a pair of integers"):
             IsingModel.from_arrays(3, [0.5], [1.7], [1.0])
@@ -187,6 +212,52 @@ class TestCanonicalPairs:
         assert all(type(i) is int and type(v) is float for i, _, v in m.couplings())
         q = ising_to_qubo(m)
         assert q.terms() == [(int(i), int(j), float(v)) for i, j, v in zip(q.rows, q.cols, q.values)]
+
+
+def block_edge_model(lines: int, qubo: bool):
+    """A model of exactly ``lines`` term lines: fields (QUBO diagonal
+    terms), an offset and awkward values, -0.0 among them.  It is built by
+    the dataclass constructor, so its -0.0 values are written as such."""
+    n = 200
+    rng = np.random.default_rng(lines)
+    fields = 0 if qubo else 37
+    i, j = np.triu_indices(n, k=0 if qubo else 1)
+    i, j = i[:lines - fields], j[:lines - fields]
+    v = rng.standard_normal(i.size)
+    v[::97], v[1::101], v[5], v[6] = -0.0, 3.0, 1e-300, -123456789.125
+    if qubo:
+        return QuboModel(n=n, rows=i, cols=j, values=v, offset=-2.5)
+    h = np.zeros(n)
+    h[rng.choice(n, fields, replace=False)] = rng.standard_normal(fields)
+    h[np.flatnonzero(h == 0.0)[:5]] = -0.0  # a -0.0 field is no term line
+    return IsingModel(n=n, h=h, rows=i, cols=j, values=v, offset=-2.5)
+
+
+def _edit_body(text: str, extra: str = "", step: int = 0, comment: str = "") -> str:
+    """``text`` with ``extra`` lines after its header line, and ``comment``
+    appended to every ``step``-th term line, or, when ``step`` is 0, put
+    mid-body as a line of its own."""
+    lines = text.split("\n")
+    k = next(k for k, line in enumerate(lines) if line and not line.startswith("#"))
+    body = lines[k + 1:]
+    if step:
+        body[:-1:step] = [line + comment for line in body[:-1:step]]
+    elif comment:
+        body.insert(len(body) // 2, comment)
+    return "\n".join(lines[:k + 1] + ([extra] if extra else []) + body)
+
+
+TEXT_EDITS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr": lambda t: t.replace("\n", "\r"),
+    "utf8-comments": lambda t: "# café, Ærøskøbing ✓\n#  naïve 🙂\n" + t,
+    "between-header-and-body": lambda t: _edit_body(t, extra="\n   \t\n# a comment\n  # café"),
+    "offset-in-body": lambda t: _edit_body(t, comment="  # offset: 0.25"),
+    "trailing-comments": lambda t: _edit_body(t, step=7, comment="  # a term, ✓"),
+    "all": lambda t: "# ünï\n" + _edit_body(
+        _edit_body(_edit_body(t, step=5, comment=" # x"), comment="# offset: 1e-3"),
+        extra="\n# between").replace("\n", "\r\n"),
+}
 
 
 class TestGenerators:
@@ -250,6 +321,27 @@ class TestFiles:
             assert p.read_text() == quadratic_text_loop(model)
             _, _, h, *rest = read_quadratic_loop(p.read_text())
             assert_model_is(read_instance(p), h, *rest)
+
+    @pytest.mark.parametrize("lines", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    @pytest.mark.parametrize("qubo", [False, True], ids=["ising", "qubo"])
+    def test_block_edges(self, tmp_path, lines, qubo):
+        model = block_edge_model(_WRITE_LINES + lines, qubo)
+        p = write_instance(tmp_path / "m.txt", model)
+        text = p.read_text()
+        assert text == quadratic_text_loop(model)
+        assert text.count("\n") == _WRITE_LINES + lines + 3  # format, offset, header
+        _, _, h, *rest = read_quadratic_loop(text)
+        assert_model_is(read_instance(p), h, *rest)
+
+    @pytest.mark.parametrize("edit", sorted(TEXT_EDITS))
+    @pytest.mark.parametrize("qubo", [False, True], ids=["ising", "qubo"])
+    def test_edited_files_read_as_the_loop_reads(self, tmp_path, edit, qubo):
+        model = block_edge_model(_WRITE_LINES + 1, qubo)
+        text = TEXT_EDITS[edit](quadratic_text_loop(model))
+        p = tmp_path / "m.txt"
+        p.write_bytes(text.encode("utf-8"))
+        _, _, h, *rest = read_quadratic_loop(text)
+        assert_model_is(read_instance(p), h, *rest)
 
     def test_json_bytes_and_read_back(self, tmp_path):
         m = CONVERSION_MODELS["awkward"]()
@@ -487,7 +579,9 @@ class TestHuboBlocks:
     @pytest.mark.parametrize("build", [
         lambda: gen_mw3s(40, 3), lambda: gen_chain3(12, 5), lambda: gen_3r3x(48, 2).model,
         lambda: HuboModel.from_terms(7, "binary", awkward_hubo_terms(7, 4)),
-    ], ids=["mw3s", "chain3", "3r3x", "awkward-binary"])
+        # the lines of orders 1 to 3 span more than one written block
+        lambda: gen_mw3s(_WRITE_LINES + 3, 6),
+    ], ids=["mw3s", "chain3", "3r3x", "awkward-binary", "mw3s-blocks"])
     def test_text_and_json_bytes_and_read_back(self, tmp_path, build):
         h = build()
         p = write_instance(tmp_path / "h.txt", h)

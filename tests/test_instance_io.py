@@ -1,6 +1,11 @@
 """Round-trip tests for the instance text/JSON formats and certificates."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,79 @@ class TestSettings:
             (declared.n, declared.domain, declared.max_order)
         assert [(i.tobytes(), c.tobytes()) for i, c in guessed.blocks] == \
             [(i.tobytes(), c.tobytes()) for i, c in declared.blocks]
+
+
+# Reads and writes under the C locale without UTF-8 mode, where the
+# locale's encoding is ASCII: every instance and JSON file is UTF-8 anyway.
+C_LOCALE_RUN = """
+import json, sys
+from pathlib import Path
+from qubokit import ValidationError, read_instance, write_instance
+from qubokit.bench import export_records, load_records, GapRecord
+
+d = Path(sys.argv[1])
+out = {}
+m = read_instance(d / "utf8.txt")
+out["couplings"] = m.couplings()
+out["json"] = read_instance(write_instance(d / "m.json", m)).couplings()
+out["text"] = (d / "m.txt").read_bytes() == write_instance(d / "m.txt", m).read_bytes()
+rec = GapRecord("caf\\u00e9.txt", "sa", -1.0, -1.0, 0.0, 0.1, 1, "")
+out["records"] = [r.instance_id for f in ("r.csv", "r.json")
+                  for r in load_records(export_records([rec], d / f))]
+try:
+    read_instance(d / "latin1.txt")
+except ValidationError as exc:
+    out["latin1"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_utf8_files_under_the_c_locale(tmp_path):
+    text = "# café\n# format: quadratic\n3 2 spin\n1 2 0.5  # ½\n2 3 -1.5\n"
+    (tmp_path / "utf8.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "m.txt").write_bytes(b"# format: quadratic\n3 2 spin\n1 2 0.5\n2 3 -1.5\n")
+    (tmp_path / "latin1.txt").write_bytes(text.encode("latin-1", errors="replace"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", C_LOCALE_RUN, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert res.returncode == 0, res.stderr[-2000:]
+    out = json.loads(res.stdout)
+    assert out["couplings"] == out["json"] == [[0, 1, 0.5], [1, 2, -1.5]]
+    assert out["text"] is True
+    assert out["records"] == ["café.txt", "café.txt"]
+    assert "latin1.txt: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in out["latin1"]
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of one call of ``fn``, after an untraced warm-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestMemory:
+    # complete n=500: 124,750 couplings and 500 field lines, a 3.4 MB file
+    def test_read_instance(self, tmp_path):
+        m = gen_random("complete", "uniform", 500, n=500)
+        p = write_instance(tmp_path / "c.txt", m)
+        terms = m.num_couplings + np.count_nonzero(m.h)
+        # the text, the parsed (i, j, v) records and the model: a copy of
+        # the body as UCS-4 text alone would take 4 B per character
+        assert traced_peak(lambda: read_instance(p)) <= 150 * terms
+
+    def test_from_arrays_on_int64_columns(self):
+        m = gen_random("complete", "uniform", 500, n=500)
+        # the model's own columns and the sort check's keys: no float copy
+        # of the index columns
+        peak = traced_peak(lambda: IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=m.h))
+        assert peak <= 45 * m.num_couplings
 
 
 class TestJsonFormat:
