@@ -12,6 +12,10 @@ generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
 file as written, and of a copy without its ``# format:`` line, which the
 reader must then recognise as HUBO) and ``energies`` on 64 random replicas.
 It times ``gen_tile`` on the L x L tile lattice for L = 256 and L = 1024.
+For the tile lattices L = 256 and L = 1024 and the complete model n = 1000
+it times ``coupling_operator()`` followed by ``colour_classes()`` on a fresh
+model per call (both are cached per model), with the traced peak of one
+more such pair in MB and in bytes per coupling.
 Each time is the minimum over three calls.  After the timed calls of a step
 it records the tracemalloc peak of one more call: in bytes per term line
 (couplings and non-zero fields) for the complete models' steps, in bytes per
@@ -43,6 +47,7 @@ N_VALUES = (500, 1000)
 HUBO_N_VALUES = (10_000, 100_000)
 TILE_L_VALUES = (256, 1024)
 TILE_P = (0.2, 0.3, 0.3, 0.2)
+COLOUR_N = 1000
 REPLICAS = 64
 REPEATS = 3
 
@@ -102,6 +107,30 @@ def measure_hubo(n: int, workdir: Path) -> dict:
             "file_mb": round(path.stat().st_size / 1e6, 3), **out}
 
 
+def operator_and_classes(model):
+    return model.coupling_operator(), model.colour_classes()
+
+
+def measure_colouring() -> list[dict]:
+    builds = [(f"tile-L{L}", lambda L=L: gen_tile(L, TILE_P, SEED + L).model)
+              for L in TILE_L_VALUES]
+    builds.append((f"complete-n{COLOUR_N}",
+                   lambda: gen_random("complete", "uniform", SEED, n=COLOUR_N)))
+    rows = []
+    for name, build in builds:
+        best = float("inf")
+        for _ in range(REPEATS):  # a fresh model per call: both results are cached
+            m = build()
+            best = min(best, best_of(1, lambda: operator_and_classes(m))[0])
+        m = build()
+        peak = traced_peak(lambda: operator_and_classes(m))
+        rows.append({"model": name, "n": m.n, "couplings": m.num_couplings,
+                     "operator_and_classes_s": round(best, 4),
+                     "peak_mb": round(peak / 1e6, 2),
+                     "peak_b_per_coupling": round(peak / m.num_couplings, 1)})
+    return rows
+
+
 def measure_tile() -> dict:
     gen_tile(16, TILE_P, SEED)  # warm-up: the planted check's CSR operator imports scipy
     out = {"p": list(TILE_P)}
@@ -118,8 +147,10 @@ def main() -> int:
         rows = [measure(n, Path(tmp)) for n in N_VALUES]
         hubo = [measure_hubo(n, Path(tmp)) for n in HUBO_N_VALUES]
     tile = measure_tile()
+    colouring = measure_colouring()
     print(json.dumps({**environment(), "repeats": REPEATS, "replicas": REPLICAS,
-                      "results": rows, "hubo": hubo, "tile": tile}, indent=2))
+                      "results": rows, "hubo": hubo, "tile": tile,
+                      "colouring": colouring}, indent=2))
     return 0
 
 

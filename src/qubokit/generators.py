@@ -13,6 +13,7 @@ one keyword-checked entry point that the CLI and the bench harness share.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -292,8 +293,9 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     Topologies: ``complete`` (needs n), ``chimera`` (needs rows, cols),
     ``edge_list`` (needs edges; n optional, inferred from edges).
     Distributions: ``uniform`` on [a, b], ``int_uniform`` on integers in
-    [a, b], ``gaussian`` (standard normal).  Couplings are drawn first, then
-    biases, from a single seeded stream.
+    [a, b], ``gaussian`` (standard normal).  ``uniform`` needs finite
+    a <= b, and ``int_uniform`` an int64 integer between them.  Couplings
+    are drawn first, then biases, from a single seeded stream.
     """
     if topology == "complete":
         if n is None or n < 1:
@@ -314,13 +316,22 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     else:
         raise ValidationError(f"unknown topology {topology!r}")
 
+    if coupling_dist in ("uniform", "int_uniform"):
+        if not (all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (a, b))
+                and a <= b and math.isfinite(b - a)):
+            raise ValidationError(f"{coupling_dist} needs finite low <= high, got {a!r}, {b!r}")
+    if coupling_dist == "int_uniform":
+        low, high = math.ceil(a), math.floor(b)
+        if not -2 ** 63 <= low <= high < 2 ** 63:
+            raise ValidationError(f"int_uniform needs int64 bounds with an integer between "
+                                  f"them, got {a!r}, {b!r}")
     rng = rng_stream(seed)
 
     def draw(size):
         if coupling_dist == "uniform":
             return rng.uniform(a, b, size=size)
         if coupling_dist == "int_uniform":
-            return rng.integers(int(a), int(b) + 1, size=size).astype(np.float64)
+            return rng.integers(low, high + 1, size=size).astype(np.float64)
         if coupling_dist == "gaussian":
             return rng.standard_normal(size)
         raise ValidationError(f"unknown coupling distribution {coupling_dist!r}")
@@ -359,6 +370,8 @@ def _wishart(seed, n, M=None, alpha=None) -> PlantedInstance:
     if M is None:
         if alpha is None:
             raise ValidationError("wishart needs M or alpha")
+        if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+            raise ValidationError(f"wishart alpha must be a finite number, got {alpha!r}")
         M = max(1, int(round(alpha * n)))
     return gen_wishart(n, M, seed)
 

@@ -65,10 +65,12 @@ _HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 def model_to_dict(model: Model) -> dict:
     """JSON-ready dict mirror of the text schema (1-based indices)."""
     if isinstance(model, (IsingModel, QuboModel)):
-        domain, *columns = _quadratic_columns(model)
+        domain, runs = _quadratic_runs(model)
+        terms = []
+        for rows, cols, values in runs:
+            terms += map(list, zip((rows + 1).tolist(), (cols + 1).tolist(), values.tolist()))
         return {"format": FORMAT_QUADRATIC, "n": model.n, "domain": domain,
-                "offset": model.offset,
-                "terms": list(map(list, zip(*(c.tolist() for c in columns))))}
+                "offset": model.offset, "terms": terms}
     if isinstance(model, HuboModel):
         terms = []
         for idx, c in model.blocks:
@@ -78,16 +80,15 @@ def model_to_dict(model: Model) -> dict:
     raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
-def _quadratic_columns(model: IsingModel | QuboModel) -> tuple[str, np.ndarray, np.ndarray,
-                                                                np.ndarray]:
-    """Domain tag and the 1-based (i, j, v) columns of the term lines; an
-    Ising model's non-zero fields come first, as ``i i h_i`` lines."""
-    rows, cols, values = model.rows + 1, model.cols + 1, model.values
+def _quadratic_runs(model: IsingModel | QuboModel) -> tuple[str, list[tuple[np.ndarray, ...]]]:
+    """Domain tag and the runs of term lines as 0-based (i, j, v) columns:
+    an Ising model's non-zero fields first, as ``i i h_i`` lines, then its
+    couplings; a QUBO's terms."""
+    pairs = (model.rows, model.cols, model.values)
     if isinstance(model, QuboModel):
-        return BINARY_DOMAIN, rows, cols, values
+        return BINARY_DOMAIN, [pairs]
     fields = np.flatnonzero(model.h != 0.0)
-    return (SPIN_DOMAIN, np.concatenate([fields + 1, rows]),
-            np.concatenate([fields + 1, cols]), np.concatenate([model.h[fields], values]))
+    return SPIN_DOMAIN, [(fields, fields, model.h[fields]), pairs]
 
 
 def model_from_dict(data: dict) -> Model:
@@ -154,32 +155,35 @@ def write_instance(path, model: Model) -> Path:
 
     with path.open("w", encoding="utf-8") as f:
         if isinstance(model, (IsingModel, QuboModel)):
-            domain, *columns = _quadratic_columns(model)
+            domain, runs = _quadratic_runs(model)
             f.write(f"# format: {FORMAT_QUADRATIC}\n")
             if model.offset != 0.0:
                 f.write(f"# offset: {model.offset!r}\n")
-            f.write(f"{model.n} {columns[0].size} {domain}\n")
-            _write_lines(f, "%d %d %r\n", columns)
+            f.write(f"{model.n} {sum(run[2].size for run in runs)} {domain}\n")
+            for run in runs:
+                _write_lines(f, "%d %d %r\n", run)
         else:
             f.write(f"# format: {FORMAT_HUBO}\n{model.n} {model.num_terms} {model.domain}\n")
             for idx, c in model.blocks:
                 k = idx.shape[1]
-                _write_lines(f, f"{k}{' %d' * k} %r\n", [*(idx.T + 1), c])
+                _write_lines(f, f"{k}{' %d' * k} %r\n", [*idx.T, c])
     return path
 
 
-def _write_lines(f, line: str, columns: list[np.ndarray]) -> None:
+def _write_lines(f, line: str, columns) -> None:
     """Write one ``line % (row of columns)`` per row of the equal-length
-    ``columns``, ``_WRITE_LINES`` rows at a time: a block's cells are
-    interleaved, as Python ints and floats, into one object array and
+    ``columns``: 0-based index columns, written 1-based, then the values.
+    ``_WRITE_LINES`` rows go at a time: a block's cells, its indices plus 1,
+    are interleaved as Python ints and floats into one object array and
     formatted in one ``%`` call (``%d`` of an int is ``str``, ``%r`` of a
-    float is ``repr``)."""
-    width, m = len(columns), columns[0].size
+    float is ``repr``), so no 1-based copy of a whole column is made."""
+    width, m = len(columns), columns[-1].size
     cells = np.empty(width * min(m, _WRITE_LINES), dtype=object)
     for a in range(0, m, _WRITE_LINES):
         k = min(_WRITE_LINES, m - a)
-        for c, column in enumerate(columns):
-            cells[c:width * k:width] = column[a:a + k]
+        for c, column in enumerate(columns[:-1]):
+            cells[c:width * k:width] = column[a:a + k] + 1
+        cells[width - 1:width * k:width] = columns[-1][a:a + k]
         f.write((line * k) % tuple(cells[:width * k]))
 
 

@@ -29,16 +29,24 @@ A row's energy has the same bits alone or in a batch of any size, so a
 state has one energy everywhere: in sample sets, in the exact solvers and
 in the CLI report.  Two rules keep a row's bits independent of the batch:
 
-* products with the operator run row by row (``_row_product``): a dense
-  operator through one GEMV per row, a CSR one through scipy's product,
-  which adds each entry's terms in ascending column order whatever the
-  number of vectors (GEMM gives a row different bits inside a batch);
+* an Ising model's product with its coupling operator runs row by row
+  (``_row_product``): a dense operator through one GEMV per row, a CSR one
+  through scipy's product, which adds each entry's terms in ascending
+  column order whatever the number of vectors (GEMM gives a row different
+  bits inside a batch).  QUBO and HUBO energies are term products
+  (``_term_sums``): each term's coefficient times its gathered entries, a
+  QUBO being one block of order 2 whose diagonal terms are linear
+  (x_i x_i = x_i for bits);
 * every row sum runs over C-contiguous rows, where numpy sums each row
   pairwise on its own (on other layouts it may sum column by column, and
   the bits then depend on the number of rows).
 
-scipy.sparse is imported only where a CSR operator is built, and
-``is_sparse`` answers without it, so a run on dense models never loads scipy.
+Every structure derived from a quadratic model is computed from its pair
+columns: the colour classes and the dense coupling matrix with numpy, the
+CSR coupling operator with scipy's COO -> CSR conversion.  scipy.sparse is
+imported only there, and ``is_sparse`` answers without it, so a run that
+never builds a CSR operator (dense models, QUBO energies, colouring) never
+loads scipy.sparse.
 
 Models are immutable after construction (arrays are frozen) and therefore
 safe to share across concurrent workers; all evaluation is stateless.
@@ -57,11 +65,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-# The operators that batch products run through (IsingModel.coupling_operator()
-# and the upper-triangular term matrix of QuboModel.energies) are dense only
-# for models of at most DENSE_OPERATOR_MAX_N variables (the matrix is 32 MiB at
-# the cap) whose operator has at least DENSE_OPERATOR_MIN_FILL of its n^2
-# entries non-zero; otherwise they are CSR.
+# IsingModel.coupling_operator(), which batch products run through, is dense
+# only for models of at most DENSE_OPERATOR_MAX_N variables (the matrix is
+# 32 MiB at the cap) whose operator has at least DENSE_OPERATOR_MIN_FILL of
+# its n^2 entries non-zero; otherwise it is CSR.
 # The fill threshold is where the three replica kernels disagree (ms per step,
 # dense -> CSR, 128 replicas; 2 CPUs, numpy 2.4, scipy 1.17).  With PA and SBM
 # on spin-major blocks and scipy's native CSR product, CSR is faster for them
@@ -77,10 +84,11 @@ from .errors import ValidationError
 DENSE_OPERATOR_MAX_N = 2048
 DENSE_OPERATOR_MIN_FILL = 1 / 32
 
-# Products per replica chunk in HuboModel.energies: at gen_mw3s n=10^5 with 64
-# replicas, chunks of 2^16 to 2^18 took 0.24-0.29 s with a 2-3 MB tracemalloc
-# peak, against 1.4 s and 256 MB unchunked (2 CPUs, numpy 2.4).
-HUBO_CHUNK_ENTRIES = 2 ** 17
+# Products per replica chunk in the term products of QUBO and HUBO energies
+# (``_term_sums``): at gen_mw3s n=10^5 with 64 replicas, chunks of 2^16 to
+# 2^18 took 0.24-0.29 s with a 2-3 MB tracemalloc peak, against 1.4 s and
+# 256 MB unchunked (2 CPUs, numpy 2.4).
+TERM_CHUNK_ENTRIES = 2 ** 17
 
 # One quadratic term (i, j, v) as a structured record.
 TERM_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -191,11 +199,6 @@ def _term_arrays(terms: Iterable[tuple[int, int, float]]):
     return t[:, 0], t[:, 1], t[:, 2]
 
 
-def _dense_operator(n: int, nnz: int) -> bool:
-    """Whether an n x n operator with nnz non-zeros should be dense, not CSR."""
-    return n <= DENSE_OPERATOR_MAX_N and nnz >= DENSE_OPERATOR_MIN_FILL * n ** 2
-
-
 def is_sparse(op) -> bool:
     """Whether ``op`` is a scipy sparse array.  Until something imports
     scipy.sparse nothing can be one, so a dense run never loads scipy."""
@@ -235,15 +238,30 @@ def block_product(X: np.ndarray, op, out: np.ndarray) -> np.ndarray:
 
 
 def _row_product(X: np.ndarray, op) -> np.ndarray:
-    """``X @ op`` for a C-ordered (replicas, n) block, as a C-ordered array
-    whose row r has the same bits as ``X[r:r+1] @ op`` alone.
-
-    A CSR ``op`` must hold the transpose of the matrix meant (coupling
-    operators are symmetric; the QUBO term matrix is stored transposed).
-    """
+    """``X @ op`` for a C-ordered (replicas, n) block and a symmetric
+    coupling operator, as a C-ordered array whose row r has the same bits
+    as ``X[r:r+1] @ op`` alone; a CSR product is computed as ``op @ X.T``."""
     if is_sparse(op):
         return np.ascontiguousarray((op @ X.T).T)
     return np.matmul(X[:, None, :], op)[:, 0, :]
+
+
+def _term_sums(V: np.ndarray, columns, coeffs: np.ndarray) -> np.ndarray:
+    """Per row of the (replicas, n) block ``V``, the sum over terms t of
+    ``coeffs[t]`` times ``V[:, col[t]]`` for each index column ``col`` in
+    ``columns``.  Each row is summed on its own over a C-ordered block
+    (row-invariant as the module docstring describes; products of +-1 and
+    0/1 entries are exact).  Replicas go in chunks of about
+    TERM_CHUNK_ENTRIES products, so temporaries stay a few MB."""
+    sums = np.empty(V.shape[0])
+    step = max(1, TERM_CHUNK_ENTRIES // max(1, coeffs.shape[0]))
+    for r in range(0, V.shape[0], step):
+        chunk = V[r:r + step]
+        P = np.tile(coeffs, (chunk.shape[0], 1))
+        for col in columns:
+            P *= chunk[:, col]
+        sums[r:r + step] = P.sum(axis=1)
+    return sums
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -329,41 +347,34 @@ class IsingModel:
         return self._matrix
 
     @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, data) of the symmetric coupling matrix in CSR
-        layout: each pair stored both ways, rows in order, each row's
-        columns ascending.  The pairs are unique, so this is scipy's
-        canonical form of the same matrix."""
-        n = self.n
-        keys = np.concatenate([self.rows * n + self.cols, self.cols * n + self.rows])
-        order = np.argsort(keys, kind="stable")
-        indices = np.concatenate([self.cols, self.rows])[order]
-        data = np.concatenate([self.values, self.values])[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        degree = np.bincount(self.rows, minlength=n) + np.bincount(self.cols, minlength=n)
-        np.cumsum(degree, out=indptr[1:])
-        return _freeze(indptr), _freeze(indices), _freeze(data)
-
-    @cached_property
     def _csr(self):
+        """The symmetric coupling matrix through scipy's COO -> CSR
+        conversion of every pair stored both ways."""
         import scipy.sparse as sp
 
-        indptr, indices, data = self._adjacency
-        return sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
+        return sp.csr_array((np.concatenate([self.values, self.values]),
+                             (np.concatenate([self.rows, self.cols]),
+                              np.concatenate([self.cols, self.rows]))), shape=(self.n, self.n))
 
     def coupling_operator(self):
         """Symmetric coupling matrix: dense when the model is small and filled
         enough for BLAS to beat CSR (see DENSE_OPERATOR_MIN_FILL), else CSR."""
-        return self._matrix if _dense_operator(self.n, 2 * self.num_couplings) else self._csr
+        n, nnz = self.n, 2 * self.num_couplings
+        dense = n <= DENSE_OPERATOR_MAX_N and nnz >= DENSE_OPERATOR_MIN_FILL * n ** 2
+        return self._matrix if dense else self._csr
 
     @cached_property
     def _colour_classes(self) -> tuple[np.ndarray, ...]:
-        indptr, indices, _ = self._adjacency
-        colour = np.full(self.n, -1, dtype=np.int64)
+        # spin i's lower neighbours are the rows of the pairs (r, i), listed
+        # between bounds[i] and bounds[i + 1] once the pairs are sorted
+        # stably by column; all of them are coloured before i
+        lower = self.rows[np.argsort(self.cols, kind="stable")]
+        bounds = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cols, minlength=self.n), out=bounds[1:])
+        colour = np.empty(self.n, dtype=np.int64)
         for i in range(self.n):
-            used = colour[indices[indptr[i]:indptr[i + 1]]]
-            used = used[used >= 0]  # higher-indexed neighbours are still -1
-            # The smallest free colour is at most the number of coloured neighbours.
+            used = colour[lower[bounds[i]:bounds[i + 1]]]
+            # The smallest free colour is at most the number of lower neighbours.
             free = np.ones(used.size + 1, dtype=bool)
             free[used[used <= used.size]] = False
             colour[i] = free.argmax()
@@ -374,10 +385,11 @@ class IsingModel:
         """Greedy colouring of the coupling graph in index order, as classes.
 
         Spin i takes the smallest colour that no lower-indexed neighbour
-        holds.  Each class is an independent set listed in ascending index
-        order, and the classes come in colour order, so together they
-        partition range(n); on a complete graph class k is [k].  Computed
-        once per model.
+        holds; those neighbours are read from the pair columns sorted by
+        column, so colouring builds no coupling operator.  Each class is an
+        independent set listed in ascending index order, and the classes
+        come in colour order, so together they partition range(n); on a
+        complete graph class k is [k].  Computed once per model.
         """
         return self._colour_classes
 
@@ -437,30 +449,11 @@ class QuboModel:
         return float(self.energies(as_bits(x, self.n)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Batch energies for a (replicas, n) array of bit states.
-
-        Evaluated as rowsum(X * (X U)) + offset, where U holds the terms in
-        its upper triangle and the linear terms on its diagonal (x_i^2 = x_i
-        for bits), row-invariant as the module docstring describes; the
-        temporaries grow with replicas x n, never with replicas x terms.
-        """
-        X = np.ascontiguousarray(states, dtype=np.float64)
-        P = _row_product(X, self._upper)
-        P *= X
-        return P.sum(axis=1) + self.offset
-
-    @cached_property
-    def _upper(self):
-        """Upper-triangular term matrix U, dense or CSR by the coupling_operator
-        rule; the CSR form holds U^T, so that ``_row_product`` gives X U."""
-        if not _dense_operator(self.n, self.num_terms):
-            import scipy.sparse as sp
-
-            return sp.csr_array((self.values, (self.cols, self.rows)), shape=(self.n, self.n))
-        U = np.zeros((self.n, self.n), dtype=np.float64)
-        U[self.rows, self.cols] = self.values
-        U.setflags(write=False)
-        return U
+        """Batch energies for a (replicas, n) array of bit states: the term
+        product ``_term_sums`` over the (rows, cols) columns, where a linear
+        term i == j gives x_i x_i = x_i, plus the offset.  Row-invariant as
+        the module docstring describes; the temporaries stay a few MB."""
+        return _term_sums(np.asarray(states), (self.rows, self.cols), self.values) + self.offset
 
 
 def _as_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -571,21 +564,13 @@ class HuboModel:
         return float(self.energies(self._check_domain(v)[None])[0])
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Batch energies for a (replicas, n) array of domain states: per order,
-        the coefficients times the k gathered columns, summed over C-ordered
-        rows (row-invariant as the module docstring describes; products of
-        +-1 and 0/1 entries are exact).  Replicas go in chunks of about
-        HUBO_CHUNK_ENTRIES products, so temporaries stay a few MB."""
+        """Batch energies for a (replicas, n) array of domain states: per
+        order, the term product ``_term_sums`` over the k index columns,
+        added in ascending order."""
         V = np.asarray(states)
         total = np.zeros(V.shape[0])
         for idx, coeffs in self.blocks:
-            step = max(1, HUBO_CHUNK_ENTRIES // coeffs.shape[0])
-            for r in range(0, V.shape[0], step):
-                chunk = V[r:r + step]
-                P = np.tile(coeffs, (chunk.shape[0], 1))
-                for col in idx.T:
-                    P *= chunk[:, col]
-                total[r:r + step] += P.sum(axis=1)
+            total += _term_sums(V, idx.T, coeffs)
         return total
 
 

@@ -274,6 +274,8 @@ class TestSuiteInputs:
         {"family": "wishart", "sizes": [8], "seeds": [1]},
         {"family": "random", "sizes": [6], "seeds": [1], "n": 6},
         {"family": "r3x3", "sizes": [6], "seeds": [1]},
+        {"family": "random", "sizes": [6], "seeds": [1], "dist": "int_uniform", "a": 3, "b": 1},
+        {"family": "wishart", "sizes": [8], "seeds": [1], "alpha": float("nan")},
     ])
     def test_generator_keywords_checked(self, generator):
         from qubokit import ValidationError

@@ -46,6 +46,18 @@ class TestGenerate:
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["generate", "tile", "--out", tmp_path / "x.txt"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["random", "--n", 5, "--dist", "int_uniform", "--low", 3, "--high", 1],
+        ["random", "--n", 5, "--dist", "int_uniform", "--low", 0.5, "--high", 0.7],
+        ["wishart", "--n", 8, "--alpha", "nan"],
+        ["wishart", "--n", 8, "--alpha", "inf"],
+    ], ids=["int-low-above-high", "int-no-integer", "alpha-nan", "alpha-inf"])
+    def test_bad_generator_value_exits_3(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.txt"
+        assert run(["generate", *flags, "--seed", 1, "--out", out]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConvertReduce:
     def test_qubo_ising_round_trip_files(self, tmp_path):

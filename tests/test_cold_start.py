@@ -1,5 +1,6 @@
 """scipy loads only on the sparse path: dense models never import it, and a
-sparse model loads it on its first CSR solve, not when it is generated."""
+sparse model loads it on its first CSR solve, not when it is generated,
+coloured or converted, nor when its QUBO's energies are evaluated."""
 
 import json
 import os
@@ -57,6 +58,19 @@ gen_tile(16, [0.0, 0.8, 0.0, 0.2], 1)
 print(json.dumps("scipy.sparse" in sys.modules))
 """
 
+SPARSE_QUBO_ENERGIES = """
+import json, sys
+import numpy as np
+from qubokit import ising_to_qubo
+from qubokit.generators import gen_tile
+
+m = gen_tile(16, [0.0, 0.8, 0.0, 0.2], 1).model
+m.colour_classes()
+q = ising_to_qubo(m)
+q.energies(np.ones((3, q.n), dtype=np.int8)), q.energy(np.zeros(q.n, dtype=np.int8))
+print(json.dumps("scipy.sparse" in sys.modules))
+"""
+
 
 def _fresh(code: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -77,3 +91,7 @@ def test_csr_model_imports_scipy_sparse_when_solved():
 
 def test_tile_generation_leaves_scipy_sparse_unloaded():
     assert _fresh(TILE_GENERATE) is False
+
+
+def test_sparse_qubo_energies_leave_scipy_sparse_unloaded():
+    assert _fresh(SPARSE_QUBO_ENERGIES) is False

@@ -17,6 +17,7 @@ from qubokit.generators import (
     gen_random,
     gen_tile,
     gen_wishart,
+    generate,
     rng_stream,
 )
 from qubokit.solvers import solve_brute_force
@@ -232,6 +233,12 @@ class TestWishart:
         with pytest.raises(ValidationError):
             gen_wishart(8, 0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "1"])
+    def test_alpha_must_be_finite(self, alpha):
+        # nan and inf were numpy's ValueError and OverflowError from round()
+        with pytest.raises(ValidationError, match="alpha"):
+            generate("wishart", 1, n=8, alpha=alpha)
+
 
 class TestRandom:
     def test_complete_counts(self):
@@ -251,6 +258,22 @@ class TestRandom:
         vals = m.values
         assert np.all(vals == np.round(vals))
         assert np.all((vals >= -31) & (vals <= 31))
+
+    @pytest.mark.parametrize("dist, a, b", [
+        ("int_uniform", 3, 1),                # numpy's "low > high" ValueError
+        ("int_uniform", 0.5, 0.7),            # truncated to [0, 0]: an all-zero model
+        ("int_uniform", -1e300, 1e300),       # bounds beyond int64
+        ("uniform", 1.0, -1.0),
+        ("uniform", float("nan"), 1.0),
+        ("uniform", -1e308, 1e308),           # numpy's "range exceeds valid bounds"
+    ])
+    def test_bad_bounds_rejected(self, dist, a, b):
+        with pytest.raises(ValidationError, match=dist):
+            gen_random("complete", dist, 1, n=4, a=a, b=b)
+
+    def test_int_uniform_draws_the_integers_inside_the_bounds(self):
+        m = gen_random("complete", "int_uniform", 5, n=30, a=0.5, b=2.5)
+        assert set(np.concatenate([m.values, m.h]).tolist()) == {1.0, 2.0}
 
     def test_edge_list(self):
         m = gen_random("edge_list", "gaussian", 1, edges=[(0, 1), (1, 2)])

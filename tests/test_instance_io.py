@@ -213,6 +213,15 @@ class TestMemory:
         peak = traced_peak(lambda: IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=m.h))
         assert peak <= 45 * m.num_couplings
 
+    def test_write_instance_holds_one_block(self, tmp_path):
+        # complete n=1000: 499,500 couplings and 1,000 field lines.  Full
+        # 1-based copies of the (i, j, v) columns held through the write
+        # peak at 40 B per term line; one formatted block of lines takes
+        # about 3 MB, 6 B per line
+        m = gen_random("complete", "uniform", 1000, n=1000)
+        terms = m.num_couplings + np.count_nonzero(m.h)
+        assert traced_peak(lambda: write_instance(tmp_path / "c.txt", m)) <= 16 * terms
+
 
 class TestJsonFormat:
     def test_ising_round_trip(self, tmp_path):

@@ -147,8 +147,9 @@ class TestColourClasses:
         lambda: IsingModel.from_terms(7),
     ], ids=["tile-32", "tile-256", "chimera", "3r3x-reduced", "complete-300", "no-couplings"])
     def test_numpy_adjacency_matches_coo_csr(self, build):
-        # the classes and the CSR operator read one adjacency built with
-        # numpy; both must be bitwise what scipy's COO -> CSR gave
+        # the classes come from the pair columns sorted by column, the CSR
+        # operator from the pairs stored both ways; both must be bitwise
+        # what scipy's COO -> CSR and the colouring loop over it give
         m = build()
         oracle = coo_csr(m)
         csr = m._csr
@@ -174,6 +175,18 @@ class TestColourClasses:
         m = _tile(8)
         assert m.colour_classes() is m.colour_classes()
 
+    def test_memory_bounded_per_coupling(self):
+        # the rows sorted by column take 16 B per coupling here; a CSR
+        # layout of every pair stored both ways would take 80
+        m = gen_random("complete", "gaussian", 6, n=1000)
+        tracemalloc.start()
+        try:
+            m.colour_classes()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * m.num_couplings
+
 
 class TestQuboEnergy:
     def test_zero_vector(self):
@@ -195,13 +208,12 @@ class TestQuboEnergy:
         naive_min = min(qubo_energy_naive(q, x) for x in bits)
         assert lib_min == pytest.approx(naive_min, abs=1e-12)
 
-    @pytest.mark.parametrize("build, sparse", [
-        (lambda: ising_to_qubo(gen_random("complete", "gaussian", 9, n=40)), False),
-        (lambda: ising_to_qubo(gen_tile(16, [0.0, 0.8, 0.0, 0.2], 9).model), True),
+    @pytest.mark.parametrize("build", [
+        lambda: ising_to_qubo(gen_random("complete", "gaussian", 9, n=40)),
+        lambda: ising_to_qubo(gen_tile(16, [0.0, 0.8, 0.0, 0.2], 9).model),
     ], ids=["complete-40", "tile-16"])
-    def test_batch_matches_naive(self, build, sparse):
+    def test_batch_matches_naive(self, build):
         q = build()
-        assert sp.issparse(q._upper) == sparse
         X = (np.random.default_rng(9).random((9, q.n)) < 0.5).astype(np.int8)
         for x, e in zip(X, q.energies(X)):
             assert float(e) == pytest.approx(qubo_energy_naive(q, x), rel=1e-12)
@@ -275,11 +287,15 @@ class TestHuboEnergy:
     def test_replica_chunks_keep_the_bits(self, monkeypatch):
         import qubokit.model
         h = gen_mw3s(40, 2)
+        q = ising_to_qubo(gen_random("complete", "gaussian", 2, n=40))
         states = np.where(np.random.default_rng(2).random((50, 40)) < 0.5, -1, 1)
-        whole = h.energies(states)
-        monkeypatch.setattr(qubokit.model, "HUBO_CHUNK_ENTRIES", 7)
+        bits = ((states + 1) // 2).astype(np.int8)
+        whole, qubo = h.energies(states), q.energies(bits)
+        monkeypatch.setattr(qubokit.model, "TERM_CHUNK_ENTRIES", 7)
         assert h.energies(states).tobytes() == whole.tobytes()
         assert h.energies(states.astype(np.float64)).tobytes() == whole.tobytes()
+        assert q.energies(bits).tobytes() == qubo.tobytes()
+        assert q.energies(bits.astype(np.float64)).tobytes() == qubo.tobytes()
 
     def test_energies_memory_bounded_by_one_order(self):
         # A (replicas, terms, order) gather peaks at about 51 MB here; the
@@ -301,21 +317,16 @@ def _chimera16():
     return gen_random("chimera", "gaussian", 16, rows=16, cols=16)
 
 
-# (model, whether its operator is CSR) for every model type, dense and CSR
+# (model, whether its coupling operator is CSR, None for a term product) for
+# every model type, dense and CSR
 EVALUATOR_MODELS = {
     "wishart-96": (lambda: gen_wishart(96, 96, 1).model, False),
     "complete-500": (lambda: gen_random("complete", "gaussian", 1, n=500), False),
     "chimera-16": (_chimera16, True),
-    "qubo-wishart-96": (lambda: ising_to_qubo(gen_wishart(96, 96, 1).model), False),
-    "qubo-chimera-16": (lambda: ising_to_qubo(_chimera16()), True),
+    "qubo-wishart-96": (lambda: ising_to_qubo(gen_wishart(96, 96, 1).model), None),
+    "qubo-chimera-16": (lambda: ising_to_qubo(_chimera16()), None),
     "mw3s-40": (lambda: gen_mw3s(40, 1), None),
 }
-
-
-def _operator(m):
-    if isinstance(m, IsingModel):
-        return m.coupling_operator()
-    return m._upper if isinstance(m, QuboModel) else None
 
 
 class TestOneEvaluator:
@@ -327,7 +338,7 @@ class TestOneEvaluator:
         build, sparse = EVALUATOR_MODELS[name]
         m = build()
         if sparse is not None:
-            assert sp.issparse(_operator(m)) == sparse
+            assert sp.issparse(m.coupling_operator()) == sparse
         binary = isinstance(m, QuboModel) or getattr(m, "domain", None) == "binary"
         rng = np.random.default_rng(17)
         for R in (1, 7, 64, 256):
