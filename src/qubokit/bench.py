@@ -28,12 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ReferenceUndefinedError, ValidationError
+from .errors import ReferenceUndefinedError, ValidationError, check_count
 from .generators import GENERATORS, generate
 from .instance_io import _read_json, read_certificate, read_instance
 from .model import IsingModel
-from .solvers import DEFAULT_CAP, run_solver, solve_brute_force
-from .solvers.common import positive_count
+from .solvers import DEFAULT_CAP, SOLVERS, run_solver, solve_brute_force
 from .transforms import to_ising
 
 REPORT_SCHEMA_VERSION = 1
@@ -78,12 +77,22 @@ class SuiteSpec:
     workers: int = 1
 
     def validate(self):
-        if not self.source:
-            raise ValidationError("suite needs an instance source")
+        """Refuse a malformed spec before any instance is built: bad counts,
+        an unknown reference policy, a source or solver entry of the wrong
+        shape (family and files strings, sizes and seeds lists, solver
+        entries objects with a known id, a string name and object params)."""
+        _check_source(self.source)
         if not self.solvers:
             raise ValidationError("suite needs at least one solver")
+        for solver in self.solvers:  # ids looked up in a list: an unhashable id is compared
+            if not (isinstance(solver, dict) and solver.get("id") in list(SOLVERS)
+                    and isinstance(solver.get("name", ""), str)
+                    and isinstance(solver.get("params", {}), dict)):
+                raise ValidationError(f"solver entry needs an object with an 'id' in "
+                                      f"{sorted(SOLVERS)}, a string 'name' and object "
+                                      f"'params' when given, got {solver!r}")
         for name in ("replicas", "brute_force_cap", "workers"):
-            positive_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         if self.reference not in ("planted", "brute_force", "best_of_suite", "file"):
             raise ValidationError(f"unknown reference policy {self.reference!r}")
         if self.reference == "file" and not self.reference_file:
@@ -99,6 +108,21 @@ class SuiteSpec:
         spec = cls(**data)
         spec.validate()
         return spec
+
+
+def _check_source(source):
+    """Refuse a source other than {"generator": {"family": str, "sizes":
+    list, "seeds": list, ...}} or {"files": str}."""
+    if isinstance(source, dict) and "generator" in source:
+        fields, kinds = source["generator"], {"family": str, "sizes": list, "seeds": list}
+    elif isinstance(source, dict) and "files" in source:
+        fields, kinds = source, {"files": str}
+    else:
+        raise ValidationError("suite source must contain 'generator' or 'files'")
+    for key, kind in kinds.items():
+        value = fields.get(key) if isinstance(fields, dict) else None
+        if not isinstance(value, kind):
+            raise ValidationError(f"suite source {key!r} needs a {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -141,12 +165,10 @@ def _resolve_instances(spec: SuiteSpec) -> list[_Entry]:
                 entries.append(_Entry(f"{family}-n{size}-s{seed}", to_ising(model)[0], seed,
                                       planted.planted_energy if planted else None))
         return entries
-    if "files" in spec.source:
-        paths = sorted(globmod.glob(spec.source["files"]))
-        if not paths:
-            raise ValidationError(f"file glob {spec.source['files']!r} matched nothing")
-        return [_read_entry(p) for p in paths]
-    raise ValidationError("suite source must contain 'generator' or 'files'")
+    paths = sorted(globmod.glob(spec.source["files"]))
+    if not paths:
+        raise ValidationError(f"file glob {spec.source['files']!r} matched nothing")
+    return [_read_entry(p) for p in paths]
 
 
 def run_suite(spec: SuiteSpec) -> list[GapRecord]:
@@ -226,7 +248,7 @@ def _resolve_reference(entry: _Entry, spec: SuiteSpec, best_by_instance, file_re
 
 def spectrum(sampleset, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram of sample energies; counts sum to sample count."""
-    positive_count("bins", bins)
+    check_count("bins", bins)
     energies = sampleset.energies()
     if energies.size == 0:
         raise ValidationError("spectrum needs at least one sample")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import QubokitError, SizeCapError, UnsupportedOrderError, ValidationError
+from .errors import QubokitError, ValidationError
 from .generators import GENERATORS, generate
 from .instance_io import (_read_json, read_certificate, read_instance, write_certificate,
                           write_instance)
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, UnsupportedOrderError, SizeCapError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QubokitError, OSError) as exc:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, ValidationError, check_count, check_finite_real
 from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, as_spins
 from .transforms import hubo_to_spin_domain
 
@@ -70,6 +70,7 @@ class PlantedInstance:
     seed: int | None = None
 
     def __post_init__(self):
+        check_finite_real("planted_energy", self.planted_energy)
         state = as_spins(self.planted_state, self.model.n)
         object.__setattr__(self, "planted_state", state)
         m = self.model
@@ -87,8 +88,7 @@ class PlantedInstance:
 def gen_chain3(n: int, seed) -> HuboModel:
     """Random 3-body chain: fields, nearest-neighbor pairs, and consecutive
     triples, all coefficients i.i.d. standard normal."""
-    if n < 3:
-        raise ValidationError("chain3 needs n >= 3")
+    check_count("chain3 n", n, 3)
     rng = rng_stream(seed)
     h = rng.standard_normal(n)
     J = rng.standard_normal(n - 1)
@@ -107,8 +107,7 @@ def gen_mw3s(n: int, seed) -> HuboModel:
     w_i uniform on [0, 1] and c_v uniform on {0, 1}: the binary clause
     w_i x_i x_{i+1} x_{i+2} in spins, gauged by a.
     """
-    if n < 3:
-        raise ValidationError("mw3s needs n >= 3")
+    check_count("mw3s n", n, 3)
     rng = rng_stream(seed)
     omega = rng.random(n - 2)
     c = rng.integers(0, 2, size=n)
@@ -138,8 +137,7 @@ def gen_3r3x(n: int, seed) -> PlantedInstance:
     clauses), plants a random spin state, and sets each clause coupling to
     the planted product so the planted energy is exactly -m with m = n.
     """
-    if n < 6:
-        raise ValidationError("3r3x needs n >= 6")
+    check_count("3r3x n", n, 6)
     rng = rng_stream(seed)
     stubs = np.repeat(np.arange(n), 3)
     triples = None
@@ -188,10 +186,11 @@ def gen_tile(L: int, p, seed) -> PlantedInstance:
     sum of per-tile minima, -(sum of each drawn set); the planted state is
     then concealed by gauge randomization.
     """
-    if L < 4 or L % 2 != 0:
+    check_count("tile L", L, 4)
+    if L % 2 != 0:
         raise ValidationError("tile planting needs even L >= 4")
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (4,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.shape != (4,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValidationError("p must be a length-4 probability vector")
     p = p / p.sum()
     rng = rng_stream(seed)
@@ -243,8 +242,8 @@ def gen_wishart(N: int, M: int, seed) -> PlantedInstance:
     -(1/2) s^T J s has global minimum at s = t with energy (1/2) Tr(J~);
     the planted state is concealed by gauge randomization.
     """
-    if N < 3 or M < 1:
-        raise ValidationError("wishart needs N >= 3 and M >= 1")
+    check_count("wishart N", N, 3)
+    check_count("wishart M", M)
     rng = rng_stream(seed)
     t = np.ones(N)
     Z = rng.standard_normal((N, M))
@@ -298,13 +297,12 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     are drawn first, then biases, from a single seeded stream.
     """
     if topology == "complete":
-        if n is None or n < 1:
-            raise ValidationError("complete topology needs n >= 1")
+        check_count("complete n", n)
         edge_list = np.stack(np.triu_indices(n, k=1), axis=1)
         nvars = n
     elif topology == "chimera":
-        if not rows or not cols:
-            raise ValidationError("chimera topology needs rows and cols")
+        check_count("chimera rows", rows)
+        check_count("chimera cols", cols)
         nvars, edge_list = _chimera_edges(rows, cols)
     elif topology == "edge_list":
         if edges is None or len(edges) == 0:
@@ -312,13 +310,16 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
         edge_list = np.array(edges, dtype=np.int64)
         if edge_list.ndim != 2 or edge_list.shape[1] != 2:
             raise ValidationError("edge_list entries must be (i, j) pairs")
+        if n is not None:
+            check_count("edge_list n", n)
         nvars = n if n is not None else int(edge_list.max()) + 1
     else:
         raise ValidationError(f"unknown topology {topology!r}")
 
     if coupling_dist in ("uniform", "int_uniform"):
-        if not (all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (a, b))
-                and a <= b and math.isfinite(b - a)):
+        check_finite_real(f"{coupling_dist} low", a)
+        check_finite_real(f"{coupling_dist} high", b)
+        if not (a <= b and float(b) - float(a) < math.inf):
             raise ValidationError(f"{coupling_dist} needs finite low <= high, got {a!r}, {b!r}")
     if coupling_dist == "int_uniform":
         low, high = math.ceil(a), math.floor(b)
@@ -362,6 +363,7 @@ def _tile(seed, L, p=None, p2=None) -> PlantedInstance:
     if p is None:
         if p2 is None:
             raise ValidationError("tile needs p or p2")
+        check_finite_real("tile p2", p2)
         p = (0.0, p2, 0.0, 1.0 - p2)
     return gen_tile(L, p, seed)
 
@@ -370,8 +372,8 @@ def _wishart(seed, n, M=None, alpha=None) -> PlantedInstance:
     if M is None:
         if alpha is None:
             raise ValidationError("wishart needs M or alpha")
-        if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
-            raise ValidationError(f"wishart alpha must be a finite number, got {alpha!r}")
+        check_finite_real("wishart alpha", alpha)
+        check_count("wishart N", n, 3)
         M = max(1, int(round(alpha * n)))
     return gen_wishart(n, M, seed)
 

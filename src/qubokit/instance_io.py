@@ -44,10 +44,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite_real
 from .generators import PlantedInstance
 from .model import (BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel,
-                    _as_indices, _term_blocks)
+                    _as_indices, _term_blocks, as_spins)
 
 Model = Union[IsingModel, QuboModel, HuboModel]
 
@@ -312,9 +312,13 @@ def write_certificate(path, planted: PlantedInstance) -> Path:
 
 
 def read_certificate(path) -> dict:
+    """The certificate at ``path``, its ``planted_state`` as an int8 spin
+    vector; a missing field, an energy that is not a finite real or a state
+    that is not a vector of ±1 is a ValidationError."""
     data = _read_json(Path(path))
     for key in ("planted_energy", "planted_state", "family"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise ValidationError(f"{path}: certificate missing field {key!r}")
-    data["planted_state"] = np.asarray(data["planted_state"], dtype=np.int8)
+    check_finite_real(f"{path}: planted_energy", data["planted_energy"])
+    data["planted_state"] = as_spins(data["planted_state"])
     return data

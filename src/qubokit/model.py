@@ -55,7 +55,6 @@ safe to share across concurrent workers; all evaluation is stateless.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,7 +62,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_finite_real
 
 # IsingModel.coupling_operator(), which batch products run through, is dense
 # only for models of at most DENSE_OPERATOR_MAX_N variables (the matrix is
@@ -107,7 +106,7 @@ def as_spins(values, n: int | None = None) -> np.ndarray:
     v = np.asarray(values)
     if v.ndim != 1:
         raise ValidationError(f"spin vector must be 1-d, got shape {v.shape}")
-    if not np.all(np.abs(v) == 1):
+    if v.dtype.kind not in "biuf" or not np.all(np.abs(v) == 1):
         raise ValidationError("spin vector entries must be -1 or +1")
     if n is not None and v.shape[0] != n:
         raise ValidationError(f"spin vector has length {v.shape[0]}, expected {n}")
@@ -286,15 +285,13 @@ class IsingModel:
                     offset: float = 0.0) -> "IsingModel":
         """Model from coupling columns; pairs are canonicalised as in
         ``_canonical_pairs`` (swapped to i < j, duplicates summed in order)."""
-        if n < 1:
-            raise ValidationError("model needs at least one variable")
+        check_count("n", n)
+        check_finite_real("offset", offset)
         hv = np.zeros(n, dtype=np.float64) if h is None else np.asarray(h, dtype=np.float64)
         if hv.shape != (n,):
             raise ValidationError(f"field vector has shape {hv.shape}, expected ({n},)")
         if not np.all(np.isfinite(hv)):
             raise ValidationError("field vector must be finite")
-        if not math.isfinite(offset):
-            raise ValidationError("offset must be finite")
         rows, cols, vals = _canonical_pairs(n, rows, cols, values, allow_diagonal=False)
         return cls(n=n, h=hv, rows=rows, cols=cols, values=vals, offset=float(offset))
 
@@ -421,10 +418,8 @@ class QuboModel:
     def from_arrays(cls, n: int, rows, cols, values, offset: float = 0.0) -> "QuboModel":
         """Model from term columns (i == j is a linear term), canonicalised
         as in ``_canonical_pairs``."""
-        if n < 1:
-            raise ValidationError("model needs at least one variable")
-        if not math.isfinite(offset):
-            raise ValidationError("offset must be finite")
+        check_count("n", n)
+        check_finite_real("offset", offset)
         rows, cols, vals = _canonical_pairs(n, rows, cols, values, allow_diagonal=True)
         return cls(n=n, rows=rows, cols=cols, values=vals, offset=float(offset))
 
@@ -492,8 +487,7 @@ class HuboModel:
         ValidationError: a non-integer, repeated or out-of-range index, or a
         non-finite coefficient, checked in that order.  A repeated term is
         summed in input order into 0.0, as ``_canonical_pairs`` sums."""
-        if n < 1:
-            raise ValidationError("model needs at least one variable")
+        check_count("n", n)
         if domain not in (SPIN_DOMAIN, BINARY_DOMAIN):
             raise ValidationError(f"unknown domain {domain!r}")
         by_order: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -519,12 +513,7 @@ class HuboModel:
         order = max(by_order, default=1)
         if max_order is None:
             max_order = max(order, 1)
-        try:
-            integral = max_order == int(max_order)
-        except (TypeError, ValueError):  # a string or a list from an instance file
-            integral = False
-        if not integral or max_order < 1:
-            raise ValidationError(f"max_order must be an integer >= 1, got {max_order!r}")
+        check_count("max_order", max_order)
         if order > max_order:
             raise ValidationError(f"term of order {order} exceeds declared max_order {max_order}")
         merged = []

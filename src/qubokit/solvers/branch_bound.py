@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_finite_real
 from ..model import IsingModel, as_spins
 from .brute_force import _quad_table, _spin_table
 from .common import BBParams
@@ -171,8 +171,7 @@ def bound_spd(model: IsingModel, prefix, epsilon: float, *,
     A supplied ``d`` must exceed -lam_min of the remaining block (any shift
     derived from the full matrix by eigenvalue interlacing does).
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    check_finite_real("epsilon", epsilon, positive=True)
     u = as_spins(prefix).astype(np.float64)
     k = u.shape[0]
     if not 0 < k < model.n:
@@ -180,7 +179,7 @@ def bound_spd(model: IsingModel, prefix, epsilon: float, *,
     A = model.coupling_matrix()
     spectrum = functools.cache(lambda depth: _spectrum(A[depth:, depth:]))
     lam_min = spectrum(k)[0][0]
-    if d is not None and d <= -lam_min:
+    if d is not None and not d > -lam_min:  # NaN fails too
         raise ValidationError(f"shift d={d} must exceed -lam_min={-lam_min}")
     _, value, _ = _child_bounds(A, model.h, u[None, :-1], spectrum, epsilon, admissible, d)
     return bound_base(model, u) + float(value[0 if u[-1] > 0 else 1])

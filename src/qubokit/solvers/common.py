@@ -8,14 +8,12 @@ are scheduled and bitwise reproducible for a fixed (model, params, seed).
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_count, check_finite_real, is_finite_real
 from ..generators import rng_stream
 from ..model import IsingModel
 
@@ -82,22 +80,6 @@ def single_precision(model: IsingModel):
     return model.coupling_operator().astype(np.float32), model.h.astype(np.float32)
 
 
-def _real(value) -> bool:
-    """Whether ``value`` is a real number (bools and strings are not)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
-def _positive(name: str, value):
-    if not (_real(value) and 0 < value < math.inf):
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-
-
-def positive_count(name: str, value):
-    """Reject a count that is not an integer >= 1 (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 # The largest B&B leaf: its table of every leaf state holds 2^leaf_size rows
 # of leaf_size float64 (168 MB at 20)
 MAX_LEAF_SIZE = 20
@@ -114,11 +96,11 @@ class SaParams:
     seed: int = 0
 
     def validate(self):
-        positive_count("sweeps", self.sweeps)
-        positive_count("replicas", self.replicas)
+        check_count("sweeps", self.sweeps)
+        check_count("replicas", self.replicas)
         for name in ("T_init", "T_final"):
             if getattr(self, name) is not None:
-                _positive(name, getattr(self, name))
+                check_finite_real(name, getattr(self, name), positive=True)
 
 
 @dataclass
@@ -137,14 +119,14 @@ class PaParams:
     seed: int = 0
 
     def validate(self):
-        positive_count("steps", self.steps)
-        _positive("learning_rate", self.learning_rate)
-        if not (_real(self.momentum) and 0 <= self.momentum < 1):
+        check_count("steps", self.steps)
+        check_finite_real("learning_rate", self.learning_rate, positive=True)
+        if not (is_finite_real(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
-            _positive("lambda0", self.lambda0)
+            check_finite_real("lambda0", self.lambda0, positive=True)
             fits_float32("lambda0", self.lambda0)
-        positive_count("replicas", self.replicas)
+        check_count("replicas", self.replicas)
 
 
 @dataclass
@@ -167,15 +149,15 @@ class SbmParams:
     seed: int = 0
 
     def validate(self):
-        positive_count("steps", self.steps)
-        _positive("dt", self.dt)
-        _positive("a0", self.a0)
+        check_count("steps", self.steps)
+        check_finite_real("dt", self.dt, positive=True)
+        check_finite_real("a0", self.a0, positive=True)
         if self.c0 is not None:
-            _positive("c0", self.c0)
+            check_finite_real("c0", self.c0, positive=True)
             fits_float32("c0", self.c0)
-        _positive("q_cap", self.q_cap)
-        _positive("init_noise", self.init_noise)
-        positive_count("replicas", self.replicas)
+        check_finite_real("q_cap", self.q_cap, positive=True)
+        check_finite_real("init_noise", self.init_noise, positive=True)
+        check_count("replicas", self.replicas)
 
 
 @dataclass
@@ -202,10 +184,10 @@ class BBParams:
     def validate(self):
         if self.bound_kind not in ("base", "spd", "spd_admissible"):
             raise ValidationError(f"unknown bound_kind {self.bound_kind!r}")
-        positive_count("pool_limit", self.pool_limit)
+        check_count("pool_limit", self.pool_limit)
         if self.time_limit is not None:
-            _positive("time_limit", self.time_limit)
-        positive_count("leaf_size", self.leaf_size)
+            check_finite_real("time_limit", self.time_limit, positive=True)
+        check_count("leaf_size", self.leaf_size)
         if self.leaf_size > MAX_LEAF_SIZE:
             raise ValidationError(f"leaf_size must be <= {MAX_LEAF_SIZE}, got {self.leaf_size}")
 
