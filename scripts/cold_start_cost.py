@@ -8,7 +8,10 @@ Each case runs RUNS times in a fresh interpreter: ``import qubokit``; the
 CLI ``solve`` of a small dense instance (complete, integer couplings in
 [-31, 31], n = 20) with the ``bb`` and with the ``sa`` solver; the CLI
 ``solve`` of a tile L = 16 instance (n = 256, a CSR operator) with ``sa``;
-and the CLI ``generate`` of that tile instance, which builds no operator.
+the CLI ``generate`` of that tile instance, which builds no operator; and
+the CLI ``solve`` with ``sbm`` (100 steps, 8 replicas, default c0, so the
+Lanczos eigenvalue path above n = 512) of a tile L = 32 instance (n = 1024,
+CSR) and of a dense complete uniform instance (n = 600).
 The CLI runs in-process through ``qubokit.cli.main``, so the child can
 report on itself afterwards.  For each case it reports the median wall time
 of the child process as seen from here (interpreter start included), the
@@ -50,8 +53,8 @@ print(json.dumps({"maxrss_mb": peak_kb / 1024.0, "scipy": "scipy" in sys.modules
 """
 
 
-def _solve(path: Path, solver: str) -> str:
-    argv = ["solve", str(path), "--solver", solver, "--seed", "0"]
+def _solve(path: Path, solver: str, *options: str) -> str:
+    argv = ["solve", str(path), "--solver", solver, "--seed", "0", *options]
     return f"from qubokit.cli import main\nif main({argv!r}):\n    raise SystemExit(1)\n"
 
 
@@ -83,11 +86,20 @@ def main() -> int:
                                gen_random("complete", "int_uniform", 1, n=20, a=-31, b=31))
         tile = write_instance(Path(tmp) / "tile.txt",
                               gen_tile(16, [0.0, 0.8, 0.0, 0.2], 1).model)
+        tile32 = write_instance(Path(tmp) / "tile32.txt",
+                                gen_tile(32, [0.0, 0.8, 0.0, 0.2], 1).model)
+        complete = write_instance(Path(tmp) / "complete.txt",
+                                  gen_random("complete", "uniform", 1, n=600))
+        sbm_params = Path(tmp) / "sbm.json"
+        sbm_params.write_text(json.dumps({"steps": 100}))
+        sbm = ("--params", str(sbm_params), "--replicas", "8")
         cases = {"import qubokit": "import qubokit\n",
                  "solve dense n=20 bb": _solve(dense, "bb"),
                  "solve dense n=20 sa": _solve(dense, "sa"),
                  "solve tile L=16 sa": _solve(tile, "sa"),
-                 "generate tile L=16": _generate_tile(Path(tmp) / "generated.txt")}
+                 "generate tile L=16": _generate_tile(Path(tmp) / "generated.txt"),
+                 "solve tile L=32 sbm": _solve(tile32, "sbm", *sbm),
+                 "solve dense n=600 sbm": _solve(complete, "sbm", *sbm)}
         rows = [{"case": name, **measure(code)} for name, code in cases.items()]
     print(json.dumps({**environment(), "runs": RUNS, "results": rows}, indent=2))
     return 0

@@ -3,8 +3,8 @@ every public boundary applies to what a caller passes:
 
 * ``check_count``: an integer (a bool is not one) at least a lower bound
   the caller names, for sizes, counts and caps;
-* ``check_finite_real``: a real number, not a bool, a string, NaN or ±inf,
-  optionally positive; ``is_finite_real`` is its test.
+* ``check_finite_real``: a real number, not a bool, a string, NaN, ±inf
+  or an integer beyond float64, optionally positive; ``is_finite_real`` is its test.
 
 Both raise ``ValidationError`` with a message that names the input.
 """
@@ -44,10 +44,14 @@ def check_count(name: str, value, low: int = 1):
 
 
 def is_finite_real(value) -> bool:
-    """Whether ``value`` is a real number other than NaN and ±inf; bools and
-    strings are not real numbers here."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and -math.inf < value < math.inf)
+    """Whether ``value`` is a real number other than NaN and ±inf that
+    float64 can hold; bools and strings are not real numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float64, such as 10**400
+        return False
 
 
 def check_finite_real(name: str, value, positive: bool = False):

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError, check_count, check_finite_real
+from .errors import (GenerationError, ValidationError, check_count, check_finite_real,
+                     is_finite_real)
 from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, as_spins
 from .transforms import hubo_to_spin_domain
 
@@ -189,8 +190,13 @@ def gen_tile(L: int, p, seed) -> PlantedInstance:
     check_count("tile L", L, 4)
     if L % 2 != 0:
         raise ValidationError("tile planting needs even L >= 4")
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (4,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
+    # each entry checked before numpy converts it: a string would parse, a
+    # ragged list would raise numpy's own ValueError
+    entries = list(p) if isinstance(p, (list, tuple, np.ndarray)) else []
+    if len(entries) != 4 or not all(map(is_finite_real, entries)):
+        raise ValidationError("p must be a length-4 probability vector")
+    p = np.array(entries, dtype=np.float64)
+    if not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValidationError("p must be a length-4 probability vector")
     p = p / p.sum()
     rng = rng_stream(seed)

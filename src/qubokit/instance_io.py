@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError, check_finite_real
+from .errors import ValidationError, check_finite_real, is_finite_real
 from .generators import PlantedInstance
 from .model import (BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel,
                     _as_indices, _term_blocks, as_spins)
@@ -105,10 +105,9 @@ def model_from_dict(data: dict) -> Model:
         raise ValidationError(f"instance 'n' needs an integer, got {n!r}")
     n = int(n)
     if fmt == FORMAT_QUADRATIC:
-        try:
-            offset = float(data.get("offset", 0.0))
-        except (TypeError, ValueError):
-            raise ValidationError(f"offset {data['offset']!r} is not a number") from None
+        offset = data.get("offset", 0.0)
+        if not is_finite_real(offset):
+            raise ValidationError(f"offset {offset!r} is not a number")
         try:
             t = np.fromiter(map(tuple, data["terms"]), dtype=np.dtype((np.float64, 3)))
         except (TypeError, ValueError) as exc:

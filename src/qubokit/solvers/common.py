@@ -134,9 +134,10 @@ class SbmParams:
     """Simulated bifurcation: Hamilton equations with a linear a(t) ramp.
 
     c0 None resolves to 1 / lambda_max of the coupling matrix driving the
-    dynamics, from ``eig_extreme``: dense ``eigvalsh`` up to n=512, seeded
-    Lanczos above that, and the Gershgorin bound if Lanczos does not
-    converge.
+    dynamics, from ``eig_extreme``: dense ``eigvalsh`` up to n=512, a
+    seeded numpy two-pass Lanczos above that (about five vectors of n
+    float64, no scipy solver), and the Gershgorin bound if Lanczos does
+    not converge.
     """
 
     steps: int = 10_000

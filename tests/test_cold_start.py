@@ -1,6 +1,9 @@
 """scipy loads only on the sparse path: dense models never import it, and a
 sparse model loads it on its first CSR solve, not when it is generated,
-coloured or converted, nor when its QUBO's energies are evaluated."""
+coloured or converted, nor when its QUBO's energies are evaluated.  SBM's
+default c0 above n = 512 comes from numpy's Lanczos, so it loads neither
+``scipy.sparse.linalg`` nor ``scipy.linalg``, and on a dense model no scipy
+at all."""
 
 import json
 import os
@@ -71,6 +74,17 @@ q.energies(np.ones((3, q.n), dtype=np.int8)), q.energy(np.zeros(q.n, dtype=np.in
 print(json.dumps("scipy.sparse" in sys.modules))
 """
 
+SBM_DEFAULT_C0 = """
+import json, sys
+from qubokit import SbmParams, solve_sbm
+from qubokit.generators import gen_random, gen_tile
+
+model = {model}
+assert model.n > 512
+solve_sbm(model, SbmParams(steps=20, replicas=4))
+print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+"""
+
 
 def _fresh(code: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -95,3 +109,15 @@ def test_tile_generation_leaves_scipy_sparse_unloaded():
 
 def test_sparse_qubo_energies_leave_scipy_sparse_unloaded():
     assert _fresh(SPARSE_QUBO_ENERGIES) is False
+
+
+def test_sbm_default_c0_on_csr_loads_no_scipy_linalg():
+    loaded = _fresh(SBM_DEFAULT_C0.format(model='gen_tile(32, [0.0, 0.8, 0.0, 0.2], 1).model'))
+    assert "scipy.sparse" in loaded
+    linalg = [k for k in loaded if k.startswith(("scipy.linalg", "scipy.sparse.linalg"))]
+    assert linalg == []
+
+
+def test_sbm_default_c0_on_dense_loads_no_scipy():
+    model = 'gen_random("complete", "uniform", 1, n=600)'
+    assert _fresh(SBM_DEFAULT_C0.format(model=model)) == []

@@ -1,12 +1,36 @@
 """Tests for extreme eigenvalue estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from qubokit import eig_extreme
-from qubokit.generators import gen_tile
+from qubokit.generators import gen_random, gen_tile
+from qubokit.solvers import eigen
 from qubokit.solvers.bifurcation import resolve_c0
+
+
+class CountingOperator:
+    """A symmetric operator that counts its products ``op @ v``."""
+
+    def __init__(self, mat):
+        self.mat, self.shape, self.products = mat, mat.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.mat @ v
+
+
+# n in 600-1024, above DENSE_LIMIT: two CSR operators and a dense array
+LANCZOS_CASES = {
+    "tile-L32-csr": lambda: gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model.coupling_operator(),
+    "chimera-8x12-csr": lambda: gen_random("chimera", "gaussian", 3, rows=8,
+                                           cols=12).coupling_operator(),
+    "complete-n600-dense": lambda: gen_random("complete", "uniform", 4,
+                                              n=600).coupling_operator(),
+}
 
 
 class TestEigExtreme:
@@ -44,6 +68,50 @@ class TestEigExtreme:
         assert est_min == pytest.approx(dense_vals[0], abs=1e-4)
         assert est_max >= dense_vals[-1] - 1e-6
         assert est_max == pytest.approx(dense_vals[-1], abs=1e-4)
+
+    @pytest.mark.parametrize("case", sorted(LANCZOS_CASES))
+    def test_lanczos_matches_eigvalsh_on_the_safe_side(self, case):
+        mat = LANCZOS_CASES[case]()
+        assert mat.shape[0] > eigen.DENSE_LIMIT
+        assert sp.issparse(mat) == case.endswith("csr")
+        vals = np.linalg.eigvalsh(mat.toarray() if sp.issparse(mat) else mat)
+        est_min, est_max = eig_extreme(mat, "min"), eig_extreme(mat, "max")
+        assert est_min <= vals[0] + 1e-9
+        assert est_max >= vals[-1] - 1e-9
+        scale = max(abs(vals[0]), abs(vals[-1]))
+        assert est_min == pytest.approx(vals[0], abs=1e-7 * scale)
+        assert est_max == pytest.approx(vals[-1], abs=1e-7 * scale)
+
+    @pytest.mark.parametrize("which", ["min", "max"])
+    def test_lanczos_stops_when_beta_vanishes(self, which):
+        # three distinct eigenvalues: the Krylov space is invariant after
+        # three steps, long before the first periodic check
+        values = np.repeat([-2.0, 0.5, 3.0], 200)
+        op = CountingOperator(sp.diags_array(values, format="csr"))
+        est = eig_extreme(op, which)
+        assert est == pytest.approx(-2.0 if which == "min" else 3.0, abs=1e-9)
+        # three steps in pass 1, two in pass 2, one residual product
+        assert op.products == 6 < eigen._CHECK_EVERY
+
+    def test_no_convergence_falls_back_to_gershgorin(self, monkeypatch):
+        mat = gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model.coupling_operator()
+        monkeypatch.setattr(eigen, "LANCZOS_MAXITER", 2)
+        for which in ("min", "max"):
+            assert eig_extreme(mat, which) == eigen._gershgorin(mat, which)
+
+    def test_lanczos_memory_is_a_few_vectors(self):
+        # tile L=256: n = 65,536 spins; ARPACK's 20 Lanczos vectors alone
+        # would take 160 B per spin
+        mat = gen_tile(256, [0.0, 0.8, 0.0, 0.2], 1).model.coupling_operator()
+        n = mat.shape[0]
+        tracemalloc.start()
+        try:
+            est = eig_extreme(mat, "min")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est <= -5.49
+        assert peak <= 10 * 8 * n
 
     def test_lanczos_repeats_bitwise(self):
         # n=1024 takes the Lanczos path; its start vector must not depend on

@@ -15,7 +15,7 @@ from qubokit.generators import (PlantedInstance, gen_3r3x, gen_chain3, gen_mw3s,
                                 gen_tile, gen_wishart, generate)
 from qubokit.instance_io import read_certificate, write_certificate, write_instance
 from qubokit.model import HuboModel, IsingModel, QuboModel
-from qubokit.solvers import bound_spd
+from qubokit.solvers import SaParams, bound_spd
 
 NAN = float("nan")
 CHAIN = IsingModel.from_terms(4, couplings=[(0, 1, 1.0), (1, 2, -2.0), (2, 3, 0.5)])
@@ -39,6 +39,9 @@ BOUNDARIES = {
     "tile-L-bool": lambda: gen_tile(True, [0, 0.5, 0, 0.5], 0),
     "tile-L-str": lambda: gen_tile("8", [0, 0.5, 0, 0.5], 0),
     "tile-p-nan": lambda: gen_tile(8, [NAN] * 4, 0),
+    "tile-p-ragged": lambda: gen_tile(8, [[0], 1, 0, 0], 0),
+    "tile-p-strs": lambda: gen_tile(8, ["0", "0.5", "0", "0.5"], 0),
+    "tile-p-str": lambda: gen_tile(8, "0.25", 0),
     "tile-p2-nan": lambda: generate("tile", 0, L=8, p2=NAN),
     "tile-p2-str": lambda: generate("tile", 0, L=8, p2="0.5"),
     "wishart-M-bool": lambda: gen_wishart(8, True, 0),
@@ -67,6 +70,7 @@ BOUNDARIES = {
     "ising-offset-none": lambda: IsingModel.from_arrays(2, [0], [1], [1.0], offset=None),
     "ising-offset-bool": lambda: IsingModel.from_arrays(2, [0], [1], [1.0], offset=True),
     "ising-offset-nan": lambda: IsingModel.from_arrays(2, [0], [1], [1.0], offset=NAN),
+    "ising-offset-huge-int": lambda: IsingModel.from_terms(2, offset=10**400),
     "qubo-n-float": lambda: QuboModel.from_arrays(2.5, [0], [1], [1.0]),
     "qubo-n-bool": lambda: QuboModel.from_arrays(True, [0], [0], [1.0]),
     "qubo-offset-str": lambda: QuboModel.from_arrays(2, [0], [1], [1.0], offset="a"),
@@ -86,6 +90,8 @@ BOUNDARIES = {
     "bound-spd-epsilon-str": lambda: bound_spd(CHAIN, [1], "1"),
     "bound-spd-epsilon-bool": lambda: bound_spd(CHAIN, [1], True),
     "bound-spd-d-nan": lambda: bound_spd(CHAIN, [1], 1.0, d=NAN),
+    # solver parameters
+    "sa-T-init-huge-int": lambda: SaParams(T_init=10**400).validate(),
 }
 
 
@@ -106,14 +112,16 @@ class TestChecks:
         with pytest.raises(ValidationError, match="n must be an integer >= 6, got 5"):
             check_count("n", 5, 6)
 
-    @pytest.mark.parametrize("value", [NAN, float("inf"), -float("inf"), True, "1", None])
+    @pytest.mark.parametrize("value", [NAN, float("inf"), -float("inf"), True, "1", None,
+                                       pytest.param(10**400, id="int-1e400"),
+                                       pytest.param(-10**400, id="int-minus-1e400")])
     def test_finite_real_refused(self, value):
         assert not is_finite_real(value)
         with pytest.raises(ValidationError, match="x must be a finite number"):
             check_finite_real("x", value)
 
     def test_finite_real_accepted(self):
-        for value in (0, -2, 1.5, np.float32(0.25), np.int64(-3)):
+        for value in (0, -2, 1.5, np.float32(0.25), np.int64(-3), 10**300):
             check_finite_real("x", value)
         with pytest.raises(ValidationError, match="x must be positive and finite"):
             check_finite_real("x", 0.0, positive=True)
@@ -175,8 +183,13 @@ GOOD_SOURCE = {"generator": {"family": "random", "sizes": [6], "seeds": [1]}}
     {"source": GOOD_SOURCE, "solvers": [{"id": "sa", "name": 5}, {"id": "pa"}]},
     {"source": {"generator": {"family": "3r3x", "sizes": [6.5], "seeds": [1]}},
      "solvers": [{"id": "bf"}]},
+    {"source": {"generator": {"family": "tile", "sizes": [4], "seeds": [1],
+                              "p": [[0], 1, 0, 0]}}, "solvers": [{"id": "bf"}]},
+    {"source": {"generator": {"family": "tile", "sizes": [4], "seeds": [1],
+                              "p": ["0", "0.5", "0", "0.5"]}}, "solvers": [{"id": "bf"}]},
 ], ids=["no-sizes", "seeds-int", "family-list", "generator-str", "files-int", "solver-no-id",
-        "solver-str", "solver-unknown-id", "params-list", "name-int", "size-float"])
+        "solver-str", "solver-unknown-id", "params-list", "name-int", "size-float",
+        "tile-p-ragged", "tile-p-strs"])
 def test_bad_suite_exits_3_without_report(tmp_path, capsys, suite):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))

@@ -252,7 +252,7 @@ class TestJsonFormat:
         with pytest.raises(ValidationError, match="instance 'n' needs an integer"):
             read_instance(self.write_json(tmp_path, n=n))
 
-    @pytest.mark.parametrize("offset", ["abc", [1.0]])
+    @pytest.mark.parametrize("offset", ["abc", [1.0], "1.5", True])
     def test_non_numeric_offset(self, tmp_path, offset):
         with pytest.raises(ValidationError, match=r"offset .* is not a number"):
             read_instance(self.write_json(tmp_path, offset=offset))
