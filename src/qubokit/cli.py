@@ -17,7 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from .errors import QubokitError, ValidationError
 from .generators import GENERATORS, generate
-from .instance_io import (_read_json, read_certificate, read_instance, write_certificate,
+from .instance_io import (_read_json_object, read_certificate, read_instance, write_certificate,
                           write_instance)
 from .solvers import DEFAULT_CAP, SOLVERS, default_config, run_solver, solve_brute_force
 from .transforms import ising_to_qubo, to_ising
@@ -93,8 +93,12 @@ def _cmd_generate(args) -> int:
     params = {k: v for k, v in vars(args).items()
               if v is not None and k not in ("command", "family", "seed", "out")}
     if "edges" in params:  # one 1-based 'i j' pair per line
-        params["edges"] = (np.loadtxt(params["edges"], dtype=np.int64, usecols=(0, 1),
-                                      ndmin=2) - 1).tolist()
+        try:
+            edges = np.loadtxt(params["edges"], dtype=np.int64, usecols=(0, 1), ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{params['edges']}: edge list needs one integer "
+                                  f"'i j' pair per line: {exc}") from None
+        params["edges"] = (edges - 1).tolist()
     model, planted = generate(args.family, args.seed, **params)
     summary = f"{args.family} n={model.n}"
     write_instance(args.out, model)
@@ -144,7 +148,7 @@ def _cmd_solve(args) -> int:
         print(f"reduction: {rmap.original_n} variables + {len(rmap.aux_bindings)} "
               f"auxiliaries (scale {rmap.energy_scale}, shift {rmap.energy_shift})")
 
-    data = _read_json(args.params) if args.params is not None else {}
+    data = _read_json_object(args.params, "solver parameters") if args.params is not None else {}
     result = run_solver(args.solver, ising, data, replicas=args.replicas, seed=args.seed,
                         cap=args.bf_cap)
     lifted = lift(result.state)

@@ -203,6 +203,16 @@ def _read_json(path):
         raise ValidationError(f"{path}: not valid JSON: {exc}") from None
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; a file holding any other
+    JSON value is a ValidationError naming the file and ``what`` it holds."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object, "
+                              f"got {type(data).__name__}")
+    return data
+
+
 def read_instance(path) -> Model:
     """Read a model written by :func:`write_instance` (text or JSON)."""
     path = Path(path)

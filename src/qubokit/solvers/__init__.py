@@ -24,7 +24,6 @@ from .common import (
     SbmParams,
     make_sampleset,
     params_from_dict,
-    replica_streams,
 )
 from .eigen import eig_extreme
 from .parallel_annealing import resolve_lambda0, solve_pa
@@ -36,7 +35,7 @@ __all__ = [
     "BBResult", "Sample", "SampleSet",
     "SaParams", "PaParams", "SbmParams", "BBParams",
     "default_config", "make_sampleset", "params_from_dict",
-    "replica_streams", "DEFAULT_CAP",
+    "DEFAULT_CAP",
     "SOLVERS", "SolveResult", "run_solver",
 ]
 

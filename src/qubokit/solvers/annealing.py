@@ -61,8 +61,8 @@ from itertools import groupby
 import numpy as np
 
 from ..errors import ValidationError
-from ..model import IsingModel, block_order, is_sparse
-from .common import SampleSet, SaParams, make_sampleset, replica_streams
+from ..model import IsingModel, is_sparse
+from .common import SampleSet, SaParams, run_replicas
 
 # Uniform draws are pre-generated in blocks of whole sweeps of at most this
 # many bytes over all replicas, and never less than one sweep (each replica's
@@ -75,8 +75,6 @@ _RUN = 16
 
 def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
     params.validate()
-    n, R = model.n, params.replicas
-
     T_init = params.T_init if params.T_init is not None else 2.0 * max(model.field_scale, 1e-12)
     T_final = params.T_final if params.T_final is not None else 1e-3 * T_init
     if not T_init >= T_final:
@@ -90,10 +88,6 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
         temps = np.array([T_init])
 
     A = model.coupling_operator()
-    streams = replica_streams(params.seed, R)
-    S = np.asarray(np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]),
-                   dtype=np.float64, order=block_order(A))
-    F = S @ A + model.h
     # (spins, their operator rows, their in-run coupling block or None): a
     # class, or a run of consecutive one-spin classes of a dense operator
     steps = []
@@ -109,41 +103,46 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
             rows = A[C[0]:C[-1] + 1] if np.all(np.diff(C) == 1) else A[C]
             steps.append((C, rows, A[np.ix_(C, C)]))
 
-    E = model.energies(S) - model.offset
-    best_E = E.copy()
-    best_S = S.copy()
+    def anneal(A, h, S, streams):
+        R, n = S.shape
+        F = S @ A + h
+        E = model.energies(S) - model.offset
+        best_E = E.copy()
+        best_S = S.copy()
 
-    chunk = min(sweeps, max(1, _DRAW_BYTES // (8 * R * max(n, 1))))
-    U = np.empty((R, chunk, n))
-    sweep = 0
-    with np.errstate(over="ignore"):  # exp(dE / -T) = inf accepts, as >= 1 does
-        while sweep < sweeps:
-            block = min(chunk, sweeps - sweep)
-            for r, g in enumerate(streams):
-                g.random(out=U[r, :block])
-            for b in range(block):
-                T = temps[sweep + b]
-                U_b = U[:, b]
-                for C, A_C, A_CC in steps:
-                    if A_CC is not None:
-                        _run_step(S, F, E, U_b, T, C, A_C, A_CC)
-                        continue
-                    s = S[:, C]
-                    dE = -2.0 * s * F[:, C]
-                    flip = U_b[:, C] < np.exp(dE / -T)
-                    if not flip.any():
-                        continue
-                    dS = np.where(flip, -2.0 * s, 0.0)
-                    S[:, C] = s + dS
-                    E += np.ascontiguousarray(np.where(flip, dE, 0.0)).sum(axis=1)
-                    F += dS @ A_C
-                improved = E < best_E
-                if np.any(improved):
-                    best_E[improved] = E[improved]
-                    best_S[improved] = S[improved]
-            sweep += block
+        chunk = min(sweeps, max(1, _DRAW_BYTES // (8 * R * max(n, 1))))
+        U = np.empty((R, chunk, n))
+        sweep = 0
+        with np.errstate(over="ignore"):  # exp(dE / -T) = inf accepts, as >= 1 does
+            while sweep < sweeps:
+                block = min(chunk, sweeps - sweep)
+                for r, g in enumerate(streams):
+                    g.random(out=U[r, :block])
+                for b in range(block):
+                    T = temps[sweep + b]
+                    U_b = U[:, b]
+                    for C, A_C, A_CC in steps:
+                        if A_CC is not None:
+                            _run_step(S, F, E, U_b, T, C, A_C, A_CC)
+                            continue
+                        s = S[:, C]
+                        dE = -2.0 * s * F[:, C]
+                        flip = U_b[:, C] < np.exp(dE / -T)
+                        if not flip.any():
+                            continue
+                        dS = np.where(flip, -2.0 * s, 0.0)
+                        S[:, C] = s + dS
+                        E += np.ascontiguousarray(np.where(flip, dE, 0.0)).sum(axis=1)
+                        F += dS @ A_C
+                    improved = E < best_E
+                    if np.any(improved):
+                        best_E[improved] = E[improved]
+                        best_S[improved] = S[improved]
+                sweep += block
+        return best_S
 
-    return make_sampleset(model, best_S.astype(np.int8), params.seed)
+    return run_replicas(model, params, np.float64,
+                        (lambda g, n: 2 * g.integers(0, 2, size=n) - 1,), anneal)
 
 
 def _run_step(S, F, E, U_b, T, C, A_C, A_CC):

@@ -13,11 +13,12 @@ with momenta zeroed (inelastic walls); final spins are sign(q), sign(0)=+1.
 ``integrate`` computes in its operator's dtype (float32 or wider): it casts
 Q, P, g and the a(t) schedule to that dtype and takes every scalar as a
 Python float, so each ufunc runs one loop of that dtype, and a float64
-caller gets float64 blocks and the float64 bits.  ``solve_sbm`` hands it
-the coupling operator and h cast to float32 once per solve
-(``single_precision``, which refuses a model whose ``field_scale`` float32
-cannot hold), with the replica streams and the schedule drawn in float64
-as before, so SBM integrates in single precision.  c0 is resolved in
+caller gets float64 blocks and the float64 bits.  ``solve_sbm`` runs it
+under ``run_replicas``, which casts the coupling operator and h to float32
+once per solve (refusing a model whose ``field_scale`` float32 cannot hold)
+and casts each replica's float64 uniform draws, its Q row then its P row,
+into float32 blocks; the schedule is built in float64 and cast by
+``integrate``, so SBM integrates in single precision.  c0 is resolved in
 float64, and the reported energies are the model's float64 energies of
 sign(q).
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import IsingModel, block_order, block_product, sign_pm
-from .common import SampleSet, SbmParams, make_sampleset, replica_streams, single_precision
+from .common import SampleSet, SbmParams, run_replicas
 from .eigen import eig_extreme
 
 
@@ -106,16 +107,14 @@ def integrate(B, g, Q, P, dt: float, a_schedule, a0: float, c0: float,
 
 def solve_sbm(model: IsingModel, params: SbmParams) -> SampleSet:
     params.validate()
-    n, R, T = model.n, params.replicas, params.steps
-    A, h = single_precision(model)
     c0 = params.c0 if params.c0 is not None else resolve_c0(model)
-    B, g = -A, -h
     amp = params.init_noise
-    streams = replica_streams(params.seed, R)
-    Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
-    P = np.stack([s.uniform(-amp, amp, size=n) for s in streams])
+    a_schedule = np.linspace(0.0, params.a0, params.steps)
 
-    a_schedule = np.linspace(0.0, params.a0, T)
-    Q, P = integrate(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
+    def bifurcate(A, h, Q, P, streams):
+        Q, P = integrate(-A, -h, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
+        return sign_pm(Q)
 
-    return make_sampleset(model, sign_pm(Q), params.seed)
+    # each replica draws its Q row, then its P row, from its stream
+    return run_replicas(model, params, np.float32,
+                        (lambda g, n: g.uniform(-amp, amp, size=n),) * 2, bifurcate)

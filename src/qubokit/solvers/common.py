@@ -1,8 +1,10 @@
-"""Shared solver types: samples, parameter records, replica RNG streams.
+"""Shared solver types: samples, parameter records, and the replica driver.
 
-Replica r of a solver seeded with ``seed`` always draws from the Philox
-stream ``rng_stream(seed, r)``, so results are independent of how replicas
-are scheduled and bitwise reproducible for a fixed (model, params, seed).
+``run_replicas`` is the one place the replica samplers (SA, PA, SBM) set up
+and score their replicas.  Replica r of a solver seeded with ``seed`` always
+draws from the Philox stream ``rng_stream(seed, r)``, so results are
+independent of how replicas are scheduled and bitwise reproducible for a
+fixed (model, params, seed).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_count, check_finite_real, is_finite_real
 from ..generators import rng_stream
-from ..model import IsingModel
+from ..model import IsingModel, block_order
 
 
 class Sample(NamedTuple):
@@ -61,23 +63,35 @@ def make_sampleset(model: IsingModel, states: np.ndarray, seed) -> SampleSet:
     return SampleSet(samples=samples, seed=seed)
 
 
-def replica_streams(seed, count: int) -> list[np.random.Generator]:
-    return [rng_stream(seed, r) for r in range(count)]
-
-
-def fits_float32(name: str, value: float):
-    """Refuse a scale that float32, the precision PA and SBM step in, cannot
+def fits_dtype(name: str, value: float, dtype=np.float32):
+    """Refuse a scale that ``dtype``, the precision a solver steps in, cannot
     hold: cast, it would be inf and the dynamics NaN."""
-    if value > float(np.finfo(np.float32).max):
-        raise ValidationError(f"{name} {value:.6g} overflows float32, "
-                              "the precision of the PA and SBM dynamics")
+    if value > float(np.finfo(dtype).max):
+        raise ValidationError(f"{name} {value:.6g} overflows {np.dtype(dtype).name}, "
+                              "the precision of the solver's dynamics")
 
 
-def single_precision(model: IsingModel):
-    """The coupling operator and fields of ``model`` cast to float32, for
-    PA and SBM; a model whose ``field_scale`` float32 cannot hold is refused."""
-    fits_float32("field scale", model.field_scale)
-    return model.coupling_operator().astype(np.float32), model.h.astype(np.float32)
+def run_replicas(model: IsingModel, params, dtype, draws, kernel) -> SampleSet:
+    """Run the ``params.replicas`` replicas of a sampler and score them.
+
+    The coupling operator and h are cast to ``dtype`` (a model whose
+    ``field_scale`` that dtype cannot hold is refused).  Replica r draws
+    from ``rng_stream(params.seed, r)``: each callable of ``draws`` maps a
+    stream and the spin count to the replica's row of one (replicas, n)
+    block of ``dtype`` in the operator's ``block_order``, and a replica's
+    draws are made in the order of ``draws``.  ``kernel(A, h, *blocks,
+    streams)`` steps the blocks and returns the final +-1 spins, which
+    ``make_sampleset`` scores.
+    """
+    fits_dtype("field scale", model.field_scale, dtype)
+    A = model.coupling_operator().astype(dtype, copy=False)
+    h = model.h.astype(dtype, copy=False)
+    streams = [rng_stream(params.seed, r) for r in range(params.replicas)]
+    blocks = [np.empty((params.replicas, model.n), dtype, block_order(A)) for _ in draws]
+    for r, stream in enumerate(streams):
+        for block, draw in zip(blocks, draws):
+            block[r] = draw(stream, model.n)
+    return make_sampleset(model, kernel(A, h, *blocks, streams), params.seed)
 
 
 # The largest B&B leaf: its table of every leaf state holds 2^leaf_size rows
@@ -125,7 +139,7 @@ class PaParams:
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
             check_finite_real("lambda0", self.lambda0, positive=True)
-            fits_float32("lambda0", self.lambda0)
+            fits_dtype("lambda0", self.lambda0)
         check_count("replicas", self.replicas)
 
 
@@ -155,7 +169,7 @@ class SbmParams:
         check_finite_real("a0", self.a0, positive=True)
         if self.c0 is not None:
             check_finite_real("c0", self.c0, positive=True)
-            fits_float32("c0", self.c0)
+            fits_dtype("c0", self.c0)
         check_finite_real("q_cap", self.q_cap, positive=True)
         check_finite_real("init_noise", self.init_noise, positive=True)
         check_count("replicas", self.replicas)

@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from ..errors import ValidationError
 from ..model import is_sparse
 
 DENSE_LIMIT = 512
@@ -198,7 +199,7 @@ def _lanczos(mat, which: str) -> float | None:
 def eig_extreme(mat, which: str = "min") -> float:
     """Extreme eigenvalue of a symmetric matrix (``which`` in {min, max})."""
     if which not in ("min", "max"):
-        raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+        raise ValidationError(f"which must be 'min' or 'max', got {which!r}")
     n = mat.shape[0]
     if n <= DENSE_LIMIT:
         dense = mat.toarray() if is_sparse(mat) else np.asarray(mat, dtype=np.float64)

@@ -470,30 +470,32 @@ def read_hubo_loop(text: str):
 # before the replica state was held in the operator's memory order and
 # stepped in place.  Copied as they were, except that they step in float32
 # as the solvers now do (the operator, h, the initial blocks and the
-# schedule cast once, scalars as Python floats), so the in-place kernels
-# must reproduce them bit for bit.
+# schedule cast once, scalars as Python floats), and that each runs as the
+# kernel of ``run_replicas`` from a C-ordered copy of the blocks it is
+# handed, so the comparisons isolate the in-place kernels, which must
+# reproduce them bit for bit.
 
-def pa_loop(model, params) -> np.ndarray:
-    """Final analog spins X of ``solve_pa`` (C-ordered, allocating steps)."""
+def pa_loop(model, params):
+    """``solve_pa``'s sample set from the C-ordered allocating loop."""
     from qubokit.model import sign_pm
-    from qubokit.solvers.common import replica_streams
+    from qubokit.solvers.common import run_replicas
 
-    n, R, T = model.n, params.replicas, params.steps
+    T = params.steps
     lam0 = params.lambda0 if params.lambda0 is not None else max(model.field_scale, 1e-12)
     eta, alpha = params.learning_rate, params.momentum
 
-    streams = replica_streams(params.seed, R)
-    X = np.stack([g.uniform(-1.0, 1.0, size=n) for g in streams]).astype(np.float32)
-    M = np.zeros_like(X)
-    A = model.coupling_operator().astype(np.float32)
-    h = model.h.astype(np.float32)
+    def kernel(A, h, X, streams):
+        X = np.array(X, order="C")
+        M = np.zeros_like(X)
+        for t in range(T):
+            lam = lam0 * (1.0 - t / T)
+            grad = lam * X + sign_pm(X).astype(np.float32) @ A + h
+            M = alpha * M - eta * grad
+            X = np.clip(X + M, -1.0, 1.0)
+        return sign_pm(X)
 
-    for t in range(T):
-        lam = lam0 * (1.0 - t / T)
-        grad = lam * X + sign_pm(X).astype(np.float32) @ A + h
-        M = alpha * M - eta * grad
-        X = np.clip(X + M, -1.0, 1.0)
-    return X
+    return run_replicas(model, params, np.float32,
+                        [lambda g, n: g.uniform(-1.0, 1.0, size=n)], kernel)
 
 
 def integrate_loop(B, g, Q, P, dt, a_schedule, a0, c0, q_cap):
@@ -508,36 +510,37 @@ def integrate_loop(B, g, Q, P, dt, a_schedule, a0, c0, q_cap):
     return Q, P
 
 
-def sbm_loop(model, params) -> np.ndarray:
-    """Final positions Q of ``solve_sbm`` through ``integrate_loop``."""
+def sbm_loop(model, params):
+    """``solve_sbm``'s sample set from ``integrate_loop`` on C-ordered blocks."""
+    from qubokit.model import sign_pm
     from qubokit.solvers.bifurcation import resolve_c0
-    from qubokit.solvers.common import replica_streams
+    from qubokit.solvers.common import run_replicas
 
-    n, R, T = model.n, params.replicas, params.steps
     c0 = params.c0 if params.c0 is not None else resolve_c0(model)
-
-    B = -model.coupling_operator().astype(np.float32)
-    g = -model.h.astype(np.float32)
     amp = params.init_noise
-    streams = replica_streams(params.seed, R)
-    Q = np.stack([s.uniform(-amp, amp, size=n) for s in streams]).astype(np.float32)
-    P = np.stack([s.uniform(-amp, amp, size=n) for s in streams]).astype(np.float32)
+    a_schedule = np.linspace(0.0, params.a0, params.steps).astype(np.float32)
 
-    a_schedule = np.linspace(0.0, params.a0, T).astype(np.float32)
-    Q, P = integrate_loop(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
-    return Q
+    def kernel(A, h, Q, P, streams):
+        B, g = -A, -h
+        Q, P = np.array(Q, order="C"), np.array(P, order="C")
+        Q, P = integrate_loop(B, g, Q, P, params.dt, a_schedule, params.a0, c0, params.q_cap)
+        return sign_pm(Q)
+
+    # each replica draws its Q row, then its P row
+    return run_replicas(model, params, np.float32,
+                        [lambda g, n: g.uniform(-amp, amp, size=n)] * 2, kernel)
 
 
 # SA oracle: the loop over C-ordered replica blocks that updated the fields
 # of the replicas with a flip in a class with dS @ A[C], one class at a time,
-# whatever the operator.  Copied as it was, so ``solve_sa`` must reproduce it
-# bit for bit.
+# whatever the operator.  Copied as it was, and run as the kernel of
+# ``run_replicas`` from a C-ordered copy of its spins, so ``solve_sa`` must
+# reproduce it bit for bit.
 
-def sa_loop(model, params) -> np.ndarray:
-    """Best states ``best_S`` (float spins) of ``solve_sa``'s replicas."""
-    from qubokit.solvers.common import replica_streams
+def sa_loop(model, params):
+    """``solve_sa``'s sample set from the class-update loop's best states."""
+    from qubokit.solvers.common import run_replicas
 
-    n, R = model.n, params.replicas
     T_init = params.T_init if params.T_init is not None else 2.0 * max(model.field_scale, 1e-12)
     T_final = params.T_final if params.T_final is not None else 1e-3 * T_init
     sweeps = params.sweeps
@@ -547,42 +550,45 @@ def sa_loop(model, params) -> np.ndarray:
     else:
         temps = np.array([T_init])
 
-    streams = replica_streams(params.seed, R)
-    S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
-    A = model.coupling_operator()
-    F = S @ A + model.h
-    classes = model.colour_classes()
-    class_rows = [A[C] for C in classes]
+    def kernel(A, h, S, streams):
+        n = model.n
+        S = np.array(S, order="C")
+        F = S @ A + h
+        classes = model.colour_classes()
+        class_rows = [A[C] for C in classes]
 
-    E = model.energies(S) - model.offset
-    best_E = E.copy()
-    best_S = S.copy()
+        E = model.energies(S) - model.offset
+        best_E = E.copy()
+        best_S = S.copy()
 
-    chunk = max(1, 8192 // max(n, 1))
-    sweep = 0
-    while sweep < sweeps:
-        block = min(chunk, sweeps - sweep)
-        U = np.stack([g.random((block, n)) for g in streams])
-        for b in range(block):
-            T = temps[sweep + b]
-            U_b = U[:, b]
-            for C, A_C in zip(classes, class_rows):
-                s = S[:, C]
-                dE = -2.0 * s * F[:, C]
-                flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
-                hit = np.flatnonzero(flip.any(axis=1))
-                if hit.size == 0:
-                    continue
-                dS = np.where(flip, -2.0 * s, 0.0)
-                S[:, C] = s + dS
-                E += np.where(flip, dE, 0.0).sum(axis=1)
-                F[hit] += dS[hit] @ A_C
-            improved = E < best_E
-            if np.any(improved):
-                best_E[improved] = E[improved]
-                best_S[improved] = S[improved]
-        sweep += block
-    return best_S
+        chunk = max(1, 8192 // max(n, 1))
+        sweep = 0
+        while sweep < sweeps:
+            block = min(chunk, sweeps - sweep)
+            U = np.stack([g.random((block, n)) for g in streams])
+            for b in range(block):
+                T = temps[sweep + b]
+                U_b = U[:, b]
+                for C, A_C in zip(classes, class_rows):
+                    s = S[:, C]
+                    dE = -2.0 * s * F[:, C]
+                    flip = U_b[:, C] < np.exp(np.minimum(-dE / T, 0.0))
+                    hit = np.flatnonzero(flip.any(axis=1))
+                    if hit.size == 0:
+                        continue
+                    dS = np.where(flip, -2.0 * s, 0.0)
+                    S[:, C] = s + dS
+                    E += np.where(flip, dE, 0.0).sum(axis=1)
+                    F[hit] += dS[hit] @ A_C
+                improved = E < best_E
+                if np.any(improved):
+                    best_E[improved] = E[improved]
+                    best_S[improved] = S[improved]
+            sweep += block
+        return best_S
+
+    return run_replicas(model, params, np.float64,
+                        [lambda g, n: 2 * g.integers(0, 2, size=n) - 1], kernel)
 
 
 def descend_loop(A, h, u, energy: float) -> float:

@@ -59,6 +59,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text", ["1 2\n1 x\n", "1 2\n3\n"], ids=["not-int", "one-column"])
+    def test_bad_edge_list_exits_3(self, tmp_path, capsys, text):
+        edges, out = tmp_path / "edges.txt", tmp_path / "x.txt"
+        edges.write_text(text)
+        assert run(["generate", "random", "--topology", "edge_list", "--edges", edges,
+                    "--seed", 1, "--out", out]) == 3
+        assert "edges.txt: edge list needs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConvertReduce:
     def test_qubo_ising_round_trip_files(self, tmp_path):
         from qubokit.model import QuboModel
@@ -177,7 +187,9 @@ class TestSolve:
     @pytest.mark.parametrize("params, message", [
         ({"seed": -1}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
         ({"T_init": "1"}, "T_init must be positive and finite"),
-        ({"T_init": float("inf")}, "T_init must be positive and finite")])
+        ({"T_init": float("inf")}, "T_init must be positive and finite"),
+        ([], "p.json: solver parameters must be a JSON object"),
+        (5, "p.json: solver parameters must be a JSON object")])
     def test_bad_sa_seed_or_real_exits_3(self, tmp_path, capsys, params, message):
         inst = tmp_path / "r10.txt"
         run(["generate", "random", "--n", 10, "--seed", 1, "--out", inst])

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from qubokit import bench
 from qubokit.bench import SuiteSpec, run_suite
 from qubokit.cli import main
 from qubokit.errors import ValidationError, check_count, check_finite_real, is_finite_real
@@ -15,7 +16,7 @@ from qubokit.generators import (PlantedInstance, gen_3r3x, gen_chain3, gen_mw3s,
                                 gen_tile, gen_wishart, generate)
 from qubokit.instance_io import read_certificate, write_certificate, write_instance
 from qubokit.model import HuboModel, IsingModel, QuboModel
-from qubokit.solvers import SaParams, bound_spd
+from qubokit.solvers import SaParams, bound_spd, eig_extreme
 
 NAN = float("nan")
 CHAIN = IsingModel.from_terms(4, couplings=[(0, 1, 1.0), (1, 2, -2.0), (2, 3, 0.5)])
@@ -92,6 +93,7 @@ BOUNDARIES = {
     "bound-spd-d-nan": lambda: bound_spd(CHAIN, [1], 1.0, d=NAN),
     # solver parameters
     "sa-T-init-huge-int": lambda: SaParams(T_init=10**400).validate(),
+    "eig-extreme-which": lambda: eig_extreme(np.eye(2), "middle"),
 }
 
 
@@ -187,15 +189,36 @@ GOOD_SOURCE = {"generator": {"family": "random", "sizes": [6], "seeds": [1]}}
                               "p": [[0], 1, 0, 0]}}, "solvers": [{"id": "bf"}]},
     {"source": {"generator": {"family": "tile", "sizes": [4], "seeds": [1],
                               "p": ["0", "0.5", "0", "0.5"]}}, "solvers": [{"id": "bf"}]},
+    [],
+    5,
 ], ids=["no-sizes", "seeds-int", "family-list", "generator-str", "files-int", "solver-no-id",
         "solver-str", "solver-unknown-id", "params-list", "name-int", "size-float",
-        "tile-p-ragged", "tile-p-strs"])
+        "tile-p-ragged", "tile-p-strs", "suite-list", "suite-int"])
 def test_bad_suite_exits_3_without_report(tmp_path, capsys, suite):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
     assert run(["bench", path, "--out", tmp_path / "report"]) == 3
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.json"]
+
+
+@pytest.mark.parametrize("refs", [["x"], {"random-n6-s1": "abc"}, {"random-n6-s1": "1.5"},
+                                  {"random-n6-s1": True}, {"random-n6-s1": NAN}],
+                         ids=["list", "str", "numeric-str", "bool", "nan"])
+def test_bad_reference_file_exits_3_without_report(tmp_path, capsys, monkeypatch, refs):
+    # the reference file is read and checked before any instance is built
+    def no_instances(*args, **kwargs):
+        raise AssertionError("instance built before the reference file was checked")
+
+    monkeypatch.setattr(bench, "generate", no_instances)
+    (tmp_path / "refs.json").write_text(json.dumps(refs))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"source": GOOD_SOURCE, "solvers": [{"id": "bf"}],
+                                "reference": "file",
+                                "reference_file": str(tmp_path / "refs.json")}))
+    assert run(["bench", path, "--out", tmp_path / "report"]) == 3
+    assert "refs.json" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.json", "suite.json"]
 
 
 def test_generate_tile_nan_p2_exits_3_without_files(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the heuristic engines: SA, PA, SBM."""
 
 import dataclasses
+import functools
 import hashlib
 import tracemalloc
 
@@ -19,14 +20,13 @@ from qubokit import (
     solve_sa,
     solve_sbm,
 )
-from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart
+from qubokit.generators import gen_3r3x, gen_random, gen_tile, gen_wishart, rng_stream
 from qubokit.solvers import resolve_c0, resolve_lambda0
 from qubokit.solvers.bifurcation import integrate
 from qubokit.solvers.common import (
     MAX_LEAF_SIZE,
     make_sampleset,
     params_from_dict,
-    replica_streams,
 )
 from qubokit.transforms import reduce_cubic
 
@@ -38,6 +38,26 @@ def ferro_pair():
 def tile32():
     """4-regular n=1024 tile lattice: coupling_operator() is CSR."""
     return gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model
+
+
+def tile64():
+    """n=4096 tile lattice (CSR) with its operator and colouring built, so
+    a traced solve counts only its own allocations."""
+    m = gen_tile(64, [0.0, 0.8, 0.0, 0.2], 64).model
+    m.coupling_operator()
+    m.colour_classes()
+    return m
+
+
+def traced_peak(solve, model, params) -> int:
+    """tracemalloc peak of one ``solve(model, params)`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        solve(model, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def digest(sset) -> str:
@@ -61,7 +81,7 @@ def sa_sequential(model, params):
     T_init = 2.0 * max(model.field_scale, 1e-12)
     ratio = (1e-3 * T_init / T_init) ** (1.0 / (params.sweeps - 1))
     temps = T_init * ratio ** np.arange(params.sweeps)
-    streams = replica_streams(params.seed, R)
+    streams = [rng_stream(params.seed, r) for r in range(R)]
     S = np.stack([2 * g.integers(0, 2, size=n) - 1 for g in streams]).astype(np.float64)
     A = model.coupling_matrix()
     F = S @ A + model.h
@@ -124,17 +144,10 @@ class TestSimulatedAnnealing:
 
     def test_memory_grows_with_replicas_times_n(self):
         # n=4096, 8192 couplings; the solve holds a few (replicas, n) blocks
-        # (states, fields, best states, a chunk of uniform draws)
-        m = gen_tile(64, [0.0, 0.8, 0.0, 0.2], 64).model
-        m.coupling_operator()
-        m.colour_classes()
-        tracemalloc.start()
-        try:
-            solve_sa(m, SaParams(sweeps=10, replicas=64, seed=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * 64 * m.n
+        # (states drawn straight into their block, fields, best states, a
+        # chunk of uniform draws): 58 B per replica-spin
+        m = tile64()
+        assert traced_peak(solve_sa, m, SaParams(sweeps=10, replicas=64, seed=1)) < 64 * 64 * m.n
 
     def test_draw_block_is_bounded(self):
         # dense n=96 with 256 replicas: 40 sweeps of draws would be 7.9 MB,
@@ -142,12 +155,7 @@ class TestSimulatedAnnealing:
         m = gen_wishart(96, 96, 3).model
         m.coupling_operator()
         m.colour_classes()
-        tracemalloc.start()
-        try:
-            solve_sa(m, SaParams(sweeps=40, replicas=256, seed=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(solve_sa, m, SaParams(sweeps=40, replicas=256, seed=1))
         assert peak < 256 * 256 * m.n
 
     def test_complete_graph_golden(self):
@@ -217,12 +225,11 @@ class TestParallelAnnealing:
     def test_clipping_invariant(self):
         # replicate the loop, asserting spins stay inside [-1, 1] each step
         from qubokit.model import sign_pm
-        from qubokit.solvers.common import replica_streams
 
         m = gen_random("complete", "gaussian", 41, n=10)
         params = PaParams(steps=100, replicas=4, seed=3)
         lam0 = resolve_lambda0(m)
-        streams = replica_streams(params.seed, params.replicas)
+        streams = [rng_stream(params.seed, r) for r in range(params.replicas)]
         X = np.stack([g.uniform(-1, 1, size=m.n) for g in streams])
         M = np.zeros_like(X)
         A = m.coupling_matrix()
@@ -239,6 +246,12 @@ class TestParallelAnnealing:
         b = solve_pa(m, PaParams(steps=100, replicas=4, seed=5))
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
 
+
+    def test_memory_grows_with_replicas_times_n(self):
+        # float32 blocks X (drawn straight into), M, S, G, F, H and the CSR
+        # product, then the final sign: 34 B per replica-spin
+        m = tile64()
+        assert traced_peak(solve_pa, m, PaParams(steps=10, replicas=64, seed=1)) < 40 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
@@ -319,6 +332,13 @@ class TestSimulatedBifurcation:
         b = solve_sbm(m, SbmParams(steps=300, dt=0.05, replicas=4, seed=9))
         assert all(np.array_equal(x.state, y.state) for x, y in zip(a.samples, b.samples))
 
+
+    def test_memory_grows_with_replicas_times_n(self):
+        # float32 blocks Q and P (drawn straight into), W, F, G, the keep
+        # mask and the CSR product, with the default c0's Lanczos vectors:
+        # 34 B per replica-spin
+        m = tile64()
+        assert traced_peak(solve_sbm, m, SbmParams(steps=10, replicas=64, seed=1)) < 40 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
@@ -438,3 +458,43 @@ class TestSampleSet:
         m = build()
         for sample in solve(m, params).samples:
             assert sample.energy == m.energy(sample.state)
+
+
+# Replica r draws only from its own stream and no kernel mixes replicas, so
+# its final state and energy cannot depend on how many replicas run beside
+# it: the property that lets a solve split its replica range into blocks.
+INDEPENDENCE_MODELS = {  # two CSR operators and a dense one
+    "tile-L32": tile32,
+    "chimera-8x8-gaussian": lambda: gen_random("chimera", "gaussian", 9, rows=8, cols=8),
+    "wishart-n96": lambda: gen_wishart(96, 96, 3).model,
+}
+INDEPENDENCE_SOLVES = {
+    "sa": (solve_sa, SaParams(sweeps=10, seed=4)),
+    "pa": (solve_pa, PaParams(steps=30, seed=4)),
+    "sbm": (solve_sbm, SbmParams(steps=30, dt=0.1, seed=4)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def independence_model(model_id: str):
+    return INDEPENDENCE_MODELS[model_id]()
+
+
+@functools.lru_cache(maxsize=None)
+def independence_samples(model_id: str, solver: str, replicas: int) -> dict:
+    """The samples of one solve, keyed by replica."""
+    solve, params = INDEPENDENCE_SOLVES[solver]
+    sset = solve(independence_model(model_id), dataclasses.replace(params, replicas=replicas))
+    return {s.replica: s for s in sset.samples}
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3, 17])
+@pytest.mark.parametrize("solver", list(INDEPENDENCE_SOLVES))
+@pytest.mark.parametrize("model_id", list(INDEPENDENCE_MODELS))
+def test_replica_independent_of_replica_count(model_id, solver, replicas):
+    full = independence_samples(model_id, solver, 64)
+    part = independence_samples(model_id, solver, replicas)
+    assert sorted(part) == list(range(replicas))
+    for r, sample in part.items():
+        assert sample.state.tobytes() == full[r].state.tobytes()
+        assert sample.energy == full[r].energy
