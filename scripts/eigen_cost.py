@@ -1,4 +1,4 @@
-"""Cost of SBM's default c0: one ``eig_extreme`` call on the dynamics matrix.
+"""Cost of SBM's default c0: one ``eig_extreme`` call on the coupling operator.
 
 Usage, from the root of a checkout:
 
@@ -7,7 +7,7 @@ Usage, from the root of a checkout:
 On three models above ``DENSE_LIMIT`` (n > 512), so on the Lanczos path:
 the tile lattice L=32 (n=1024, CSR operator), the tile lattice L=256
 (n=65,536, CSR) and a complete uniform model n=600 (dense), it times
-``eig_extreme(-model.coupling_operator(), "max")``, the call behind
+``eig_extreme(model.coupling_operator(), "min")``, the call behind
 ``resolve_c0``.  The operator is built and one untimed call runs first, so
 the figure excludes imports and model set-up.  Each time is the minimum
 over REPEATS calls; the script also reports the median, the estimate, the
@@ -41,24 +41,24 @@ MODELS = (
 
 
 def measure(name: str, model) -> dict:
-    op = -model.coupling_operator()
-    estimate = eig_extreme(op, "max")
+    op = model.coupling_operator()
+    estimate = eig_extreme(op, "min")
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        eig_extreme(op, "max")
+        eig_extreme(op, "min")
         times.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
-        eig_extreme(op, "max")
+        eig_extreme(op, "min")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    c0 = 1.0 / estimate
+    c0 = -1.0 / estimate
     return {"model": name, "n": model.n, "operator": type(op).__name__,
             "eig_extreme_ms": round(1e3 * min(times), 3),
             "eig_extreme_median_ms": round(1e3 * statistics.median(times), 3),
-            "lambda_max": estimate, "c0": c0, "c0_float32": float(np.float32(c0)).hex(),
+            "lambda_min": estimate, "c0": c0, "c0_float32": float(np.float32(c0)).hex(),
             "peak_b_per_spin": round(peak / model.n, 1)}
 
 

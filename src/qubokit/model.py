@@ -97,8 +97,9 @@ BINARY_DOMAIN = "binary"
 
 
 def sign_pm(x: np.ndarray) -> np.ndarray:
-    """Sign with the global tie-break sign(0) = +1, returned as int8 spins."""
-    return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int8)
+    """Sign with the global tie-break sign(0) = +1, returned as int8 spins
+    (selected from int8 scalars, so no wider block is built)."""
+    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
 
 
 def as_spins(values, n: int | None = None) -> np.ndarray:

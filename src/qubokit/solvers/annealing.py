@@ -108,7 +108,7 @@ def solve_sa(model: IsingModel, params: SaParams) -> SampleSet:
         F = S @ A + h
         E = model.energies(S) - model.offset
         best_E = E.copy()
-        best_S = S.copy()
+        best_S = S.astype(np.int8)      # +-1 only
 
         chunk = min(sweeps, max(1, _DRAW_BYTES // (8 * R * max(n, 1))))
         U = np.empty((R, chunk, n))

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SizeCapError
+from ..errors import SizeCapError, check_count
 from ..model import IsingModel
 
 DEFAULT_CAP = 30
@@ -123,6 +123,7 @@ def _block_bounds(A: np.ndarray, h: np.ndarray, k: int,
 
 def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, float]:
     """Exact global minimum of an Ising model (first-found on ties)."""
+    check_count("cap", cap)
     n = model.n
     if n > cap:
         raise SizeCapError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_count, check_finite_real, is_finite_real
 from ..generators import rng_stream
-from ..model import IsingModel, block_order
+from ..model import IsingModel, block_order, sign_pm
 
 
 class Sample(NamedTuple):
@@ -80,8 +80,11 @@ def run_replicas(model: IsingModel, params, dtype, draws, kernel) -> SampleSet:
     stream and the spin count to the replica's row of one (replicas, n)
     block of ``dtype`` in the operator's ``block_order``, and a replica's
     draws are made in the order of ``draws``.  ``kernel(A, h, *blocks,
-    streams)`` steps the blocks and returns the final +-1 spins, which
-    ``make_sampleset`` scores.
+    streams)`` steps the blocks and returns its final (replicas, n) block,
+    whose sign (sign(0) = +1) is each replica's spins.  The driver signs
+    that block once into int8 and drops the blocks and the cast operator
+    before ``make_sampleset`` scores the spins, so the scoring's
+    temporaries do not stack on the dynamics' arrays.
     """
     fits_dtype("field scale", model.field_scale, dtype)
     A = model.coupling_operator().astype(dtype, copy=False)
@@ -91,7 +94,9 @@ def run_replicas(model: IsingModel, params, dtype, draws, kernel) -> SampleSet:
     for r, stream in enumerate(streams):
         for block, draw in zip(blocks, draws):
             block[r] = draw(stream, model.n)
-    return make_sampleset(model, kernel(A, h, *blocks, streams), params.seed)
+    spins = sign_pm(kernel(A, h, *blocks, streams))
+    del A, h, blocks
+    return make_sampleset(model, spins, params.seed)
 
 
 # The largest B&B leaf: its table of every leaf state holds 2^leaf_size rows
@@ -135,6 +140,7 @@ class PaParams:
     def validate(self):
         check_count("steps", self.steps)
         check_finite_real("learning_rate", self.learning_rate, positive=True)
+        fits_dtype("learning_rate", self.learning_rate)
         if not (is_finite_real(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError("momentum must lie in [0, 1)")
         if self.lambda0 is not None:
@@ -147,8 +153,8 @@ class PaParams:
 class SbmParams:
     """Simulated bifurcation: Hamilton equations with a linear a(t) ramp.
 
-    c0 None resolves to 1 / lambda_max of the coupling matrix driving the
-    dynamics, from ``eig_extreme``: dense ``eigvalsh`` up to n=512, a
+    c0 None resolves to -1 / lambda_min of the model's coupling operator,
+    from ``eig_extreme``: dense ``eigvalsh`` up to n=512, a
     seeded numpy two-pass Lanczos above that (about five vectors of n
     float64, no scipy solver), and the Gershgorin bound if Lanczos does
     not converge.
@@ -165,13 +171,13 @@ class SbmParams:
 
     def validate(self):
         check_count("steps", self.steps)
-        check_finite_real("dt", self.dt, positive=True)
-        check_finite_real("a0", self.a0, positive=True)
         if self.c0 is not None:
             check_finite_real("c0", self.c0, positive=True)
             fits_dtype("c0", self.c0)
-        check_finite_real("q_cap", self.q_cap, positive=True)
-        check_finite_real("init_noise", self.init_noise, positive=True)
+        for name in ("dt", "a0", "q_cap", "init_noise"):
+            check_finite_real(name, getattr(self, name), positive=True)
+            fits_dtype(name, getattr(self, name))
+        fits_dtype("dt * a0", self.dt * self.a0)
         check_count("replicas", self.replicas)
 
 

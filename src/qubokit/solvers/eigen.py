@@ -189,7 +189,7 @@ def _lanczos(mat, which: str) -> float | None:
         w /= b
         q, prev = w, q
         x += yk * q
-    del q, w, prev
+    q = w = prev = None  # w is unbound when T is 1 x 1 (an invariant start)
     x /= math.sqrt(x @ x)
     r = mat @ x
     r -= sign * top * x

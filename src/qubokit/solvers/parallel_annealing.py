@@ -14,9 +14,9 @@ operator and h to float32 once per solve (refusing a model whose
 ``field_scale`` float32 cannot hold) and casts each replica's float64
 uniform draws into its row of the float32 block, and every scalar operand
 enters as a Python float, so each product and elementwise pass runs a
-float32 loop.  Only sign(x) leaves the loop: lambda0 is resolved in float64
-and the reported energies are the model's float64 energies of the final
-spins.
+float32 loop.  Only sign(x) leaves the loop: the kernel returns its final
+x, which ``run_replicas`` signs, lambda0 is resolved in float64, and the
+reported energies are the model's float64 energies of the final spins.
 
 The (replicas, n) state is held in the memory order the coupling operator's
 product wants (``block_order``): spin-major (Fortran) when the operator is
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import IsingModel, block_product, sign_pm
+from ..model import IsingModel, block_product
 from .common import PaParams, SampleSet, run_replicas
 
 
@@ -66,7 +66,7 @@ def solve_pa(model: IsingModel, params: PaParams) -> SampleSet:
             M -= G
             X += M
             np.clip(X, -1.0, 1.0, out=X)
-        return sign_pm(X)
+        return X
 
     return run_replicas(model, params, np.float32,
                         (lambda g, n: g.uniform(-1.0, 1.0, size=n),), descend)

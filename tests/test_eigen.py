@@ -93,6 +93,12 @@ class TestEigExtreme:
         # three steps in pass 1, two in pass 2, one residual product
         assert op.products == 6 < eigen._CHECK_EVERY
 
+    @pytest.mark.parametrize("which", ["min", "max"])
+    def test_lanczos_on_zero_operator(self, which):
+        # the start vector is an eigenvector, so T is 1 x 1 and pass 2 adds
+        # no vector to it
+        assert eig_extreme(sp.csr_array((600, 600)), which) == 0.0
+
     def test_no_convergence_falls_back_to_gershgorin(self, monkeypatch):
         mat = gen_tile(32, [0.0, 0.8, 0.0, 0.2], 5).model.coupling_operator()
         monkeypatch.setattr(eigen, "LANCZOS_MAXITER", 2)
@@ -112,6 +118,20 @@ class TestEigExtreme:
             tracemalloc.stop()
         assert est <= -5.49
         assert peak <= 10 * 8 * n
+
+    def test_default_c0_copies_no_operator(self):
+        # tile L=256: SBM's default c0 runs Lanczos on the model's own
+        # operator, about 40 B per spin; a negated float64 copy of the
+        # operator took it to 112
+        m = gen_tile(256, [0.0, 0.8, 0.0, 0.2], 1).model
+        m.coupling_operator()
+        tracemalloc.start()
+        try:
+            resolve_c0(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * m.n
 
     def test_lanczos_repeats_bitwise(self):
         # n=1024 takes the Lanczos path; its start vector must not depend on

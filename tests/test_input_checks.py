@@ -16,7 +16,7 @@ from qubokit.generators import (PlantedInstance, gen_3r3x, gen_chain3, gen_mw3s,
                                 gen_tile, gen_wishart, generate)
 from qubokit.instance_io import read_certificate, write_certificate, write_instance
 from qubokit.model import HuboModel, IsingModel, QuboModel
-from qubokit.solvers import SaParams, bound_spd, eig_extreme
+from qubokit.solvers import SaParams, bound_spd, eig_extreme, solve_brute_force
 
 NAN = float("nan")
 CHAIN = IsingModel.from_terms(4, couplings=[(0, 1, 1.0), (1, 2, -2.0), (2, 3, 0.5)])
@@ -94,6 +94,9 @@ BOUNDARIES = {
     # solver parameters
     "sa-T-init-huge-int": lambda: SaParams(T_init=10**400).validate(),
     "eig-extreme-which": lambda: eig_extreme(np.eye(2), "middle"),
+    "brute-force-cap-str": lambda: solve_brute_force(CHAIN, cap="x"),
+    "brute-force-cap-bool": lambda: solve_brute_force(IsingModel.from_terms(1), cap=True),
+    "brute-force-cap-float": lambda: solve_brute_force(CHAIN, cap=4.5),
 }
 
 

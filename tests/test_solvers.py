@@ -144,10 +144,10 @@ class TestSimulatedAnnealing:
 
     def test_memory_grows_with_replicas_times_n(self):
         # n=4096, 8192 couplings; the solve holds a few (replicas, n) blocks
-        # (states drawn straight into their block, fields, best states, a
-        # chunk of uniform draws): 58 B per replica-spin
+        # (states drawn straight into their block, fields, int8 best states,
+        # a chunk of uniform draws): 51 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_sa, m, SaParams(sweeps=10, replicas=64, seed=1)) < 64 * 64 * m.n
+        assert traced_peak(solve_sa, m, SaParams(sweeps=10, replicas=64, seed=1)) < 56 * 64 * m.n
 
     def test_draw_block_is_bounded(self):
         # dense n=96 with 256 replicas: 40 sweeps of draws would be 7.9 MB,
@@ -249,9 +249,10 @@ class TestParallelAnnealing:
 
     def test_memory_grows_with_replicas_times_n(self):
         # float32 blocks X (drawn straight into), M, S, G, F, H and the CSR
-        # product, then the final sign: 34 B per replica-spin
+        # product, freed when the kernel returns; the driver signs X into
+        # int8 and frees X before scoring: 29 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_pa, m, PaParams(steps=10, replicas=64, seed=1)) < 40 * 64 * m.n
+        assert traced_peak(solve_pa, m, PaParams(steps=10, replicas=64, seed=1)) < 32 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
@@ -295,6 +296,7 @@ class TestSimulatedBifurcation:
         lam_max = float(np.linalg.eigvalsh(-m.coupling_matrix())[-1])
         assert resolve_c0(m) == pytest.approx(1.0 / lam_max, rel=1e-6)
         assert resolve_c0(IsingModel.from_terms(3, h=[1, 1, 1])) == 1.0
+        assert resolve_c0(IsingModel.from_terms(600)) == 1.0  # Lanczos on a zero operator
 
     def test_symplectic_energy_drift_bounded(self):
         # c0 = 0, a(t) = a0 constant: separable Hamiltonian
@@ -334,11 +336,12 @@ class TestSimulatedBifurcation:
 
 
     def test_memory_grows_with_replicas_times_n(self):
-        # float32 blocks Q and P (drawn straight into), W, F, G, the keep
-        # mask and the CSR product, with the default c0's Lanczos vectors:
-        # 34 B per replica-spin
+        # float32 blocks Q and P (drawn straight into), W, F, H, the keep
+        # mask and the CSR product, with the default c0's Lanczos vectors on
+        # the model's own operator; the driver signs Q into int8 and frees
+        # the blocks before scoring: 30 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_sbm, m, SbmParams(steps=10, replicas=64, seed=1)) < 40 * 64 * m.n
+        assert traced_peak(solve_sbm, m, SbmParams(steps=10, replicas=64, seed=1)) < 32 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
@@ -420,9 +423,14 @@ class TestParams:
         with pytest.raises(ValidationError, match="overflows float32"):
             solve(m, params)
 
-    @pytest.mark.parametrize("params", [PaParams(lambda0=1e39), SbmParams(c0=1e39)])
+    @pytest.mark.parametrize("params", [
+        PaParams(lambda0=1e39), SbmParams(c0=1e39), PaParams(learning_rate=1e39),
+        SbmParams(dt=1e39), SbmParams(a0=1e39), SbmParams(q_cap=1e39),
+        SbmParams(init_noise=1e39), SbmParams(dt=1e20, a0=1e19)])
     def test_scale_beyond_float32_refused(self, params):
-        with pytest.raises(ValidationError, match="(lambda0|c0) 1e.39 overflows float32"):
+        # each is inf cast to float32, the precision PA and SBM step in
+        with pytest.raises(ValidationError, match=r"^(lambda0|c0|learning_rate|dt|a0|q_cap"
+                                                  r"|init_noise|dt \* a0) 1e\+39 overflows float32"):
             params.validate()
 
     def test_json_round_trip(self):

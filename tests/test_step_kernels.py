@@ -129,7 +129,7 @@ def test_integrate_equals_allocating_loop_in_either_order(model, order, dtype):
     B, g, c0 = -model.coupling_operator().astype(dtype), -model.h.astype(dtype), resolve_c0(model)
     schedule = np.linspace(0.0, 1.0, 80).astype(dtype)
     want_Q, want_P = integrate_loop(B, g, Q.copy(), P.copy(), 0.1, schedule, 1.0, c0, 1.0)
-    got_Q, got_P = integrate(B, g, np.array(Q, order=order), np.array(P, order=order),
+    got_Q, got_P = integrate(-B, -g, np.array(Q, order=order), np.array(P, order=order),
                              0.1, schedule, 1.0, c0, 1.0)
     assert got_Q.dtype == got_P.dtype == dtype
     assert got_Q.tobytes() == want_Q.tobytes()
