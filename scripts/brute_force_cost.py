@@ -1,4 +1,4 @@
-"""States per second of Gray-code brute force, and the blocks it scans.
+"""States per second of brute force, and the blocks it scans.
 
 Usage, from the root of a checkout:
 

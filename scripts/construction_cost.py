@@ -29,7 +29,6 @@ seconds and the peaks.
 import json
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from qubokit import ising_to_qubo, qubo_to_ising, read_instance, write_instance  # noqa: E402
 from qubokit.generators import gen_mw3s, gen_random, gen_tile  # noqa: E402
 from qubokit.transforms import to_ising  # noqa: E402
-from timing import best_of, environment  # noqa: E402
+from timing import best_of, environment, traced_peak  # noqa: E402
 
 SEED = 1000
 N_VALUES = (500, 1000)
@@ -50,17 +49,6 @@ TILE_P = (0.2, 0.3, 0.3, 0.2)
 COLOUR_N = 1000
 REPLICAS = 64
 REPEATS = 3
-
-
-def traced_peak(fn) -> int:
-    """tracemalloc peak in bytes of one call of ``fn``."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def timed(out: dict, name: str, fn, per: int | None = None):

@@ -20,7 +20,6 @@ import json
 import statistics
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qubokit.generators import gen_random, gen_tile  # noqa: E402
 from qubokit.solvers import eig_extreme  # noqa: E402
-from timing import environment  # noqa: E402
+from timing import environment, traced_peak  # noqa: E402
 
 REPEATS = 7
 MODELS = (
@@ -48,12 +47,7 @@ def measure(name: str, model) -> dict:
         t0 = time.perf_counter()
         eig_extreme(op, "min")
         times.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        eig_extreme(op, "min")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: eig_extreme(op, "min"))
     c0 = -1.0 / estimate
     return {"model": name, "n": model.n, "operator": type(op).__name__,
             "eig_extreme_ms": round(1e3 * min(times), 3),

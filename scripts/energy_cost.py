@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +32,7 @@ import numpy as np  # noqa: E402
 
 from qubokit import IsingModel, ising_to_qubo  # noqa: E402
 from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
-from timing import best_of, environment  # noqa: E402
+from timing import best_of, environment, traced_peak  # noqa: E402
 
 SEED = 7
 REPEATS = 5
@@ -87,12 +86,7 @@ def measure_qubo(name: str, build, states: int) -> dict:
         first = min(first, best_of(1, lambda: model.energies(X))[0])
     seconds, _ = best_of(REPEATS, lambda: model.energies(X))
     model = build()
-    tracemalloc.start()
-    try:
-        model.energies(X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: model.energies(X))
     return {"model": name, "n": model.n, "terms": model.num_terms, "states": states,
             "first_ms": round(1e3 * first, 3), "ms": round(1e3 * seconds, 3),
             "first_peak_mb": round(peak / 1e6, 2)}

@@ -27,7 +27,6 @@ are built by then, so the peak is the solve's own).
 import dataclasses
 import json
 import sys
-import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from qubokit import PaParams, SaParams, SbmParams, solve_pa, solve_sa, solve_sbm  # noqa: E402
 from qubokit.generators import gen_random, gen_tile, gen_wishart  # noqa: E402
 from qubokit.solvers import bifurcation, parallel_annealing, resolve_c0  # noqa: E402
-from timing import best_of, environment  # noqa: E402
+from timing import best_of, environment, traced_peak  # noqa: E402
 
 SEED = 7
 REPEATS = 3
@@ -69,17 +68,6 @@ def block_dtype(module, solve, model, params) -> str:
     finally:
         module.block_product = product
     return str(seen[0])
-
-
-def traced_peak(solve) -> int:
-    """tracemalloc peak of one ``solve()`` call in bytes."""
-    tracemalloc.start()
-    try:
-        solve()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def measure(name: str, model, replicas: int) -> dict:

@@ -1,14 +1,16 @@
 """Timing helpers shared by the cost scripts in this directory.
 
 ``best_of`` times a call repeatedly and keeps the fastest run;
-``peak_rss_mb`` is a process's own peak resident set; ``environment`` is the
-machine and version header that every script prints first.
+``traced_peak`` is the tracemalloc peak of one call; ``peak_rss_mb`` is a
+process's own peak resident set; ``environment`` is the machine and version
+header that every script prints first.
 """
 
 import os
 import platform
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -21,6 +23,17 @@ def best_of(repeats: int, fn):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak in bytes of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def peak_rss_mb() -> float:

@@ -13,7 +13,9 @@ sample, and records the optimality gap
 against the suite's reference policy.  Wall time covers the solve call only
 (monotonic clock, I/O excluded).  Failed entries become per-record errors
 and the suite continues; a file in the glob that cannot be read or
-normalised gives each solver one record carrying that error.
+normalised, or whose certificate's planted state does not reach the planted
+energy on the file's model, gives each solver one record carrying that
+error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ReferenceUndefinedError, ValidationError, check_count, check_finite_real
-from .generators import GENERATORS, generate
+from .generators import GENERATORS, PlantedInstance, generate
 from .instance_io import _read_json, _read_json_object, read_certificate, read_instance
 from .model import IsingModel
 from .solvers import DEFAULT_CAP, SOLVERS, run_solver, solve_brute_force
@@ -78,9 +80,10 @@ class SuiteSpec:
 
     def validate(self):
         """Refuse a malformed spec before any instance is built: bad counts,
-        an unknown reference policy, a source or solver entry of the wrong
-        shape (family and files strings, sizes and seeds lists, solver
-        entries objects with a known id, a string name and object params)."""
+        an unknown reference policy, a reference_file that is not a string,
+        a source or solver entry of the wrong shape (family and files
+        strings, sizes and seeds lists, solver entries objects with a known
+        id, a string name and object params)."""
         _check_source(self.source)
         if not self.solvers:
             raise ValidationError("suite needs at least one solver")
@@ -95,6 +98,8 @@ class SuiteSpec:
             check_count(name, getattr(self, name))
         if self.reference not in ("planted", "brute_force", "best_of_suite", "file"):
             raise ValidationError(f"unknown reference policy {self.reference!r}")
+        if not isinstance(self.reference_file, (str, type(None))):
+            raise ValidationError(f"reference_file needs a string, got {self.reference_file!r}")
         if self.reference == "file" and not self.reference_file:
             raise ValidationError("reference policy 'file' needs reference_file")
 
@@ -137,11 +142,14 @@ class _Entry:
 def _read_entry(path: str) -> _Entry:
     iid = Path(path).name
     try:
-        model, _ = to_ising(read_instance(path))
+        instance = read_instance(path)
+        model, _ = to_ising(instance)
         planted = None
         cert = Path(path).with_suffix(Path(path).suffix + ".cert.json")
-        if cert.exists():
-            planted = float(read_certificate(cert)["planted_energy"])
+        if cert.exists():  # the planted state is evaluated on the model as read
+            c = read_certificate(cert)
+            planted = PlantedInstance(instance, c["planted_energy"], c["planted_state"],
+                                      c["family"]).planted_energy
     except Exception as exc:  # one unreadable file: per-record errors, suite continues
         return _Entry(iid, None, None, None, f"{type(exc).__name__}: {exc}")
     return _Entry(iid, model, None, planted)

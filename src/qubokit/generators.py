@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (GenerationError, ValidationError, check_count, check_finite_real,
                      is_finite_real)
-from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, as_spins
+from .model import BINARY_DOMAIN, SPIN_DOMAIN, HuboModel, IsingModel, _as_indices, as_spins
 from .transforms import hubo_to_spin_domain
 
 __all__ = [
@@ -296,7 +296,8 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     """Random Ising model on a chosen topology.
 
     Topologies: ``complete`` (needs n), ``chimera`` (needs rows, cols),
-    ``edge_list`` (needs edges; n optional, inferred from edges).
+    ``edge_list`` (needs edges, integer (i, j) pairs; n optional, inferred
+    from edges).
     Distributions: ``uniform`` on [a, b], ``int_uniform`` on integers in
     [a, b], ``gaussian`` (standard normal).  ``uniform`` needs finite
     a <= b, and ``int_uniform`` an int64 integer between them.  Couplings
@@ -313,9 +314,16 @@ def gen_random(topology: str, coupling_dist: str, seed, *, n: int | None = None,
     elif topology == "edge_list":
         if edges is None or len(edges) == 0:
             raise ValidationError("edge_list topology needs a nonempty edge list")
-        edge_list = np.array(edges, dtype=np.int64)
-        if edge_list.ndim != 2 or edge_list.shape[1] != 2:
-            raise ValidationError("edge_list entries must be (i, j) pairs")
+        try:
+            pairs = np.asarray(edges)
+        except ValueError:  # ragged
+            pairs = np.empty(0)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+            raise ValidationError("edge_list entries must be (i, j) pairs of numbers")
+        edge_list, non_integer = _as_indices(pairs)
+        if non_integer.any():
+            raise ValidationError(f"edge {tuple(pairs[non_integer.argmax()].tolist())} "
+                                  "is not a pair of integers")
         if n is not None:
             check_count("edge_list n", n)
         nvars = n if n is not None else int(edge_list.max()) + 1

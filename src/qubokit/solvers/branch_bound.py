@@ -52,13 +52,16 @@ nodes costs a few products with its (G, k) prefix block and one ``_relax``
 call on the (m, 2G) folded fields of all its children (``_child_bounds``,
 whose one-node case is ``bound_spd``); its candidates are scored and
 polished together.  At depth ``n - leaf_size`` nodes are closed instead by
-exact enumeration of the remaining block.  The deadline is checked once per
-chunk, and a started chunk is always finished, so in ``spd_admissible``
-mode the result's ``lower_bound``, the minimum of the returned energy,
-every evicted bound and, after a timeout, the bounds of the level's
-unexpanded rest and of the children already made, certifies the ``gap`` of
-a truncated search too; it equals the energy when the search proves
-optimality.
+exact enumeration of the remaining block through brute force's scorer: one
+product of the chunk's columns [H; 1; pe] (the free spins' folded fields, 1
+and the prefix energy) with brute force's augmented table of the free
+block's states gives each leaf's first best completion.  The deadline is
+checked once per chunk, and a started chunk is always finished, so in
+``spd_admissible`` mode the result's ``lower_bound``, the minimum of the
+returned energy, every evicted bound and, after a timeout, the bounds of
+the level's unexpanded rest and of the children already made, certifies
+the ``gap`` of a truncated search too; it equals the energy when the
+search proves optimality.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_finite_real
 from ..model import IsingModel, as_spins
-from .brute_force import _quad_table, _spin_table
+from .brute_force import _best_rows, _low_table
 from .common import BBParams
 
 # Newton steps per spherical bound, and the relative excess of ||r||^2 over
@@ -263,8 +266,7 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
 
     leaf = min(params.leaf_size, n)
     kc = n - leaf
-    S_leaf = _spin_table(leaf)
-    quad_leaf = _quad_table(S_leaf, Ap[kc:, kc:])  # 1/2 s^T A s of every leaf state
+    leaf_table = _low_table(Ap[kc:, kc:], leaf)  # [s | 1/2 s^T A s | 1] of every leaf state
 
     # Deterministic greedy completion seeds the incumbent so even truncated
     # runs return a full assignment.
@@ -306,16 +308,12 @@ def solve_bb(model: IsingModel, params: BBParams) -> BBResult:
             Uc = U[a:b].astype(np.float64)
             X = None
             if k == kc:
-                H = hp[kc:, None] + Ap[kc:, :kc] @ Uc.T
-                # row g: the energies of leaf a + g's completions
-                T = H.T @ S_leaf.T
-                T += quad_leaf
-                T += pe[a:b, None]
-                pos = np.argmin(T, axis=1)
-                E = T[np.arange(G), pos]
+                # column g: leaf a + g's fields on the free spins, 1 and its prefix energy
+                W = np.vstack([hp[kc:, None] + Ap[kc:, :kc] @ Uc.T, np.ones(G), pe[a:b]])
+                pos, E = _best_rows(leaf_table, W)
                 X = np.empty((n, G))
                 X[:kc] = Uc.T
-                X[kc:] = S_leaf[pos].T
+                X[kc:] = leaf_table[pos, :leaf].T
                 polish = np.zeros(G, dtype=bool)
             else:
                 step = hp[k] + Uc @ Ap[k, :k]

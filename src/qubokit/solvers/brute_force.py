@@ -1,21 +1,22 @@
-"""Exact ground-state search by Gray-code enumeration.
+"""Exact ground-state search by enumeration in binary order.
 
-States are visited in standard reflected-Gray-code order over bit vectors
-(bit = 1 maps to spin +1, enumeration starts from the all -1 state), so
-consecutive states differ by one spin flip, and ties on the minimum go to
-the state that comes first in that order.
+State t of the sequence has spin i at +1 where bit i of t is set and at -1
+where it is clear, so the sequence starts from the all -1 state, and ties on
+the minimum go to the smallest t.
 
 The sequence splits into blocks over the k = min(LOW_BITS, n) lowest spins:
-state t of the sequence has its high spins at the Gray code of block
-b = t >> k and its low spins at the Gray code of position p = t mod 2^k in
-block b, run forward when b is even and reflected (p -> 2^k - 1 - p) when b
-is odd.  With a fixed high part v, every low state s has energy
+state t = b 2^k + p has its high spins at the bits of block b and its low
+spins at the bits of position p.  With a fixed high part v, every low state
+s has energy
 
     E(s, v) = s . w(v) + quad_low(s) + c(v),
     w(v) = h_low + A_cross v,   c(v) = h_high . v + 1/2 v . A_high v,
 
 a (k+2)-term dot product between the row [s | quad_low(s) | 1] of an
 augmented table T, built once per call, and the column [w(v); 1; c(v)].
+``_best_rows`` scores a matrix W of such columns with one product W^T T^T
+and keeps each column's first best row; branch & bound closes its leaves
+with it too.
 
 Most blocks cannot hold the minimum, and a first pass finds them without
 scoring their states.  Since min over s of s . w = -|w|_1, every state of
@@ -25,27 +26,18 @@ block v has energy at least
 
 and the greedy low state s = -sign(w(v)) has the exact energy
 c(v) - |w(v)|_1 + quad_low(s), read from the table.  The pass computes both
-for every block, in chunks of _BOUND_CHUNK blocks built from the Gray codes
-of their indices, keeps lb (8 bytes a block) and takes the least greedy
-energy as the incumbent U.  Only the blocks with lb <= U + margin are
-scored, where the margin, _MARGIN times the sum of |A| and |h|, lies far
-above the rounding error of any of these sums.  A skipped block therefore
-holds no state within the margin of the minimum.
+for every block, in chunks of _BOUND_CHUNK blocks, keeps lb (8 bytes a
+block) and takes the least greedy energy as the incumbent U.  Only the
+blocks with lb <= U + margin are scored, where the margin, _MARGIN times
+the sum of |A| and |h|, lies far above the rounding error of any of these
+sums.  A skipped block therefore holds no state within the margin of the
+minimum, and the first minimum in binary order lies in a kept block.
 
 The columns of BATCH_BLOCKS consecutive kept blocks, in ascending block
-order, make one matrix W, and one product W^T T^T fills a reused
-(BATCH_BLOCKS, 2^k) buffer with the energies of all their states, each row
-in natural low-index order.
-
-The first-found tie-break survives the batching without reordering the
-rows: the batch minimum replaces the incumbent only when strictly lower
-(batches come in sequence order), the first block of the batch that reaches
-it precedes the others, and inside that block the row entries equal to it
-are ranked by their position in the block's visiting order, the inverse
-Gray code of the low index (reflected in odd blocks).  It survives the
-skipping too: the state a one-flip-at-a-time scan would keep lies in a
-kept block, so it is still the first of the kept states to reach the
-minimum, and it is the state returned.
+order, are scored into a reused (BATCH_BLOCKS, 2^k) buffer, each row in
+low-index order.  Each row's first minimum, the first row that reaches the
+batch minimum and, across batches, only a strictly lower minimum give the
+first minimum in binary order.
 """
 
 from __future__ import annotations
@@ -62,42 +54,42 @@ _BOUND_CHUNK = 1024  # blocks per chunk of the bound pass: (16, 1024) columns ar
 _MARGIN = 1e-9  # relative to sum |A| + sum |h|
 
 
-def _spin_table(k: int) -> np.ndarray:
-    """(2^k, k) matrix of spin states; row b has spin +1 where bit t of b is 1."""
-    raw = np.arange(2 ** k, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(raw, axis=1, bitorder="little", count=k)
-    return 2.0 * bits - 1.0
-
-
-def _quad_table(S: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """1/2 s^T A s of every row s of the (2^k, k) spin table S, for a
-    symmetric k x k block A with zero diagonal, built one spin at a time:
+def _low_table(A: np.ndarray, k: int) -> np.ndarray:
+    """Augmented (2^k, k+2) table [S | quad | 1] over the first k spins: row
+    p has spin t at +1 where bit t of p is set, and quad = 1/2 s^T A s for
+    the symmetric zero-diagonal block A[:k, :k].  Built one spin at a time:
     the first 2^(t+1) rows are the first 2^t rows with s_t = -1, then the
     same rows with s_t = +1, so spin t adds -/+ its coupling to spins < t."""
-    quad = np.zeros(S.shape[0])
-    for t in range(S.shape[1]):
-        m = 2 ** t
-        cross = S[:m, :t] @ A[t, :t]
-        quad[m:2 * m] = quad[:m] + cross
-        quad[:m] -= cross
-    return quad
-
-
-def _low_table(A: np.ndarray, k: int) -> np.ndarray:
-    """Augmented (2^k, k+2) table [S_low | quad_low | 1] over the k low spins."""
     table = np.empty((2 ** k, k + 2))
-    S_low = table[:, :k]
-    S_low[:] = _spin_table(k)
-    table[:, k] = _quad_table(S_low, A[:k, :k])
+    table[0, k] = 0.0
+    for t in range(k):
+        m = 2 ** t
+        top, bottom = table[:m], table[m:2 * m]
+        bottom[:, :t] = top[:, :t]
+        cross = top[:, :t] @ A[t, :t]
+        bottom[:, k] = top[:, k] + cross
+        top[:, k] -= cross
+        top[:, t] = -1.0
+        bottom[:, t] = 1.0
     table[:, k + 1] = 1.0
     return table
 
 
+def _best_rows(table: np.ndarray, W: np.ndarray,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For each column [w; 1; c] of W (k+2, m), the first row [s | quad | 1]
+    of ``table`` that minimises s . w + quad + c, and that energy, from the
+    one product W^T T^T (into ``out``, (m, 2^k), when given)."""
+    E = np.matmul(W.T, table.T, out=out)
+    rows = np.argmin(E, axis=1)
+    return rows, E[np.arange(rows.size), rows]
+
+
 def _columns(blocks: np.ndarray, A: np.ndarray, h: np.ndarray, k: int):
-    """High spins V of ``blocks`` (from the Gray codes of their indices) and
-    their columns w(V) = h_low + A_cross V and c(V) = h_high . V + 1/2 V . A_high V."""
+    """High spins V of ``blocks`` (the bits of their indices) and their
+    columns w(V) = h_low + A_cross V and c(V) = h_high . V + 1/2 V . A_high V."""
     high_bits = np.arange(A.shape[0] - k, dtype=np.int64)[:, None]
-    V = 2.0 * (((blocks ^ (blocks >> 1)) >> high_bits) & 1) - 1.0
+    V = 2.0 * ((blocks >> high_bits) & 1) - 1.0
     w = A[:k, k:] @ V
     w += h[:k, None]
     return V, w, h[k:] @ V + 0.5 * np.einsum("ib,ib->b", V, A[k:, k:] @ V)
@@ -122,7 +114,7 @@ def _block_bounds(A: np.ndarray, h: np.ndarray, k: int,
 
 
 def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, float]:
-    """Exact global minimum of an Ising model (first-found on ties)."""
+    """Exact global minimum of an Ising model (first in binary order on ties)."""
     check_count("cap", cap)
     n = model.n
     if n > cap:
@@ -134,9 +126,6 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
     h = model.h
     k = min(LOW_BITS, n)
     table = _low_table(A, k)
-    low = np.arange(2 ** k, dtype=np.int64)
-    gray_rank = np.empty_like(low)  # inverse Gray permutation
-    gray_rank[low ^ (low >> 1)] = low
     lower, threshold = _block_bounds(A, h, k, table[:, k])
     kept = np.flatnonzero(lower <= threshold)
     del lower  # freed before the energy buffer is allocated
@@ -150,20 +139,13 @@ def solve_brute_force(model: IsingModel, cap: int = DEFAULT_CAP) -> tuple[np.nda
     best_high = np.empty(n - k)
 
     for first in range(0, kept.size, batch):
-        blocks = kept[first:first + batch]
-        m = blocks.size
-        V, W[:k, :m], W[k + 1, :m] = _columns(blocks, A, h, k)
-        E = E_buf[:m]
-        np.matmul(W[:, :m].T, table.T, out=E)
-        row_min = E.min(axis=1)
-        b = int(np.argmin(row_min))
-        if row_min[b] < best_energy:
-            best_energy = float(row_min[b])
-            ties = np.flatnonzero(E[b] == row_min[b])
-            rank = gray_rank[ties]
-            if blocks[b] % 2:
-                rank = 2 ** k - 1 - rank
-            best_low = int(ties[np.argmin(rank)])
+        m = min(batch, kept.size - first)
+        V, W[:k, :m], W[k + 1, :m] = _columns(kept[first:first + m], A, h, k)
+        rows, energies = _best_rows(table, W[:, :m], E_buf[:m])
+        b = int(np.argmin(energies))
+        if energies[b] < best_energy:
+            best_energy = float(energies[b])
+            best_low = int(rows[b])
             best_high = V[:, b].copy()
 
     state = np.empty(n, dtype=np.int8)

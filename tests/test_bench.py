@@ -239,6 +239,22 @@ class TestSuiteInputs:
             assert rec.error == ""
             assert rec.gap >= -1e-12
 
+    def test_doctored_certificate_becomes_record_error(self, tmp_path):
+        # the planted state is evaluated on the file's model; the other file still runs
+        for name, seed in (("a.txt", 9), ("b.txt", 10)):
+            pi = gen_tile(4, (0, 0.2, 0, 0.8), seed=seed)
+            write_instance(tmp_path / name, pi.model)
+            write_certificate(tmp_path / f"{name}.cert.json", pi)
+        cert = tmp_path / "a.txt.cert.json"
+        cert.write_text(json.dumps({**json.loads(cert.read_text()), "planted_energy": -1e6}))
+        spec = SuiteSpec(source={"files": str(tmp_path / "*.txt")},
+                         solvers=[{"id": "sa", "params": {"sweeps": 50}}],
+                         reference="planted", replicas=8)
+        a, b = run_suite(spec)
+        assert a.instance_id == "a.txt" and "planted state evaluates to" in a.error
+        assert np.isnan(a.gap)
+        assert b.instance_id == "b.txt" and b.error == "" and np.isfinite(b.gap)
+
     def test_bad_file_becomes_record_error(self, tmp_path):
         from qubokit.model import HuboModel
         write_instance(tmp_path / "a_good.txt", gen_random("complete", "uniform", 3, n=6))

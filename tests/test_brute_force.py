@@ -1,4 +1,4 @@
-"""Tests for Gray-code exhaustive search."""
+"""Tests for exhaustive search in binary order."""
 
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 from qubokit import IsingModel, SizeCapError, solve_brute_force
 from qubokit.generators import gen_random
 
-from oracles import exhaustive_min_ising, exhaustive_min_ising_fast, gray_scan_min_ising
+from oracles import binary_first_min_ising, exhaustive_min_ising, exhaustive_min_ising_fast
 from oracles import all_spin_states
 from qubokit.solvers.brute_force import LOW_BITS, _block_bounds, _low_table
 
@@ -66,14 +66,14 @@ def _int31(n, seed, with_biases=True):
 
 
 class TestGrayTieBreak:
-    # n=5 and 12 are one block, 13 a two-block batch, 17 a partial batch of
-    # 32 blocks and 20 four full batches of 64.
+    # n=5 and 12 are one block, 13 a two-block batch, 16 a batch of 16
+    # blocks, 17 a partial batch of 32 and 20 four full batches of 64.
     @pytest.mark.parametrize("with_biases", [True, False], ids=["fields", "no-fields"])
-    @pytest.mark.parametrize("n", [5, 12, 13, 17, 20])
+    @pytest.mark.parametrize("n", [5, 12, 13, 16, 17, 20])
     def test_first_minimum_of_the_scan(self, n, with_biases):
         m = _int31(n, 500 + n, with_biases)
         state, energy = solve_brute_force(m)
-        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        oracle_state, oracle_energy = binary_first_min_ising(m)
         assert np.array_equal(state, oracle_state)
         assert energy == oracle_energy
 
@@ -85,7 +85,7 @@ class TestGrayTieBreak:
         assert energy == pytest.approx(exhaustive_min_ising_fast(m), rel=1e-12)
 
     def test_zero_field_golden_n22(self):
-        # Both s and -s are optimal; the golden is the one found first.
+        # Both s and -s are optimal; the golden is the one first in binary order.
         m = _int31(22, 22, with_biases=False)
         state, energy = solve_brute_force(m)
         assert energy == -1376.0
@@ -125,8 +125,7 @@ class TestBlockBound:
         low = all_spin_states(LOW_BITS)
         block_min = np.empty(2 ** n_high)
         for block in range(2 ** n_high):
-            g = block ^ (block >> 1)
-            high = np.array([2 * ((g >> t) & 1) - 1 for t in range(n_high)], dtype=np.int8)
+            high = np.array([2 * ((block >> t) & 1) - 1 for t in range(n_high)], dtype=np.int8)
             states = np.hstack([low, np.tile(high, (low.shape[0], 1))])
             block_min[block] = m.energies(states).min() - m.offset
         tol = 1e-9 if dist == "gaussian" else 0.0
@@ -138,7 +137,7 @@ class TestBlockBound:
     def test_complete_ferromagnet_matches_scan(self, n):
         m = _ferromagnet(n)
         state, energy = solve_brute_force(m)
-        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        oracle_state, oracle_energy = binary_first_min_ising(m)
         assert np.array_equal(state, oracle_state)
         assert energy == oracle_energy == -n * (n - 1) / 2
 
@@ -148,7 +147,7 @@ class TestBlockBound:
         m = gen_random("complete", "int_uniform", 850 + n, n=n, a=-1, b=1,
                        with_biases=with_biases)
         state, energy = solve_brute_force(m)
-        oracle_state, oracle_energy = gray_scan_min_ising(m)
+        oracle_state, oracle_energy = binary_first_min_ising(m)
         assert np.array_equal(state, oracle_state)
         assert energy == oracle_energy
 
@@ -161,8 +160,8 @@ class TestBlockBound:
         assert np.array_equal(state, -np.ones(18))
 
     def test_gaussian_optimum_in_a_late_block(self):
-        # The optimum lies in block 245 of 256, in the last batch; the golden
-        # is the state the scan over every block returns.
+        # The optimum lies in block 143 of 256, past the first half; the
+        # golden is the state the scan over every block returns.
         m = gen_random("complete", "gaussian", 927, n=20)
         state, energy = solve_brute_force(m)
         assert state.tolist() == [-1, 1, -1, -1, -1, -1, 1, -1, -1, -1,

@@ -56,6 +56,10 @@ BOUNDARIES = {
     "random-n-str": lambda: gen_random("complete", "gaussian", 0, n="6"),
     "random-edge-list-n-float": lambda: gen_random("edge_list", "gaussian", 0,
                                                    edges=[(0, 1)], n=2.5),
+    "random-edge-float": lambda: gen_random("edge_list", "gaussian", 0,
+                                            edges=[(0, 2.9), (1, 2)]),
+    "random-edge-nan": lambda: gen_random("edge_list", "gaussian", 0, edges=[(NAN, 1)]),
+    "random-edge-strs": lambda: gen_random("edge_list", "gaussian", 0, edges=[("0", "1")]),
     "random-rows-float": lambda: gen_random("chimera", "gaussian", 0, rows=1.5, cols=1),
     "random-cols-bool": lambda: gen_random("chimera", "gaussian", 0, rows=1, cols=True),
     "random-rows-str": lambda: gen_random("chimera", "gaussian", 0, rows="1", cols=1),
@@ -173,6 +177,11 @@ class TestCertificates:
 GOOD_SOURCE = {"generator": {"family": "random", "sizes": [6], "seeds": [1]}}
 
 
+def _edge_source(edge):
+    return {"generator": {"family": "random", "sizes": [3], "seeds": [1],
+                          "topology": "edge_list", "edges": [edge]}}
+
+
 @pytest.mark.parametrize("suite", [
     {"source": {"generator": {"family": "random", "seeds": [1]}}, "solvers": [{"id": "bf"}]},
     {"source": {"generator": {"family": "random", "sizes": [6], "seeds": 3}},
@@ -192,11 +201,19 @@ GOOD_SOURCE = {"generator": {"family": "random", "sizes": [6], "seeds": [1]}}
                               "p": [[0], 1, 0, 0]}}, "solvers": [{"id": "bf"}]},
     {"source": {"generator": {"family": "tile", "sizes": [4], "seeds": [1],
                               "p": ["0", "0.5", "0", "0.5"]}}, "solvers": [{"id": "bf"}]},
+    {"source": _edge_source(["a", "b"]), "solvers": [{"id": "bf"}]},
+    {"source": _edge_source([NAN, 1]), "solvers": [{"id": "bf"}]},
+    {"source": GOOD_SOURCE, "solvers": [{"id": "bf"}], "reference": "file", "reference_file": 5},
+    {"source": GOOD_SOURCE, "solvers": [{"id": "bf"}], "reference": "file",
+     "reference_file": True},
+    {"source": GOOD_SOURCE, "solvers": [{"id": "bf"}], "reference": "file",
+     "reference_file": {"x": 1}},
     [],
     5,
 ], ids=["no-sizes", "seeds-int", "family-list", "generator-str", "files-int", "solver-no-id",
         "solver-str", "solver-unknown-id", "params-list", "name-int", "size-float",
-        "tile-p-ragged", "tile-p-strs", "suite-list", "suite-int"])
+        "tile-p-ragged", "tile-p-strs", "edges-strs", "edges-nan", "reference-file-int",
+        "reference-file-bool", "reference-file-object", "suite-list", "suite-int"])
 def test_bad_suite_exits_3_without_report(tmp_path, capsys, suite):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
