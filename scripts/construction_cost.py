@@ -11,17 +11,19 @@ generates a ``gen_mw3s`` cubic HUBO (4 terms per variable) and times
 ``gen_mw3s``, ``to_ising``, ``write_instance``, ``read_instance`` (of the
 file as written, and of a copy without its ``# format:`` line, which the
 reader must then recognise as HUBO) and ``energies`` on 64 random replicas.
-It times ``gen_tile`` on the L x L tile lattice for L = 256 and L = 1024.
+It times ``gen_tile`` on the L x L tile lattice for L = 256 and L = 1024,
+and ``read_instance`` of the written L = 256 lattice, a sparse file.
 For the tile lattices L = 256 and L = 1024 and the complete model n = 1000
 it times ``coupling_operator()`` followed by ``colour_classes()`` on a fresh
 model per call (both are cached per model), with the traced peak of one
 more such pair in MB and in bytes per coupling.
 Each time is the minimum over three calls.  After the timed calls of a step
 it records the tracemalloc peak of one more call: in bytes per term line
-(couplings and non-zero fields) for the complete models' steps, in bytes per
-term for the HUBO write and read, in MB for ``energies`` and in bytes per
-spin for one L = 256 ``gen_tile``, after a small warm-up call so that the
-one-time scipy import of the planted check is not counted.  It prints one
+(couplings and non-zero fields) for the complete models' steps and the
+L = 256 read, in bytes per term for the HUBO write and both HUBO reads, in
+MB for ``energies`` and in bytes per spin for one L = 256 ``gen_tile``,
+after a small warm-up call so that the one-time scipy import of the
+planted check is not counted.  It prints one
 JSON object: the machine, the versions, the file sizes, the timings in
 seconds and the peaks.
 """
@@ -86,7 +88,7 @@ def measure_hubo(n: int, workdir: Path) -> dict:
     timed(out, "read_instance", lambda: read_instance(path), model.num_terms)
     bare = workdir / f"mw3s-{n}-no-format.txt"
     bare.write_text(path.read_text().replace("# format: hubo\n", "", 1))
-    timed(out, "read_instance_no_format", lambda: read_instance(bare))
+    timed(out, "read_instance_no_format", lambda: read_instance(bare), model.num_terms)
     rng = np.random.default_rng(SEED)
     states = np.where(rng.random((REPLICAS, n)) < 0.5, -1, 1).astype(np.int8)
     timed(out, "energies", lambda: model.energies(states))
@@ -119,14 +121,19 @@ def measure_colouring() -> list[dict]:
     return rows
 
 
-def measure_tile() -> dict:
+def measure_tile(workdir: Path) -> dict:
     gen_tile(16, TILE_P, SEED)  # warm-up: the planted check's CSR operator imports scipy
     out = {"p": list(TILE_P)}
     for L in TILE_L_VALUES:
         timed(out, f"gen_tile_L{L}", lambda: gen_tile(L, TILE_P, SEED + L))
     L = TILE_L_VALUES[0]
+    model = gen_tile(L, TILE_P, SEED + L).model
     peak = traced_peak(lambda: gen_tile(L, TILE_P, SEED + L))
     out[f"gen_tile_L{L}_peak_bytes_per_spin"] = round(peak / L ** 2)
+    path = write_instance(workdir / f"tile-{L}.txt", model)
+    out[f"file_L{L}_mb"] = round(path.stat().st_size / 1e6, 3)
+    terms = model.num_couplings + int(np.count_nonzero(model.h))
+    timed(out, f"read_instance_L{L}", lambda: read_instance(path), terms)
     return out
 
 
@@ -134,7 +141,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [measure(n, Path(tmp)) for n in N_VALUES]
         hubo = [measure_hubo(n, Path(tmp)) for n in HUBO_N_VALUES]
-    tile = measure_tile()
+        tile = measure_tile(Path(tmp))
     colouring = measure_colouring()
     print(json.dumps({**environment(), "repeats": REPEATS, "replicas": REPLICAS,
                       "results": rows, "hubo": hubo, "tile": tile,

@@ -13,28 +13,40 @@ offset that is not a number, and a non-zero offset on a HUBO (its constant
 is an order-0 term; in JSON too) are ValidationErrors.  Without the format
 comment a file is HUBO when its first term line (trailing comment cut) has
 other than three fields, else quadratic when every term line has three
-fields, else HUBO.  The reader decodes the file once, as UTF-8, and finds
-the header, the settings and the first term line by position in that text,
-copying no part of it.  A quadratic body is parsed by one ``np.loadtxt``
-call that reads the file again line by line, skipping the lines up to and
-including the header, so no second copy of the text is held; HUBO bodies
-are parsed in one call per order.  Repeated lines are summed in
-line order (fields into ``h``, pairs and terms as in ``from_arrays``), and a
-malformed line, an index out of range (field lines included) or a term count
-that differs from the header is a ValidationError.  The writers format
-``_WRITE_LINES`` term lines at a time in one ``%`` call, so the text of a
-whole model is never held at once.
+fields, else HUBO.  Repeated lines are summed in line order (fields into
+``h``, pairs and terms as in ``from_arrays``), and a malformed line, an
+index out of range (field lines included) or a term count that differs
+from the header is a ValidationError.
+
+The reader makes two passes over a text file and never holds its whole
+text or a string for each of its lines.  Pass 1 decodes the file in
+pieces of whole lines and keeps the header, the settings, the first term
+line and the number of lines up to the header.  Pass 2 reopens the file, skips those lines and
+parses the body ``_BLOCK_LINES`` lines at a time, one ``np.loadtxt`` call
+per block (per block and order for a HUBO).  A quadratic block's fields go
+into ``h`` and its pairs, swapped to i <= j, into (rows, cols, values)
+columns allocated once from the header's m; when every pair is valid and
+the pairs' keys strictly increase, as in written files, those columns are
+the model's.  The read of a complete n=1000 file thus peaks at about 30 B
+per term line (the model's 24 B and one block), a HUBO of ``gen_mw3s``
+n=10^5 at about 95 B per term.  Every split into blocks reads to the model
+and the error of a whole-body parse.  The writers format ``_BLOCK_LINES``
+term lines at a time in one ``%`` call, so the text of a whole model is
+never held at once either.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
 indices.  Every instance and JSON file is read and written as UTF-8,
-whatever the locale.  An instance file that is not UTF-8 text, and a JSON
+whatever the locale; a byte-order mark opening one is skipped, and the
+writers emit none.  An instance file that is not UTF-8 text, and a JSON
 file (instance, certificate, suite, reference, records or solver parameters)
 that does not decode, is a ValidationError naming the file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import numbers
 import re
@@ -47,7 +59,7 @@ import numpy as np
 from .errors import ValidationError, check_finite_real, is_finite_real
 from .generators import PlantedInstance
 from .model import (BINARY_DOMAIN, SPIN_DOMAIN, TERM_DTYPE, HuboModel, IsingModel, QuboModel,
-                    _as_indices, _term_blocks, as_spins)
+                    _as_indices, _bad_pairs, _pair_keys, _term_blocks, as_spins)
 
 Model = Union[IsingModel, QuboModel, HuboModel]
 
@@ -57,8 +69,11 @@ FORMAT_HUBO = "hubo"
 _TERM_LINE = re.compile(r"^[ \t]*[^\s#].*$", re.MULTILINE)  # a line that is not blank or a comment
 # a "# format: ..." or "# offset: ..." comment line, as (key, value)
 _SETTING = re.compile(r"^[^\S\n]*#[^\S\n]*(format|offset):(.*)$", re.MULTILINE)
-# term lines formatted per write
-_WRITE_LINES = 2 ** 14
+# lines formatted per write, and read per np.loadtxt call
+_BLOCK_LINES = 2 ** 14
+# characters of text decoded per piece in the reader's first pass
+_SCAN_CHARS = 2 ** 16
+_ROW = re.compile(r"(?<=at row )\d+")  # the row number in numpy's parse errors
 _HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 
 
@@ -116,7 +131,8 @@ def model_from_dict(data: dict) -> Model:
         if non_integer.any():
             raise ValidationError(f"term index pair {tuple(t[non_integer.argmax(), :2].tolist())} "
                                   "is not a pair of integers")
-        return _quadratic_model(n, domain, pairs[:, 0] - 1, pairs[:, 1] - 1, t[:, 2], offset)
+        return _quadratic_model(n, domain, [(pairs[:, 0] - 1, pairs[:, 1] - 1, t[:, 2])],
+                                len(t), offset)
     if data.get("offset", 0.0) != 0.0:
         raise ValidationError(_HUBO_OFFSET)
     try:
@@ -126,23 +142,57 @@ def model_from_dict(data: dict) -> Model:
     return HuboModel.from_arrays(n, domain, blocks, max_order=data.get("max_order"))
 
 
-def _quadratic_model(n: int, domain: str, rows, cols, values, offset: float) -> Model:
-    """Ising (spin) or QUBO (binary) model from 0-based term columns; in
-    the spin domain i == j terms are fields, summed in line order."""
-    if domain == SPIN_DOMAIN:
-        diag = rows == cols
-        fields = rows[diag]
-        bad = (fields < 0) | (fields >= n)
-        if bad.any():
-            i = int(fields[bad.argmax()])
-            raise ValidationError(f"field index {i} out of range for n={n}")
-        h = np.zeros(n)
-        np.add.at(h, fields, values[diag])
-        off = ~diag
-        return IsingModel.from_arrays(n, rows[off], cols[off], values[off], h=h, offset=offset)
-    if domain == BINARY_DOMAIN:
-        return QuboModel.from_arrays(n, rows, cols, values, offset=offset)
-    raise ValidationError(f"unknown domain tag {domain!r}")
+def _quadratic_model(n: int, domain: str, blocks, size: int, offset: float) -> Model:
+    """Ising (spin) or QUBO (binary) model from blocks of 0-based (i, j, v)
+    term columns, at most ``size`` terms in all; in the spin domain i == j
+    terms are fields, summed into ``h`` in line order.
+
+    The pairs, swapped to i <= j, are written into columns allocated once
+    and checked block by block: when every pair is in range, finite, not a
+    diagonal coupling and keyed above the one before, as in written files,
+    the columns are the model's.  Otherwise ``from_arrays`` canonicalises
+    them, naming the first bad term in line order.  Field and pair errors
+    are raised once ``blocks`` is exhausted, so an error it raises comes
+    first."""
+    spin = domain == SPIN_DOMAIN
+    rows, cols = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    values = np.empty(size)
+    h = np.zeros(max(n, 0)) if spin else None  # from_arrays refuses n < 1 below
+    pairs, canonical, last, bad_field = 0, True, -1, None
+    for i, j, v in blocks:
+        if spin:
+            diag = i == j
+            fields = i[diag]
+            bad = (fields < 0) | (fields >= n)
+            if bad.any():
+                bad_field = int(fields[bad.argmax()]) if bad_field is None else bad_field
+            elif bad_field is None:
+                np.add.at(h, fields, v[diag])
+            off = ~diag
+            i, j, v = i[off], j[off], v[off]
+        k = pairs + v.size
+        lo, hi = np.minimum(i, j, out=rows[pairs:k]), np.maximum(i, j, out=cols[pairs:k])
+        values[pairs:k] = v
+        pairs = k
+        if canonical and v.size:
+            keys = _pair_keys(n, lo, hi)
+            canonical = (keys[0] > last and not _bad_pairs(n, lo, hi, v, not spin).any()
+                         and bool(np.all(keys[1:] > keys[:-1])))
+            last = keys[-1]
+    lo = hi = None  # no view of the columns outlives the loop: they shrink below
+    if bad_field is not None:
+        raise ValidationError(f"field index {bad_field} out of range for n={n}")
+    if domain not in (SPIN_DOMAIN, BINARY_DOMAIN):
+        raise ValidationError(f"unknown domain tag {domain!r}")
+    for column in (rows, cols, values):
+        column.resize(pairs, refcheck=False)  # field lines took no pair
+    cls, scalars = (IsingModel, {"h": h}) if spin else (QuboModel, {})
+    if not canonical:
+        return cls.from_arrays(n, rows, cols, values, offset=offset, **scalars)
+    values += 0.0  # each sum is 0.0 + v, which turns -0.0 into 0.0
+    # from_arrays on no pairs checks n, the offset and h
+    model = cls.from_arrays(n, rows[:0], cols[:0], values[:0], offset=offset, **scalars)
+    return dataclasses.replace(model, rows=rows, cols=cols, values=values)
 
 
 def write_instance(path, model: Model) -> Path:
@@ -172,14 +222,14 @@ def write_instance(path, model: Model) -> Path:
 def _write_lines(f, line: str, columns) -> None:
     """Write one ``line % (row of columns)`` per row of the equal-length
     ``columns``: 0-based index columns, written 1-based, then the values.
-    ``_WRITE_LINES`` rows go at a time: a block's cells, its indices plus 1,
+    ``_BLOCK_LINES`` rows go at a time: a block's cells, its indices plus 1,
     are interleaved as Python ints and floats into one object array and
     formatted in one ``%`` call (``%d`` of an int is ``str``, ``%r`` of a
     float is ``repr``), so no 1-based copy of a whole column is made."""
     width, m = len(columns), columns[-1].size
-    cells = np.empty(width * min(m, _WRITE_LINES), dtype=object)
-    for a in range(0, m, _WRITE_LINES):
-        k = min(_WRITE_LINES, m - a)
+    cells = np.empty(width * min(m, _BLOCK_LINES), dtype=object)
+    for a in range(0, m, _BLOCK_LINES):
+        k = min(_BLOCK_LINES, m - a)
         for c, column in enumerate(columns[:-1]):
             cells[c:width * k:width] = column[a:a + k] + 1
         cells[width - 1:width * k:width] = columns[-1][a:a + k]
@@ -188,7 +238,7 @@ def _write_lines(f, line: str, columns) -> None:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -219,9 +269,55 @@ def read_instance(path) -> Model:
     if path.suffix == ".json":
         return model_from_dict(_read_json(path))
 
-    text = _read_text(path)
-    head = _TERM_LINE.search(text)
-    header = head.group().split() if head is not None else []
+    n, m, domain, fmt, offset, skip = _read_head(path)
+    if fmt in (None, FORMAT_QUADRATIC):
+        # a line "i j v" takes at least 6 bytes with its newline: a header
+        # declaring more lines than the file holds allocates no more
+        size = max(0, min(m, (path.stat().st_size + 1) // 6))
+        try:
+            return _quadratic_model(n, domain, _quadratic_blocks(path, skip, m), size, offset)
+        except _BadLine as exc:
+            # a file without a format comment is HUBO if any term line has
+            # other than three fields: it is read again as one
+            if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
+                                      for block in _body_blocks(path, skip)
+                                      for line in _term_lines(block)):
+                raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
+    if offset != 0.0:
+        raise ValidationError(f"{path}: {_HUBO_OFFSET}")
+    return _read_hubo(path, skip, n, m, domain)
+
+
+def _read_head(path: Path):
+    """Pass 1 over a text instance, holding one piece of its text at a
+    time: n, m, domain, format (None when the file leaves it open), offset
+    and the number of lines up to and including the header.  A file that
+    is not UTF-8 is a ValidationError naming its first bad byte, as a
+    decode of the whole file does, before any other error."""
+    head = first = None
+    settings: dict[str, str] = {}
+    skip = 0
+    try:
+        with path.open(encoding="utf-8-sig") as f:
+            for text in _pieces(f):
+                start = 0
+                if head is None:
+                    line = _TERM_LINE.search(text)
+                    settings.update(_SETTING.findall(text, 0, line.start() if line else len(text)))
+                    if line is None:
+                        skip += text.count("\n")
+                        continue
+                    head, start = line.group(), line.end()
+                    skip += text.count("\n", 0, start) + 1
+                if first is None:
+                    line = _TERM_LINE.search(text, start)
+                    first = line.group() if line else None
+                if text.find("#", start) >= 0:  # settings comments count wherever they stand
+                    settings.update(_SETTING.findall(text, start))
+    except UnicodeDecodeError:
+        _read_text(path)  # raises the ValidationError for the first bad byte
+        raise
+    header = head.split() if head is not None else []
     if len(header) != 3:
         raise ValidationError(f"{path}: missing or malformed 'n m d' header line")
     try:
@@ -229,10 +325,6 @@ def read_instance(path) -> Model:
     except ValueError:
         raise ValidationError(f"{path}: header 'n m d' needs integer n and m, "
                               f"got {' '.join(header)!r}") from None
-    start = head.end()
-    settings = dict(_SETTING.findall(text, 0, head.start()))
-    if text.find("#", start) >= 0:  # settings comments count wherever they stand
-        settings.update(_SETTING.findall(text, start))
     fmt = settings["format"].strip() if "format" in settings else None
     if fmt not in (None, FORMAT_QUADRATIC, FORMAT_HUBO):
         raise ValidationError(f"{path}: unknown instance format {fmt!r}")
@@ -241,69 +333,126 @@ def read_instance(path) -> Model:
     except ValueError:
         raise ValidationError(f"{path}: offset {settings['offset'].strip()!r} "
                               "is not a number") from None
-    first = _TERM_LINE.search(text, start)
-    if fmt is None and first and len(first.group().split("#", 1)[0].split()) != 3:
+    if fmt is None and first and len(first.split("#", 1)[0].split()) != 3:
         fmt = FORMAT_HUBO
-
-    if fmt in (None, FORMAT_QUADRATIC):
-        try:  # loadtxt warns on a body without term lines
-            if first:
-                # the file read again line by line: no second copy of its text
-                with path.open(encoding="utf-8") as f:
-                    t = _loadtxt(f, TERM_DTYPE, skiprows=text.count("\n", 0, start) + 1)
-            else:
-                t = np.empty(0, dtype=TERM_DTYPE)
-        except (ValueError, DeprecationWarning) as exc:
-            if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
-                                      for line in _TERM_LINE.findall(text, start)):
-                raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
-        else:
-            if t.size != m:
-                raise ValidationError(f"{path}: header declares {m} terms, found {t.size}")
-            return _quadratic_model(n, domain, t["i"] - 1, t["j"] - 1, t["v"], offset)
-
-    if offset != 0.0:
-        raise ValidationError(f"{path}: {_HUBO_OFFSET}")
-    lines = _TERM_LINE.findall(text, start)
-    if len(lines) != m:
-        raise ValidationError(f"{path}: header declares {m} terms, found {len(lines)}")
-    return HuboModel.from_arrays(n, domain, _hubo_blocks(lines, path))
+    return n, m, domain, fmt, offset, skip
 
 
-def _loadtxt(lines, dtype, usecols=None, skiprows=0) -> np.ndarray:
-    """``np.loadtxt`` of term lines (an open text file or a list of lines)
-    with ``#`` comments, after the first ``skiprows`` lines; ValueError (or
+def _pieces(f):
+    """The text of the open file ``f`` in pieces of about ``_SCAN_CHARS``
+    characters that end at a line end (the last one where the text ends)."""
+    tail = ""
+    for chunk in iter(lambda: f.read(_SCAN_CHARS), ""):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        yield text[:cut]
+        tail = text[cut:]
+    yield tail
+
+
+def _body_blocks(path: Path, skip: int):
+    """Pass 2: the lines after the first ``skip`` of the text file at
+    ``path``, in lists of ``_BLOCK_LINES``, read as pass 1 decoded them."""
+    with path.open(encoding="utf-8-sig") as f:
+        body = itertools.islice(f, skip, None)
+        # holds no block once it is handed over, so a reader can drop it
+        yield from iter(lambda: list(itertools.islice(body, _BLOCK_LINES)), [])
+
+
+def _term_lines(block: list[str]) -> list[str]:
+    """The lines of ``block`` that are neither blank nor comments."""
+    return _TERM_LINE.findall("".join(block))
+
+
+class _BadLine(Exception):
+    """A term line that does not parse, with numpy's message."""
+
+
+def _parse(lines, dtype, before: int, usecols=None) -> np.ndarray:
+    """``_loadtxt`` of a block's lines, a parse error raised as ``_BadLine``
+    whose row number counts the ``before`` term lines of earlier blocks,
+    as a parse of the whole body would."""
+    try:
+        return _loadtxt(lines, dtype, usecols)
+    except (ValueError, DeprecationWarning) as exc:
+        raise _BadLine(_ROW.sub(lambda r: str(int(r.group()) + before), str(exc), 1)) from None
+
+
+def _quadratic_blocks(path: Path, skip: int, m: int):
+    """0-based (i, j, v) columns of each block of a quadratic body while
+    the term lines number at most the header's m; a line that does not
+    parse raises ``_BadLine``, and a count other than m a ValidationError
+    once the body is parsed."""
+    found = 0
+    for block in _body_blocks(path, skip):
+        t = _parse(block, TERM_DTYPE, found)
+        del block  # the lines go before the block's columns are made
+        found += t.size
+        if found <= m:
+            yield t["i"] - 1, t["j"] - 1, t["v"]
+    if found != m:
+        raise ValidationError(f"{path}: header declares {m} terms, found {found}")
+
+
+def _read_hubo(path: Path, skip: int, n: int, m: int, domain: str) -> HuboModel:
+    """Parse a HUBO body block by block, one ``np.loadtxt`` call for a
+    block's order column and one per order present in it, into (0-based
+    index matrix, coefficients) parts for ``from_arrays``.  The errors are
+    those of a parse of the whole body: a term count that differs from the
+    header first, then the first line whose order does not parse, the first
+    whose order does not fit the longest term line, and the first
+    malformed line of the lowest order holding one."""
+    parts, before, found, errors = [], {}, 0, {}
+    for block in _body_blocks(path, skip):
+        lines = _term_lines(block)
+        del block
+        rank = 0  # of a parse error here: 0 order column, 1 misfit, 2 + k order k
+        try:
+            if lines:
+                order = _parse(lines, np.int64, found, usecols=0)
+                rank = 1
+                # a line of order k has at least 2k + 3 characters; an order
+                # beyond this block's longest line is held to the body's
+                longest = max(map(len, lines))
+                if order.max() > longest:
+                    longest = max(len(line) for other in _body_blocks(path, skip)
+                                  for line in _term_lines(other))
+                misfit = (order < 0) | (order > longest)
+                if misfit.any():
+                    raise _BadLine(f"order {order[misfit.argmax()]} does not fit its line")
+                for k in np.unique(order).tolist():
+                    rank = 2 + k
+                    dtype = np.dtype([("k", np.int64), ("idx", np.int64, (k,)),
+                                      ("v", np.float64)])
+                    t = _parse(list(itertools.compress(lines, order == k)), dtype,
+                               before.get(k, 0))
+                    before[k] = before.get(k, 0) + t.size
+                    if not errors:
+                        parts.append((t["idx"] - 1, t["v"].copy()))
+        except _BadLine as exc:
+            errors.setdefault(rank, exc)
+            parts = []
+        found += len(lines)
+    if found != m:
+        raise ValidationError(f"{path}: header declares {m} terms, found {found}")
+    if errors:
+        raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
+                              f"order and indices: {errors[min(errors)]}")
+    return HuboModel.from_arrays(n, domain, parts)
+
+
+def _loadtxt(lines, dtype, usecols=None) -> np.ndarray:
+    """``np.loadtxt`` of term lines with ``#`` comments; ValueError (or
     DeprecationWarning) on a field that does not parse as ``dtype`` and on a
-    line with the wrong number of fields."""
+    line with the wrong number of fields.  Lines without data give an empty
+    array."""
     with warnings.catch_warnings():
         # numpy releases that only deprecate parsing "1.5" as an integer
         # truncate it; the warning as an error rejects it on all of them
         warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1, usecols=usecols,
-                          skiprows=skiprows, encoding="utf-8")
-
-
-def _hubo_blocks(lines: list[str], path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(0-based index matrix, coefficients) of the ``k i1 ... ik v`` term
-    lines of each order k, parsed in one ``np.loadtxt`` call per order."""
-    if not lines:
-        return []
-    try:
-        order = _loadtxt(lines, np.int64, usecols=0)
-        # a line of order k has at least 2k + 3 characters
-        misfit = (order < 0) | (order > max(map(len, lines)))
-        if misfit.any():
-            raise ValueError(f"order {order[misfit.argmax()]} does not fit its line")
-        lines = np.array(lines, dtype=object)
-        blocks = []
-        for k in np.unique(order):
-            dtype = np.dtype([("k", np.int64), ("idx", np.int64, (k,)), ("v", np.float64)])
-            t = _loadtxt(lines[order == k].tolist(), dtype)
-            blocks.append((t["idx"] - 1, t["v"]))
-    except (ValueError, DeprecationWarning) as exc:
-        raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
-                              f"order and indices: {exc}") from None
-    return blocks
+                          encoding="utf-8")
 
 
 def write_certificate(path, planted: PlantedInstance) -> Path:

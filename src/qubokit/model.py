@@ -165,9 +165,7 @@ def _canonical_pairs(n: int, rows, cols, values,
         pairs, non_integer = _as_indices(np.stack([rows, cols]).T)
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    bad = (lo < 0) | (hi >= n) | ~np.isfinite(values)
-    if not allow_diagonal:
-        bad |= lo == hi
+    bad = _bad_pairs(n, lo, hi, values, allow_diagonal)
     if non_integer is not None:
         bad |= non_integer
     if bad.any():
@@ -181,15 +179,34 @@ def _canonical_pairs(n: int, rows, cols, values,
         if i == j and not allow_diagonal:
             raise ValidationError(f"diagonal coupling ({i}, {i}) not allowed; use the linear field")
         raise ValidationError(f"non-finite coefficient for pair ({i}, {j})")
-    keys = lo * n + hi
+    keys = _pair_keys(n, lo, hi)
     if np.all(keys[1:] > keys[:-1]):
         # already sorted and unique (generator pairs, written files): each
-        # sum is 0.0 + v, which turns -0.0 into 0.0 as np.add.at does
+        # sum is 0.0 + v, which turns -0.0 into 0.0 as np.add.at does;
+        # the keys go before that copy is made
+        del keys
         return lo, hi, values + 0.0
     keys, inverse = np.unique(keys, return_inverse=True)
     vals = np.zeros(keys.size, dtype=np.float64)
     np.add.at(vals, inverse, values)
     return keys // n, keys % n, vals
+
+
+def _bad_pairs(n: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray,
+               allow_diagonal: bool) -> np.ndarray:
+    """Per swapped pair (lo <= hi), whether it is out of range for ``n``,
+    has a non-finite value or, unless ``allow_diagonal``, is diagonal."""
+    bad = (lo < 0) | (hi >= n) | ~np.isfinite(values)
+    if not allow_diagonal:
+        bad |= lo == hi
+    return bad
+
+
+def _pair_keys(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sort keys lo * n + hi of swapped pairs, built in one array."""
+    keys = np.multiply(lo, n)
+    keys += hi
+    return keys
 
 
 def _term_arrays(terms: Iterable[tuple[int, int, float]]):
@@ -456,7 +473,10 @@ def _as_indices(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 copy of an (m, k) index matrix, and per row whether it holds a
     value that is not an integer (NaN and inf included).  The comparison is
     laid out column-major, so the per-row reduction runs down contiguous
-    columns rather than row by row."""
+    columns rather than row by row.  A matrix of strings, bytes or objects
+    is a ValidationError."""
+    if idx.dtype.kind not in "biuf":
+        raise ValidationError(f"term indices must be integers, got an array of {idx.dtype}")
     with np.errstate(invalid="ignore"):
         rows = idx.astype(np.int64)
     return rows, np.not_equal(rows, idx, order="F").any(axis=1)

@@ -1,6 +1,5 @@
 """Tests for exhaustive search in binary order."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from qubokit.generators import gen_random
 
 from oracles import binary_first_min_ising, exhaustive_min_ising, exhaustive_min_ising_fast
 from oracles import all_spin_states
+from peaks import traced_peak
 from qubokit.solvers.brute_force import LOW_BITS, _block_bounds, _low_table
 
 
@@ -95,13 +95,7 @@ class TestGrayTieBreak:
     @pytest.mark.parametrize("n", [16, 20, 24])
     def test_memory_bounded(self, n):
         m = _int31(n, n)
-        tracemalloc.start()
-        try:
-            solve_brute_force(m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(lambda: solve_brute_force(m)) < 4e6
 
 
 def _bounds(m):

@@ -32,8 +32,9 @@ from qubokit.generators import (
     gen_random,
     rng_stream,
 )
-from qubokit.instance_io import _WRITE_LINES
-from qubokit.model import _canonical_pairs
+import qubokit.instance_io as instance_io
+from qubokit.instance_io import _BLOCK_LINES
+from qubokit.model import TERM_DTYPE, _canonical_pairs
 from qubokit.transforms import hubo_to_spin_domain, ising_to_qubo, qubo_to_ising, reduce_cubic
 
 from oracles import (
@@ -50,6 +51,7 @@ from oracles import (
     read_quadratic_loop,
     reduce_cubic_loop,
 )
+from peaks import traced_peak
 
 
 def same_bytes(a, b):
@@ -201,6 +203,16 @@ class TestCanonicalPairs:
         with pytest.raises(ValidationError, match=r"\(nan, 1.0\) is not a pair of integers"):
             IsingModel.from_arrays(3, [np.nan], [1.0], [1.0])
 
+    @pytest.mark.parametrize("cls", [IsingModel, QuboModel])
+    @pytest.mark.parametrize("column", [np.array(["0", "2"]), np.array([b"0", b"2"]),
+                                        np.array([0, 2], dtype=object)],
+                             ids=["str", "bytes", "object"])
+    def test_index_columns_of_strings_or_objects_rejected(self, cls, column):
+        with pytest.raises(ValidationError, match="term indices must be integers, got an array"):
+            cls.from_arrays(3, column, [1, 1], [1.0, 1.0])
+        with pytest.raises(ValidationError, match="term indices must be integers, got an array"):
+            cls.from_arrays(3, [1, 1], column, [1.0, 1.0])
+
     def test_column_lengths_checked(self):
         with pytest.raises(ValidationError):
             QuboModel.from_arrays(3, [0, 1], [1], [1.0, 2.0])
@@ -325,18 +337,18 @@ class TestFiles:
     @pytest.mark.parametrize("lines", [-1, 0, 1], ids=["block-1", "block", "block+1"])
     @pytest.mark.parametrize("qubo", [False, True], ids=["ising", "qubo"])
     def test_block_edges(self, tmp_path, lines, qubo):
-        model = block_edge_model(_WRITE_LINES + lines, qubo)
+        model = block_edge_model(_BLOCK_LINES + lines, qubo)
         p = write_instance(tmp_path / "m.txt", model)
         text = p.read_text()
         assert text == quadratic_text_loop(model)
-        assert text.count("\n") == _WRITE_LINES + lines + 3  # format, offset, header
+        assert text.count("\n") == _BLOCK_LINES + lines + 3  # format, offset, header
         _, _, h, *rest = read_quadratic_loop(text)
         assert_model_is(read_instance(p), h, *rest)
 
     @pytest.mark.parametrize("edit", sorted(TEXT_EDITS))
     @pytest.mark.parametrize("qubo", [False, True], ids=["ising", "qubo"])
     def test_edited_files_read_as_the_loop_reads(self, tmp_path, edit, qubo):
-        model = block_edge_model(_WRITE_LINES + 1, qubo)
+        model = block_edge_model(_BLOCK_LINES + 1, qubo)
         text = TEXT_EDITS[edit](quadratic_text_loop(model))
         p = tmp_path / "m.txt"
         p.write_bytes(text.encode("utf-8"))
@@ -456,6 +468,184 @@ class TestFiles:
                              "terms": [[1, 2]]})
 
 
+def quadratic_body(lines: int, n: int = 300, seed: int = 0) -> list[str]:
+    """``lines`` awkward term lines ``i j v`` (1-based): fields, swapped
+    and repeated pairs and -0.0 among sorted ones."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=0)
+    pick = np.sort(rng.choice(i.size, lines, replace=False))
+    i, j = i[pick] + 1, j[pick] + 1
+    v = rng.standard_normal(lines)
+    v[::89] = -0.0
+    swap = rng.random(lines) < 0.1
+    i[swap], j[swap] = j[swap], i[swap]
+    return [f"{a} {b} {c!r}" for a, b, c in zip(i.tolist(), j.tolist(), v.tolist())]
+
+
+def quadratic_file(tmp_path, body: list[str], n: int = 300, domain: str = "spin",
+                   head: str = "# format: quadratic\n", name: str = "m.txt"):
+    terms = sum(1 for line in body if line.split("#", 1)[0].split())
+    p = tmp_path / name
+    p.write_text(head + f"{n} {terms} {domain}\n" + "\n".join(body) + "\n")
+    return p
+
+
+def read_as_loop_reads(p):
+    n, domain, h, *rest = read_quadratic_loop(p.read_text())
+    assert_model_is(read_instance(p), h, *rest)
+
+
+class TestReadBlocks:
+    """The reader parses a body _BLOCK_LINES lines at a time: every split of
+    a body into blocks must give the model and the error of a whole-body
+    parse."""
+
+    @pytest.mark.parametrize("lines", [-1, 0, 1, _BLOCK_LINES + 1],
+                             ids=["block-1", "block", "block+1", "two-blocks+1"])
+    @pytest.mark.parametrize("domain", ["spin", "binary"])
+    def test_body_lengths(self, tmp_path, lines, domain):
+        read_as_loop_reads(quadratic_file(tmp_path, quadratic_body(_BLOCK_LINES + lines),
+                                          domain=domain))
+
+    @pytest.mark.parametrize("lines", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_hubo_body_lengths(self, tmp_path, lines):
+        i, j = np.triu_indices(200, k=1)
+        k = _BLOCK_LINES + lines - 3
+        rng = np.random.default_rng(lines + 5)
+        h = HuboModel.from_arrays(200, "spin", [
+            (np.zeros((1, 0), dtype=np.int64), [0.5]),
+            (np.stack([i[:k], j[:k]], axis=1), rng.standard_normal(k)),
+            (np.array([[3], [1]]), [-0.0, 2.5])])
+        p = write_instance(tmp_path / "h.txt", h)
+        assert p.read_text().count("\n") == _BLOCK_LINES + lines + 2  # format, header
+        n, domain, want = read_hubo_loop(p.read_text())
+        same_terms(read_instance(p).terms(), want)
+
+    def test_settings_between_blocks_and_after_the_last(self, tmp_path):
+        body = quadratic_body(2 * _BLOCK_LINES)
+        body.insert(_BLOCK_LINES, "# offset: 0.25")      # first line of block 2
+        body.insert(_BLOCK_LINES - 1, "  # offset: 0.125")  # last line of block 1
+        body.append("# offset: -1.5")
+        p = quadratic_file(tmp_path, body, head="")
+        read_as_loop_reads(p)
+        assert read_instance(p).offset == -1.5
+
+    def test_format_after_the_last_block(self, tmp_path):
+        # order-1 lines have three fields: only the closing comment says HUBO
+        body = [f"1 {i % 50 + 1} {i * 0.5!r}" for i in range(_BLOCK_LINES + 2)]
+        p = quadratic_file(tmp_path, body + ["# format: hubo"], n=50, head="")
+        h = read_instance(p)
+        n, domain, want = read_hubo_loop(p.read_text())
+        assert isinstance(h, HuboModel)
+        same_terms(h.terms(), want)
+
+    @pytest.mark.parametrize("domain", ["spin", "binary"])
+    def test_duplicate_and_swapped_pairs_across_blocks(self, tmp_path, domain):
+        body = quadratic_body(_BLOCK_LINES + 40)
+        body[3], body[_BLOCK_LINES + 5], body[_BLOCK_LINES + 7] = "1 2 0.1", "2 1 0.2", "1 2 0.3"
+        body[10], body[_BLOCK_LINES + 20] = "5 5 0.7", "5 5 -0.3"  # a field in each block
+        body[_BLOCK_LINES + 30] = "2 1 -0.0"
+        p = quadratic_file(tmp_path, body, domain=domain)
+        read_as_loop_reads(p)
+        m = read_instance(p)
+        assert dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.values))[0, 1] == \
+            (0.1 + 0.2) + 0.3
+
+    @pytest.mark.parametrize("domain", ["spin", "binary"])
+    def test_blocks_sorted_on_their_own_only(self, tmp_path, domain):
+        # each block's pairs increase, but the second block starts below,
+        # or at, the first one's last pair: the model must still be sorted
+        # and summed
+        i, j = np.triu_indices(300, k=1)
+        lines = [f"{a + 1} {b + 1} {0.5 + a / 7!r}" for a, b in zip(i.tolist(), j.tolist())]
+        k = _BLOCK_LINES
+        for body in (lines[10:k + 10] + lines[:10], lines[:k] + lines[k - 1:k + 10]):
+            read_as_loop_reads(quadratic_file(tmp_path, body, domain=domain))
+
+    @pytest.mark.parametrize("bad, want", [
+        ("350 1 1.0", "term index pair (0, 349) out of range for n=300"),
+        ("3 7 inf", "non-finite coefficient for pair (2, 6)"),
+    ])
+    def test_first_bad_pair_in_the_second_block(self, tmp_path, bad, want):
+        body = quadratic_body(_BLOCK_LINES + 20)
+        body[_BLOCK_LINES + 3], body[_BLOCK_LINES + 9] = bad, "0 4 nan"
+        with pytest.raises(ValidationError) as got:
+            read_instance(quadratic_file(tmp_path, body, domain="binary"))
+        assert str(got.value) == want
+
+    def test_bad_field_in_the_second_block_comes_first(self, tmp_path):
+        # fields are checked before pairs, wherever the pair stands, and the
+        # first bad field is named, whichever block holds a later one
+        body = quadratic_body(2 * _BLOCK_LINES + 20)
+        body[2], body[_BLOCK_LINES + 4] = "1 999 1.0", "400 400 1.0"
+        body[2 * _BLOCK_LINES + 1] = "500 500 1.0"
+        with pytest.raises(ValidationError, match=r"^field index 399 out of range for n=300$"):
+            read_instance(quadratic_file(tmp_path, body))
+
+    @pytest.mark.parametrize("bad", ["1 2", "1.5 2 1.0", "1 2 x", "1 2 3 4"])
+    def test_first_bad_line_in_the_second_block(self, tmp_path, bad):
+        body = quadratic_body(_BLOCK_LINES + 20)
+        body[_BLOCK_LINES + 3], body[_BLOCK_LINES + 11] = bad, "1 2 y"
+        body.insert(_BLOCK_LINES - 2, "# a comment")  # comment lines hold no row
+        with pytest.raises(ValueError) as whole:
+            instance_io._loadtxt(body, TERM_DTYPE)
+        with pytest.raises(ValidationError) as got:
+            read_instance(quadratic_file(tmp_path, body))
+        assert str(got.value).endswith(f"quadratic line needs 'i j v': {whole.value}")
+
+    @pytest.mark.parametrize("fmt", ["quadratic", "hubo"])
+    def test_header_count_beyond_the_file_allocates_nothing(self, tmp_path, fmt):
+        # 3 * 8 B * 10^15 if the columns were sized by the header
+        p = tmp_path / "lie.txt"
+        p.write_text(f"# format: {fmt}\n3 {10 ** 15} spin\n"
+                     + ("1 2 1.0\n2 3 1.0\n" if fmt == "quadratic" else "2 1 2 1.0\n2 2 3 1.0\n"))
+        with pytest.raises(ValidationError, match=f"header declares {10 ** 15} terms, found 2$"):
+            read_instance(p)
+        assert traced_peak(lambda: pytest.raises(ValidationError, read_instance, p)) < 10 ** 6
+
+    def test_file_turning_hubo_in_a_later_block(self, tmp_path):
+        # without a format comment: order-1 lines parse as quadratic until
+        # the second block's order-2 lines, then the whole body is HUBO
+        rng = np.random.default_rng(4)
+        lines = [f"1 {i % 300 + 1} {v!r}"
+                 for i, v in enumerate(rng.standard_normal(_BLOCK_LINES + 3).tolist())]
+        lines += [f"2 {i + 1} {i + 2} {v!r}"
+                  for i, v in enumerate(rng.standard_normal(50).tolist())]
+        text = f"300 {len(lines)} binary\n" + "\n".join(lines) + "\n"
+        (tmp_path / "guessed.txt").write_text(text)
+        (tmp_path / "declared.txt").write_text("# format: hubo\n" + text)
+        guessed = read_instance(tmp_path / "guessed.txt")
+        declared = read_instance(tmp_path / "declared.txt")
+        assert isinstance(guessed, HuboModel) and guessed.max_order == declared.max_order == 2
+        assert [(i.tobytes(), c.tobytes()) for i, c in guessed.blocks] == \
+            [(i.tobytes(), c.tobytes()) for i, c in declared.blocks]
+
+    def test_hubo_order_held_to_the_longest_line_of_the_body(self, tmp_path):
+        # order 12 is longer than every line of its block but not than the
+        # long lines of the next: as in a whole-body parse, it is a line
+        # with too few fields for its order, not an order that cannot fit
+        lines = ["1 1 0.5"] * (_BLOCK_LINES - 1) + ["12 1 2 1.0"]
+        lines += ["4 100001 100002 100003 100004 0.123456789012345"] * 5
+        p = tmp_path / "h.txt"
+        p.write_text(f"# format: hubo\n100004 {len(lines)} spin\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="requires 14 columns but 4 were found at row 1;"):
+            read_instance(p)
+        p.write_text(p.read_text().replace(lines[-1], "2 3 4 0.25"))  # no line is 12 long
+        with pytest.raises(ValidationError, match="order 12 does not fit its line"):
+            read_instance(p)
+
+    def test_hubo_errors_rank_across_blocks(self, tmp_path):
+        # a whole-body parse reports a bad order column before a malformed
+        # line of some order, wherever the two stand
+        lines = [f"2 {i % 90 + 1} {i % 90 + 2} 0.5" for i in range(_BLOCK_LINES + 10)]
+        lines[5], lines[_BLOCK_LINES + 4] = "2 1 0.5", "x 1 2 0.5"
+        p = tmp_path / "h.txt"
+        p.write_text(f"# format: hubo\n100 {len(lines)} spin\n" + "\n".join(lines) + "\n")
+        row = _BLOCK_LINES + 4  # counted over the whole body
+        with pytest.raises(ValidationError, match=f"convert string 'x' to int64 at row {row}, "):
+            read_instance(p)
+
+
 # HUBO: per-order index blocks against the dict loops that held one index
 # tuple per term.
 
@@ -553,6 +743,13 @@ class TestHuboBlocks:
         with pytest.raises(ValidationError, match="integer"):
             build()
 
+    @pytest.mark.parametrize("idx", [np.array([["0", "2"]]), np.array([[b"0", b"2"]]),
+                                     np.array([[0, 2]], dtype=object)],
+                             ids=["str", "bytes", "object"])
+    def test_index_blocks_of_strings_or_objects_rejected(self, idx):
+        with pytest.raises(ValidationError, match="term indices must be integers, got an array"):
+            HuboModel.from_arrays(3, "spin", [(idx, [1.0])])
+
     def test_block_shapes_checked(self):
         with pytest.raises(ValidationError, match="coefficient per row"):
             HuboModel.from_arrays(3, "spin", [(np.array([[0, 1], [1, 2]]), [1.0])])
@@ -580,7 +777,7 @@ class TestHuboBlocks:
         lambda: gen_mw3s(40, 3), lambda: gen_chain3(12, 5), lambda: gen_3r3x(48, 2).model,
         lambda: HuboModel.from_terms(7, "binary", awkward_hubo_terms(7, 4)),
         # the lines of orders 1 to 3 span more than one written block
-        lambda: gen_mw3s(_WRITE_LINES + 3, 6),
+        lambda: gen_mw3s(_BLOCK_LINES + 3, 6),
     ], ids=["mw3s", "chain3", "3r3x", "awkward-binary", "mw3s-blocks"])
     def test_text_and_json_bytes_and_read_back(self, tmp_path, build):
         h = build()

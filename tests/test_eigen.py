@@ -1,6 +1,5 @@
 """Tests for extreme eigenvalue estimation."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from qubokit import eig_extreme
 from qubokit.generators import gen_random, gen_tile
 from qubokit.solvers import eigen
 from qubokit.solvers.bifurcation import resolve_c0
+
+from peaks import traced_peak
 
 
 class CountingOperator:
@@ -110,14 +111,8 @@ class TestEigExtreme:
         # would take 160 B per spin
         mat = gen_tile(256, [0.0, 0.8, 0.0, 0.2], 1).model.coupling_operator()
         n = mat.shape[0]
-        tracemalloc.start()
-        try:
-            est = eig_extreme(mat, "min")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert est <= -5.49
-        assert peak <= 10 * 8 * n
+        assert eig_extreme(mat, "min") <= -5.49
+        assert traced_peak(lambda: eig_extreme(mat, "min")) <= 10 * 8 * n
 
     def test_default_c0_copies_no_operator(self):
         # tile L=256: SBM's default c0 runs Lanczos on the model's own
@@ -125,13 +120,7 @@ class TestEigExtreme:
         # operator took it to 112
         m = gen_tile(256, [0.0, 0.8, 0.0, 0.2], 1).model
         m.coupling_operator()
-        tracemalloc.start()
-        try:
-            resolve_c0(m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * m.n
+        assert traced_peak(lambda: resolve_c0(m)) < 64 * m.n
 
     def test_lanczos_repeats_bitwise(self):
         # n=1024 takes the Lanczos path; its start vector must not depend on

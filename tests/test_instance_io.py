@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +14,20 @@ from qubokit import (
     IsingModel,
     QuboModel,
     ValidationError,
+    model_to_dict,
     read_certificate,
     read_instance,
     write_certificate,
     write_instance,
 )
 import qubokit.instance_io as instance_io
+from qubokit.bench import SuiteSpec
 from qubokit.cli import main
 from qubokit.generators import gen_3r3x, gen_chain3, gen_mw3s, gen_random, gen_tile, gen_wishart
 from qubokit.model import TERM_DTYPE
 
 from oracles import all_spin_states, certificate_text
+from peaks import traced_peak
 
 
 def assert_same_ising(a: IsingModel, b: IsingModel):
@@ -78,6 +80,16 @@ class TestTextFormat:
         with pytest.raises(ValidationError):
             read_instance(p)
 
+    @pytest.mark.parametrize("name, text", [
+        ("n.txt", "-1 0 spin\n"),
+        ("n.json", '{"format": "quadratic", "n": -1, "domain": "spin", "terms": []}'),
+    ])
+    def test_negative_n_refused(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValidationError, match="n must be an integer >= 1, got -1"):
+            read_instance(p)
+
     def test_hubo_heuristic_detection(self, tmp_path):
         # no format comment; cubic line reveals the HUBO flavor
         p = tmp_path / "h2.txt"
@@ -124,6 +136,22 @@ class TestSettings:
         q = read_instance(p)
         assert isinstance(q, QuboModel) and q.offset == 2.5
 
+    def test_lines_across_first_pass_pieces(self, tmp_path):
+        # the first pass decodes _SCAN_CHARS characters at a time: a setting
+        # that straddles two pieces and a comment longer than a piece count
+        # as in any other place
+        piece = instance_io._SCAN_CHARS
+        text = ("#" + "c" * (piece - 7) + "\n# offset: 2.5\n2 1 spin\n"
+                + "#" + "d" * (2 * piece) + "\n  2 1 -1.0 # swapped\n# format: hubo\n")
+        assert text.index("# offset") < piece < text.index("2 1 spin")
+        p = tmp_path / "s.txt"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match="order-0 term"):
+            read_instance(p)
+        p.write_text(text.replace("hubo", "quadratic"))
+        m = read_instance(p)
+        assert m.offset == 2.5 and m.couplings() == [(0, 1, -1.0)]
+
     def test_guessed_hubo_is_bitwise_the_declared_one(self, tmp_path, monkeypatch):
         p = write_instance(tmp_path / "h.txt", gen_mw3s(60, 2))
         declared = read_instance(p)
@@ -139,6 +167,51 @@ class TestSettings:
             (declared.n, declared.domain, declared.max_order)
         assert [(i.tobytes(), c.tobytes()) for i, c in guessed.blocks] == \
             [(i.tobytes(), c.tobytes()) for i, c in declared.blocks]
+
+
+BOM = "\ufeff"  # the UTF-8 byte-order mark, EF BB BF on disk
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark reads as one without."""
+
+    @pytest.mark.parametrize("name, model", [
+        ("m.txt", IsingModel.from_terms(3, h=[0.5, 0, 0], couplings=[(0, 1, -1.0)], offset=0.25)),
+        ("q.txt", QuboModel.from_terms(3, [(0, 0, 1.0), (1, 2, -2.0)])),
+        ("h.txt", HuboModel.from_terms(3, "spin", [((0, 1, 2), 1.5), ((1,), -0.5)])),
+        ("m.json", IsingModel.from_terms(3, h=[0.5, 0, 0], couplings=[(0, 1, -1.0)])),
+        ("h.json", HuboModel.from_terms(3, "binary", [((0, 2), 1.0)])),
+    ])
+    def test_instance(self, tmp_path, name, model):
+        plain = write_instance(tmp_path / name, model)
+        text = plain.read_text(encoding="utf-8")
+        assert not text.startswith(BOM)  # writers add none
+        want = read_instance(plain)
+        marked = tmp_path / f"bom-{name}"
+        marked.write_text(BOM + text, encoding="utf-8")
+        got = read_instance(marked)
+        assert type(got) is type(want)
+        assert model_to_dict(got) == model_to_dict(want)
+
+    def test_text_instance_without_format_comment(self, tmp_path):
+        # the mark sits on the header line itself
+        p = tmp_path / "m.txt"
+        p.write_text(BOM + "2 1 spin\n1 2 -1.0\n", encoding="utf-8")
+        assert read_instance(p).couplings() == [(0, 1, -1.0)]
+
+    def test_certificate_suite_and_parameters(self, tmp_path, capsys):
+        cert = write_certificate(tmp_path / "c.json", gen_3r3x(8, seed=5))
+        cert.write_text(BOM + cert.read_text(encoding="utf-8"), encoding="utf-8")
+        assert read_certificate(cert)["family"] == "r3x3"
+        suite = tmp_path / "s.json"
+        suite.write_text(BOM + json.dumps({"source": {"files": "*.txt"},
+                                           "solvers": [{"id": "sa"}]}), encoding="utf-8")
+        assert SuiteSpec.from_json(suite).solvers == [{"id": "sa"}]
+        inst = write_instance(tmp_path / "m.txt", gen_random("complete", "gaussian", 1, n=6))
+        params = tmp_path / "p.json"
+        params.write_text(BOM + json.dumps({"sweeps": 5}), encoding="utf-8")
+        assert main(["solve", str(inst), "--solver", "sa", "--params", str(params)]) == 0
+        capsys.readouterr()
 
 
 # Reads and writes under the C locale without UTF-8 mode, where the
@@ -184,34 +257,34 @@ def test_utf8_files_under_the_c_locale(tmp_path):
     assert "latin1.txt: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in out["latin1"]
 
 
-def traced_peak(fn) -> int:
-    """tracemalloc peak of one call of ``fn``, after an untraced warm-up."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 class TestMemory:
     # complete n=500: 124,750 couplings and 500 field lines, a 3.4 MB file
     def test_read_instance(self, tmp_path):
         m = gen_random("complete", "uniform", 500, n=500)
         p = write_instance(tmp_path / "c.txt", m)
         terms = m.num_couplings + np.count_nonzero(m.h)
-        # the text, the parsed (i, j, v) records and the model: a copy of
-        # the body as UCS-4 text alone would take 4 B per character
-        assert traced_peak(lambda: read_instance(p)) <= 150 * terms
+        read_instance(p)  # warm-up, untraced
+        # the model's columns, 24 B per term line, and one block of lines:
+        # 46 B here, where the whole text, its parsed (i, j, v) records and
+        # the constructor's copies took 126
+        assert traced_peak(lambda: read_instance(p)) <= 56 * terms
+
+    def test_read_hubo_instance(self, tmp_path):
+        # gen_mw3s n=20,000: 79,996 terms of orders 0 to 3.  A string per
+        # term line and the whole text took 241 B per term; the parsed
+        # blocks and from_arrays' copies take 120
+        h = gen_mw3s(20_000, 3)
+        p = write_instance(tmp_path / "h.txt", h)
+        read_instance(p)  # warm-up, untraced
+        assert traced_peak(lambda: read_instance(p)) <= 136 * h.num_terms
 
     def test_from_arrays_on_int64_columns(self):
         m = gen_random("complete", "uniform", 500, n=500)
-        # the model's own columns and the sort check's keys: no float copy
-        # of the index columns
-        peak = traced_peak(lambda: IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=m.h))
-        assert peak <= 45 * m.num_couplings
+        # the model's own columns and the sort check's keys, 26 B per
+        # coupling: no float copy of the index columns
+        build = lambda: IsingModel.from_arrays(m.n, m.rows, m.cols, m.values, h=m.h)  # noqa: E731
+        build()  # warm-up, untraced
+        assert traced_peak(build) <= 30 * m.num_couplings
 
     def test_write_instance_holds_one_block(self, tmp_path):
         # complete n=1000: 499,500 couplings and 1,000 field lines.  Full
@@ -220,7 +293,9 @@ class TestMemory:
         # about 3 MB, 6 B per line
         m = gen_random("complete", "uniform", 1000, n=1000)
         terms = m.num_couplings + np.count_nonzero(m.h)
-        assert traced_peak(lambda: write_instance(tmp_path / "c.txt", m)) <= 16 * terms
+        write = lambda: write_instance(tmp_path / "c.txt", m)  # noqa: E731
+        write()  # warm-up, untraced
+        assert traced_peak(write) <= 16 * terms
 
 
 class TestJsonFormat:

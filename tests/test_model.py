@@ -1,6 +1,5 @@
 """Tests for model types and energy evaluation."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from oracles import (
     ising_energy_naive,
     qubo_energy_naive,
 )
+from peaks import traced_peak
 
 
 class TestIsingEnergy:
@@ -73,13 +73,7 @@ class TestIsingEnergy:
         # (64, 44850) arrays, about 46 MB.
         m = gen_random("complete", "uniform", 8, n=300)
         states = np.where(np.random.default_rng(8).random((64, 300)) < 0.5, -1, 1)
-        tracemalloc.start()
-        try:
-            m.energies(states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert traced_peak(lambda: m.energies(states)) < 8e6
 
     def test_purity(self):
         m = gen_random("complete", "gaussian", 5, n=12)
@@ -179,13 +173,7 @@ class TestColourClasses:
         # the rows sorted by column take 16 B per coupling here; a CSR
         # layout of every pair stored both ways would take 80
         m = gen_random("complete", "gaussian", 6, n=1000)
-        tracemalloc.start()
-        try:
-            m.colour_classes()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * m.num_couplings
+        assert traced_peak(m.colour_classes) < 32 * m.num_couplings
 
 
 class TestQuboEnergy:
@@ -223,13 +211,7 @@ class TestQuboEnergy:
         # (64, 45150) arrays, about 46 MB.
         q = ising_to_qubo(gen_random("complete", "uniform", 8, n=300))
         X = (np.random.default_rng(8).random((64, 300)) < 0.5).astype(np.int8)
-        tracemalloc.start()
-        try:
-            q.energies(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert traced_peak(lambda: q.energies(X)) < 8e6
 
     def test_dimension_mismatch(self):
         q = QuboModel.from_terms(2, terms=[(0, 1, 1.0)])
@@ -304,13 +286,7 @@ class TestHuboEnergy:
         cubic = dict((idx.shape[1], c.size) for idx, c in h.blocks)[3]
         R = 64
         states = np.where(np.random.default_rng(3).random((R, h.n)) < 0.5, -1, 1).astype(np.int8)
-        tracemalloc.start()
-        try:
-            h.energies(states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * R * cubic
+        assert traced_peak(lambda: h.energies(states)) < 2 * 8 * R * cubic
 
 
 def _chimera16():

@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from qubokit.solvers.common import (
 )
 from qubokit.transforms import reduce_cubic
 
+from peaks import traced_peak
+
 
 def ferro_pair():
     return IsingModel.from_terms(2, couplings=[(0, 1, -1.0)])
@@ -47,17 +48,6 @@ def tile64():
     m.coupling_operator()
     m.colour_classes()
     return m
-
-
-def traced_peak(solve, model, params) -> int:
-    """tracemalloc peak of one ``solve(model, params)`` call, in bytes."""
-    tracemalloc.start()
-    try:
-        solve(model, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def digest(sset) -> str:
@@ -147,7 +137,8 @@ class TestSimulatedAnnealing:
         # (states drawn straight into their block, fields, int8 best states,
         # a chunk of uniform draws): 51 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_sa, m, SaParams(sweeps=10, replicas=64, seed=1)) < 56 * 64 * m.n
+        params = SaParams(sweeps=10, replicas=64, seed=1)
+        assert traced_peak(lambda: solve_sa(m, params)) < 56 * 64 * m.n
 
     def test_draw_block_is_bounded(self):
         # dense n=96 with 256 replicas: 40 sweeps of draws would be 7.9 MB,
@@ -155,7 +146,8 @@ class TestSimulatedAnnealing:
         m = gen_wishart(96, 96, 3).model
         m.coupling_operator()
         m.colour_classes()
-        peak = traced_peak(solve_sa, m, SaParams(sweeps=40, replicas=256, seed=1))
+        params = SaParams(sweeps=40, replicas=256, seed=1)
+        peak = traced_peak(lambda: solve_sa(m, params))
         assert peak < 256 * 256 * m.n
 
     def test_complete_graph_golden(self):
@@ -252,7 +244,8 @@ class TestParallelAnnealing:
         # product, freed when the kernel returns; the driver signs X into
         # int8 and frees X before scoring: 29 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_pa, m, PaParams(steps=10, replicas=64, seed=1)) < 32 * 64 * m.n
+        params = PaParams(steps=10, replicas=64, seed=1)
+        assert traced_peak(lambda: solve_pa(m, params)) < 32 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
@@ -341,7 +334,8 @@ class TestSimulatedBifurcation:
         # the model's own operator; the driver signs Q into int8 and frees
         # the blocks before scoring: 30 B per replica-spin
         m = tile64()
-        assert traced_peak(solve_sbm, m, SbmParams(steps=10, replicas=64, seed=1)) < 32 * 64 * m.n
+        params = SbmParams(steps=10, replicas=64, seed=1)
+        assert traced_peak(lambda: solve_sbm(m, params)) < 32 * 64 * m.n
 
     def test_csr_operator_golden(self):
         # Recorded while the operator was still the dense matrix.
