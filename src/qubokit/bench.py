@@ -298,11 +298,12 @@ def export_records(records: list[GapRecord], path) -> Path:
 
 
 def load_records(path) -> list[GapRecord]:
-    """Records written by ``export_records``: JSON for a ``.json`` path, else CSV."""
+    """Records written by ``export_records``: JSON for a ``.json`` path, else
+    CSV; a byte-order mark opening the file is skipped."""
     path = Path(path)
     records = []
     if path.suffix != ".json":
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             for row in csv.DictReader(fh):
                 records.append(GapRecord(
                     instance_id=row["instance_id"], solver_id=row["solver_id"],

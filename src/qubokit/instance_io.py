@@ -12,11 +12,15 @@ when it holds a ``#``.  A format other than ``quadratic`` or ``hubo``, an
 offset that is not a number, and a non-zero offset on a HUBO (its constant
 is an order-0 term; in JSON too) are ValidationErrors.  Without the format
 comment a file is HUBO when its first term line (trailing comment cut) has
-other than three fields, else quadratic when every term line has three
-fields, else HUBO.  Repeated lines are summed in line order (fields into
-``h``, pairs and terms as in ``from_arrays``), and a malformed line, an
-index out of range (field lines included) or a term count that differs
-from the header is a ValidationError.
+other than three fields; else it is read as quadratic, and read again as
+HUBO when the first line that fails to parse as quadratic has other than
+three fields.  Repeated lines are summed in line order (fields into ``h``,
+pairs and terms as in ``from_arrays``), and a malformed line, an index out
+of range (field lines included) or a term count that differs from the
+header is a ValidationError.  A malformed line's error names the file, the
+line's 1-based number in the file and its text, for the first malformed
+term line in file order; a term count that differs from the header is
+reported once the body has parsed.
 
 The reader makes two passes over a text file and never holds its whole
 text or a string for each of its lines.  Pass 1 decodes the file in
@@ -30,9 +34,11 @@ the pairs' keys strictly increase, as in written files, those columns are
 the model's.  The read of a complete n=1000 file thus peaks at about 30 B
 per term line (the model's 24 B and one block), a HUBO of ``gen_mw3s``
 n=10^5 at about 95 B per term.  Every split into blocks reads to the model
-and the error of a whole-body parse.  The writers format ``_BLOCK_LINES``
-term lines at a time in one ``%`` call, so the text of a whole model is
-never held at once either.
+of a whole-body parse.  Only once a block fails to parse are its lines
+read again and parsed one at a time, to find the first malformed one; the
+read stops there.  The writers format ``_BLOCK_LINES`` term lines at a
+time in one ``%`` call, so the text of a whole model is never held at
+once either.
 
 The JSON mirror carries the same schema:
 ``{"format", "n", "domain", "offset", "terms"}`` with 1-based integer
@@ -73,7 +79,6 @@ _SETTING = re.compile(r"^[^\S\n]*#[^\S\n]*(format|offset):(.*)$", re.MULTILINE)
 _BLOCK_LINES = 2 ** 14
 # characters of text decoded per piece in the reader's first pass
 _SCAN_CHARS = 2 ** 16
-_ROW = re.compile(r"(?<=at row )\d+")  # the row number in numpy's parse errors
 _HUBO_OFFSET = "a HUBO has no offset; its constant is an order-0 term"
 
 
@@ -264,7 +269,13 @@ def _read_json_object(path, what: str) -> dict:
 
 
 def read_instance(path) -> Model:
-    """Read a model written by :func:`write_instance` (text or JSON)."""
+    """Read a model written by :func:`write_instance` (text or JSON).
+
+    A text file without a ``# format:`` comment whose first term line has
+    three fields is read as quadratic, and read again as HUBO when the
+    first term line that fails to parse has other than three fields.  A
+    malformed term line is a ValidationError naming the file, the line's
+    1-based number in the file and its text."""
     path = Path(path)
     if path.suffix == ".json":
         return model_from_dict(_read_json(path))
@@ -277,12 +288,11 @@ def read_instance(path) -> Model:
         try:
             return _quadratic_model(n, domain, _quadratic_blocks(path, skip, m), size, offset)
         except _BadLine as exc:
-            # a file without a format comment is HUBO if any term line has
-            # other than three fields: it is read again as one
-            if fmt is not None or all(len(line.split("#", 1)[0].split()) == 3
-                                      for block in _body_blocks(path, skip)
-                                      for line in _term_lines(block)):
-                raise ValidationError(f"{path}: quadratic line needs 'i j v': {exc}") from None
+            number, line = exc.args
+            # a valid HUBO line of three fields, "1 i v", parses as quadratic
+            if fmt is not None or len(line.split("#", 1)[0].split()) == 3:
+                raise ValidationError(f"{path}: line {number}: quadratic line needs 'i j v', "
+                                      f"got {line!r}") from None
     if offset != 0.0:
         raise ValidationError(f"{path}: {_HUBO_OFFSET}")
     return _read_hubo(path, skip, n, m, domain)
@@ -365,29 +375,39 @@ def _term_lines(block: list[str]) -> list[str]:
 
 
 class _BadLine(Exception):
-    """A term line that does not parse, with numpy's message."""
+    """The file line number and text of a quadratic body's first line that
+    does not parse."""
 
 
-def _parse(lines, dtype, before: int, usecols=None) -> np.ndarray:
-    """``_loadtxt`` of a block's lines, a parse error raised as ``_BadLine``
-    whose row number counts the ``before`` term lines of earlier blocks,
-    as a parse of the whole body would."""
-    try:
-        return _loadtxt(lines, dtype, usecols)
-    except (ValueError, DeprecationWarning) as exc:
-        raise _BadLine(_ROW.sub(lambda r: str(int(r.group()) + before), str(exc), 1)) from None
+def _first_bad_line(path: Path, skip: int, b: int, parse) -> tuple[int, str]:
+    """The file line number and text of the first line of body block ``b``
+    (0-based, as ``_body_blocks`` yields them) on which ``parse`` raises a
+    ValueError or DeprecationWarning.  The block is read again, so a reader
+    need not keep its lines."""
+    block = next(itertools.islice(_body_blocks(path, skip), b, None))
+    for i, line in enumerate(block):
+        try:
+            parse(line)
+        except (ValueError, DeprecationWarning):
+            return skip + b * _BLOCK_LINES + i + 1, line.rstrip("\n")
 
 
 def _quadratic_blocks(path: Path, skip: int, m: int):
     """0-based (i, j, v) columns of each block of a quadratic body while
-    the term lines number at most the header's m; a line that does not
-    parse raises ``_BadLine``, and a count other than m a ValidationError
-    once the body is parsed."""
-    found = 0
+    the term lines number at most the header's m.  A block that does not
+    parse raises ``_BadLine`` for its first line that does not parse alone
+    (blank and comment lines parse to nothing), and a count other than m
+    is a ValidationError once the body is parsed."""
+    found = b = 0  # b counts blocks: enumerate's tuple would keep the last one alive
     for block in _body_blocks(path, skip):
-        t = _parse(block, TERM_DTYPE, found)
+        try:
+            t = _loadtxt(block, TERM_DTYPE)
+        except (ValueError, DeprecationWarning):
+            raise _BadLine(*_first_bad_line(path, skip, b,
+                                            lambda line: _loadtxt([line], TERM_DTYPE))) from None
         del block  # the lines go before the block's columns are made
         found += t.size
+        b += 1
         if found <= m:
             yield t["i"] - 1, t["j"] - 1, t["v"]
     if found != m:
@@ -395,50 +415,46 @@ def _quadratic_blocks(path: Path, skip: int, m: int):
 
 
 def _read_hubo(path: Path, skip: int, n: int, m: int, domain: str) -> HuboModel:
-    """Parse a HUBO body block by block, one ``np.loadtxt`` call for a
-    block's order column and one per order present in it, into (0-based
-    index matrix, coefficients) parts for ``from_arrays``.  The errors are
-    those of a parse of the whole body: a term count that differs from the
-    header first, then the first line whose order does not parse, the first
-    whose order does not fit the longest term line, and the first
-    malformed line of the lowest order holding one."""
-    parts, before, found, errors = [], {}, 0, {}
+    """Parse a HUBO body block by block with ``_hubo_parts`` into parts for
+    ``from_arrays``.  The first block that does not parse is a
+    ValidationError naming its first term line that does not parse alone;
+    a term count that differs from the header is one once the body has
+    parsed."""
+    parts, found, b = [], 0, 0  # b counts blocks, as in _quadratic_blocks
     for block in _body_blocks(path, skip):
         lines = _term_lines(block)
         del block
-        rank = 0  # of a parse error here: 0 order column, 1 misfit, 2 + k order k
         try:
-            if lines:
-                order = _parse(lines, np.int64, found, usecols=0)
-                rank = 1
-                # a line of order k has at least 2k + 3 characters; an order
-                # beyond this block's longest line is held to the body's
-                longest = max(map(len, lines))
-                if order.max() > longest:
-                    longest = max(len(line) for other in _body_blocks(path, skip)
-                                  for line in _term_lines(other))
-                misfit = (order < 0) | (order > longest)
-                if misfit.any():
-                    raise _BadLine(f"order {order[misfit.argmax()]} does not fit its line")
-                for k in np.unique(order).tolist():
-                    rank = 2 + k
-                    dtype = np.dtype([("k", np.int64), ("idx", np.int64, (k,)),
-                                      ("v", np.float64)])
-                    t = _parse(list(itertools.compress(lines, order == k)), dtype,
-                               before.get(k, 0))
-                    before[k] = before.get(k, 0) + t.size
-                    if not errors:
-                        parts.append((t["idx"] - 1, t["v"].copy()))
-        except _BadLine as exc:
-            errors.setdefault(rank, exc)
-            parts = []
+            parts += _hubo_parts(lines)
+        except (ValueError, DeprecationWarning):
+            number, line = _first_bad_line(path, skip, b,
+                                           lambda line: _hubo_parts(_term_lines([line])))
+            raise ValidationError(f"{path}: line {number}: HUBO line needs 'k i1 ... ik v' with "
+                                  f"integer order and indices, got {line!r}") from None
         found += len(lines)
+        b += 1
     if found != m:
         raise ValidationError(f"{path}: header declares {m} terms, found {found}")
-    if errors:
-        raise ValidationError(f"{path}: HUBO line needs 'k i1 ... ik v' with integer "
-                              f"order and indices: {errors[min(errors)]}")
     return HuboModel.from_arrays(n, domain, parts)
+
+
+def _hubo_parts(lines: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(0-based index matrix, coefficients) of the HUBO term ``lines`` per
+    order present, from one ``np.loadtxt`` call for the order column and
+    one per order.  A ValueError (or DeprecationWarning) when a line's
+    order k does not parse or is negative, when it has other than k + 2
+    fields or when a field does not parse."""
+    order = _loadtxt(lines, np.int64, usecols=0)
+    # a line of order k has at least 2k + 3 characters: an order no line
+    # can hold fails before it sizes a record
+    if lines and (order.min() < 0 or order.max() > max(map(len, lines))):
+        raise ValueError
+    parts = []
+    for k in np.unique(order).tolist():
+        dtype = np.dtype([("k", np.int64), ("idx", np.int64, (k,)), ("v", np.float64)])
+        t = _loadtxt(list(itertools.compress(lines, order == k)), dtype)
+        parts.append((t["idx"] - 1, t["v"].copy()))
+    return parts
 
 
 def _loadtxt(lines, dtype, usecols=None) -> np.ndarray:

@@ -197,6 +197,11 @@ class TestExport:
         back = load_records(p)
         assert back == self.records()
 
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        p = export_records(self.records(), tmp_path / "r.csv")
+        p.write_text("\ufeff" + p.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_records(p) == self.records()
+
     def test_json_round_trip(self, tmp_path):
         p = export_records(self.records(), tmp_path / "r.json")
         back = load_records(p)

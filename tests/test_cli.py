@@ -211,6 +211,13 @@ class TestSolve:
         assert run(["solve", inst]) == 3
         assert "bad.json: not valid JSON" in capsys.readouterr().err
 
+    def test_malformed_term_line_exits_3(self, tmp_path, capsys):
+        inst = tmp_path / "bad.txt"
+        inst.write_text("# format: quadratic\n3 2 spin\n1 2 1.0\n2 3 x\n")
+        assert run(["solve", inst]) == 3
+        assert "bad.txt: line 4: quadratic line needs 'i j v', got '2 3 x'" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["utf16.txt", "utf16.json"])
     def test_undecodable_instance_exits_3(self, tmp_path, capsys, name):
         inst = tmp_path / name

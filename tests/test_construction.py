@@ -32,9 +32,8 @@ from qubokit.generators import (
     gen_random,
     rng_stream,
 )
-import qubokit.instance_io as instance_io
 from qubokit.instance_io import _BLOCK_LINES
-from qubokit.model import TERM_DTYPE, _canonical_pairs
+from qubokit.model import _canonical_pairs
 from qubokit.transforms import hubo_to_spin_domain, ising_to_qubo, qubo_to_ising, reduce_cubic
 
 from oracles import (
@@ -497,8 +496,8 @@ def read_as_loop_reads(p):
 
 class TestReadBlocks:
     """The reader parses a body _BLOCK_LINES lines at a time: every split of
-    a body into blocks must give the model and the error of a whole-body
-    parse."""
+    a body into blocks must give the model of a whole-body parse, and a
+    malformed body the file line of its first malformed term line."""
 
     @pytest.mark.parametrize("lines", [-1, 0, 1, _BLOCK_LINES + 1],
                              ids=["block-1", "block", "block+1", "two-blocks+1"])
@@ -586,12 +585,12 @@ class TestReadBlocks:
     def test_first_bad_line_in_the_second_block(self, tmp_path, bad):
         body = quadratic_body(_BLOCK_LINES + 20)
         body[_BLOCK_LINES + 3], body[_BLOCK_LINES + 11] = bad, "1 2 y"
-        body.insert(_BLOCK_LINES - 2, "# a comment")  # comment lines hold no row
-        with pytest.raises(ValueError) as whole:
-            instance_io._loadtxt(body, TERM_DTYPE)
+        body.insert(_BLOCK_LINES - 2, "# a comment")  # comment lines count as file lines
+        p = quadratic_file(tmp_path, body)
         with pytest.raises(ValidationError) as got:
-            read_instance(quadratic_file(tmp_path, body))
-        assert str(got.value).endswith(f"quadratic line needs 'i j v': {whole.value}")
+            read_instance(p)
+        line = _BLOCK_LINES + 7  # format comment and header, then body index _BLOCK_LINES + 4
+        assert str(got.value) == f"{p}: line {line}: quadratic line needs 'i j v', got {bad!r}"
 
     @pytest.mark.parametrize("fmt", ["quadratic", "hubo"])
     def test_header_count_beyond_the_file_allocates_nothing(self, tmp_path, fmt):
@@ -602,6 +601,14 @@ class TestReadBlocks:
         with pytest.raises(ValidationError, match=f"header declares {10 ** 15} terms, found 2$"):
             read_instance(p)
         assert traced_peak(lambda: pytest.raises(ValidationError, read_instance, p)) < 10 ** 6
+
+    def test_order_beyond_its_line_allocates_nothing(self, tmp_path):
+        # a record of order 10^7 would take 80 MB per line read
+        p = tmp_path / "h.txt"
+        p.write_text("# format: hubo\n3 2 spin\n2 1 2 0.5\n10000000 1 0.5\n")
+        with pytest.raises(ValidationError, match="line 4: HUBO line .* got '10000000 1 0.5'$"):
+            read_instance(p)
+        assert traced_peak(lambda: pytest.raises(ValidationError, read_instance, p)) < 10 ** 7
 
     def test_file_turning_hubo_in_a_later_block(self, tmp_path):
         # without a format comment: order-1 lines parse as quadratic until
@@ -620,30 +627,36 @@ class TestReadBlocks:
         assert [(i.tobytes(), c.tobytes()) for i, c in guessed.blocks] == \
             [(i.tobytes(), c.tobytes()) for i, c in declared.blocks]
 
-    def test_hubo_order_held_to_the_longest_line_of_the_body(self, tmp_path):
+    def test_hubo_order_held_to_its_own_line(self, tmp_path):
         # order 12 is longer than every line of its block but not than the
-        # long lines of the next: as in a whole-body parse, it is a line
-        # with too few fields for its order, not an order that cannot fit
+        # long lines of the next: the error is the same either way, the
+        # line's number and text, whatever the other lines of the body
         lines = ["1 1 0.5"] * (_BLOCK_LINES - 1) + ["12 1 2 1.0"]
         lines += ["4 100001 100002 100003 100004 0.123456789012345"] * 5
         p = tmp_path / "h.txt"
         p.write_text(f"# format: hubo\n100004 {len(lines)} spin\n" + "\n".join(lines) + "\n")
-        with pytest.raises(ValidationError, match="requires 14 columns but 4 were found at row 1;"):
+        want = (f"{p}: line {_BLOCK_LINES + 2}: HUBO line needs 'k i1 ... ik v' with integer "
+                "order and indices, got '12 1 2 1.0'")
+        with pytest.raises(ValidationError) as got:
             read_instance(p)
+        assert str(got.value) == want
         p.write_text(p.read_text().replace(lines[-1], "2 3 4 0.25"))  # no line is 12 long
-        with pytest.raises(ValidationError, match="order 12 does not fit its line"):
+        with pytest.raises(ValidationError) as got:
             read_instance(p)
+        assert str(got.value) == want
 
-    def test_hubo_errors_rank_across_blocks(self, tmp_path):
-        # a whole-body parse reports a bad order column before a malformed
-        # line of some order, wherever the two stand
+    @pytest.mark.parametrize("first, later", [("2 1 0.5", "x 1 2 0.5"), ("x 1 2 0.5", "2 1 0.5")])
+    def test_hubo_first_bad_line_in_file_order(self, tmp_path, first, later):
+        # a malformed line of some order and a bad order column are named
+        # in file order, whichever block holds the later one
         lines = [f"2 {i % 90 + 1} {i % 90 + 2} 0.5" for i in range(_BLOCK_LINES + 10)]
-        lines[5], lines[_BLOCK_LINES + 4] = "2 1 0.5", "x 1 2 0.5"
+        lines[5], lines[_BLOCK_LINES + 4] = first, later
         p = tmp_path / "h.txt"
         p.write_text(f"# format: hubo\n100 {len(lines)} spin\n" + "\n".join(lines) + "\n")
-        row = _BLOCK_LINES + 4  # counted over the whole body
-        with pytest.raises(ValidationError, match=f"convert string 'x' to int64 at row {row}, "):
+        with pytest.raises(ValidationError) as got:
             read_instance(p)
+        assert str(got.value) == (f"{p}: line 8: HUBO line needs 'k i1 ... ik v' with integer "
+                                  f"order and indices, got {first!r}")
 
 
 # HUBO: per-order index blocks against the dict loops that held one index

@@ -24,6 +24,7 @@ import qubokit.instance_io as instance_io
 from qubokit.bench import SuiteSpec
 from qubokit.cli import main
 from qubokit.generators import gen_3r3x, gen_chain3, gen_mw3s, gen_random, gen_tile, gen_wishart
+from qubokit.instance_io import _BLOCK_LINES
 from qubokit.model import TERM_DTYPE
 
 from oracles import all_spin_states, certificate_text
@@ -212,6 +213,65 @@ class TestByteOrderMark:
         params.write_text(BOM + json.dumps({"sweeps": 5}), encoding="utf-8")
         assert main(["solve", str(inst), "--solver", "sa", "--params", str(params)]) == 0
         capsys.readouterr()
+
+
+QUADRATIC_LINE = "quadratic line needs 'i j v'"
+HUBO_LINE = "HUBO line needs 'k i1 ... ik v' with integer order and indices"
+
+
+class TestMalformedLines:
+    """A malformed term line is named by the file, its 1-based line number
+    in the file and its text: the first one in file order."""
+
+    @pytest.mark.parametrize("fmt, good, bad, want", [
+        ("quadratic", "1 2 0.5", "1 2 x", QUADRATIC_LINE),
+        ("quadratic", "1 2 0.5", "x 2 0.5", QUADRATIC_LINE),
+        ("quadratic", "1 2 0.5", "1.5 2 0.5", QUADRATIC_LINE),
+        ("quadratic", "1 2 0.5", "1 2", QUADRATIC_LINE),
+        ("quadratic", "1 2 0.5", "1 2 3 0.5  # four fields", QUADRATIC_LINE),
+        (None, "1 2 0.5", "1 2 x", QUADRATIC_LINE),
+        # the first malformed line has four fields: the file is read as HUBO,
+        # where "1 2 0.5" is an order-1 term and the line still fails
+        (None, "1 2 0.5", "1 2 3 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "x 1 2 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "1.5 1 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "-1 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "12 1 2 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "2 1 x 0.5", HUBO_LINE),
+        ("hubo", "2 1 2 0.5", "2 1 2 abc", HUBO_LINE),
+    ], ids=["value", "index", "float-index", "two-fields", "four-fields", "guessed-value",
+            "guessed-hubo", "order", "float-order", "negative-order", "order-beyond-line",
+            "hubo-index", "hubo-value"])
+    @pytest.mark.parametrize("before", [0, _BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1],
+                             ids=["first", "block-1", "block", "block+1"])
+    @pytest.mark.parametrize("newline, mark", [("\n", ""), ("\r\n", ""), ("\r", ""), ("\n", BOM)],
+                             ids=["lf", "crlf", "cr", "bom"])
+    def test_first_malformed_line_named(self, tmp_path, fmt, good, bad, want, before, newline,
+                                        mark):
+        # ``before`` good term lines stand between the bad line and the
+        # comment and blank lines that open the body; a later line is bad too
+        head = ["# a comment", "", "  # another"] + ([f"# format: {fmt}"] if fmt else [])
+        body = ["# a body comment", "", *[good] * before, bad, good, "1 2 y"]
+        lines = head + [f"3 {before + 3} spin"] + body
+        p = tmp_path / "bad.txt"
+        p.write_bytes((mark + newline.join(lines) + newline).encode("utf-8"))
+        with pytest.raises(ValidationError) as got:
+            read_instance(p)
+        assert str(got.value) == f"{p}: line {lines.index(bad) + 1}: {want}, got {bad!r}"
+
+    @pytest.mark.parametrize("text, line, bad, want", [
+        ("# format: quadratic\n3 3 binary\n1 2 1.0\n# c\n2 3 1.0\n1 3 x\n",
+         6, "1 3 x", QUADRATIC_LINE),
+        # line 3, of order 3, is named before line 5, of order 2
+        ("# format: hubo\n3 3 spin\n3 1 2 1.0\n2 1 2 0.5\n2 3 x 0.5\n",
+         3, "3 1 2 1.0", HUBO_LINE),
+    ], ids=["quadratic", "hubo"])
+    def test_examples(self, tmp_path, text, line, bad, want):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as got:
+            read_instance(p)
+        assert str(got.value) == f"{p}: line {line}: {want}, got {bad!r}"
 
 
 # Reads and writes under the C locale without UTF-8 mode, where the
